@@ -8,8 +8,6 @@ rate is certified by an average-risk guarantee.
 """
 
 from .core import (
-    ABSTAIN,
-    Action,
     ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
@@ -17,26 +15,19 @@ from .core import (
     LossFunction,
     ModelRegistry,
     MonitoringBatch,
-    Observation,
-    augmented_loss,
-    batch_model_losses,
     cumulative_average_risk,
-    deployed_risk,
-    empirical_risk,
-    ensemble_predict,
-    sample_action,
+    deployed_risks,
 )
-from .bounds import BoundConfig, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
+from .bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
 from .strategy import (
+    REPEATED_TTEST,
     MarkovPrior,
-    SpecialStrategy,
     StrategyParams,
     StrategyState,
     advance,
     brute_force_status,
     init_state,
     loss_update,
-    make_special,
     optimistic_step,
     step,
     strategy_from_row,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,6 +21,7 @@ __all__ = [
     "RiskBoundTable",
     "window_start",
     "hoeffding_ucb",
+    "LossLedger",
     "build_bound_table",
 ]
 
@@ -33,15 +33,12 @@ class BoundConfig:
     alpha is the total per-step miscoverage budget (split across candidates
     by a Bonferroni correction); window is how many trailing batches may be
     pooled; validation_fraction is the share of the newest batch held out
-    for the newest candidate; drift_margin records the assumed bound on
-    per-step distribution drift (reporting only, it does not change the
-    intervals).
+    for the newest candidate.
     """
 
     alpha: float = 0.1
     window: int = 3
     validation_fraction: float = 0.5
-    drift_margin: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -50,8 +47,6 @@ class BoundConfig:
             raise ValueError("window must be >= 1")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
-        if self.drift_margin < 0.0:
-            raise ValueError("drift_margin must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -99,43 +94,76 @@ def window_start(t: int, j: int, window: int) -> int:
     return max(j, t - window)
 
 
-def hoeffding_ucb(losses: Sequence[float], alpha: float) -> float:
-    """mean + sqrt(ln(1/alpha) / (2 N)) for losses bounded in [0, 1]."""
-    losses = np.asarray(losses, dtype=float)
-    if losses.size == 0:
+def hoeffding_ucb(mean: float, count: int, alpha: float) -> float:
+    """mean + sqrt(ln(1/alpha) / (2 count)) for the mean of ``count``
+    losses bounded in [0, 1]."""
+    if count < 1:
         raise ValueError("need at least one loss")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    half_width = math.sqrt(math.log(1.0 / alpha) / (2.0 * losses.size))
-    return float(losses.mean()) + half_width
+    half_width = math.sqrt(math.log(1.0 / alpha) / (2.0 * count))
+    return float(mean) + half_width
+
+
+class LossLedger:
+    """Each monitoring batch's loss sum per candidate, and its row count.
+
+    Row s holds batch s, recorded once at the step it arrives, for the
+    candidates 1..s alive then; column 0 stays unused because abstention
+    has a known cost.  The bound table reads windowed means back from the
+    sums, so no candidate is ever scored on a batch twice.
+    """
+
+    def __init__(self, horizon: int):
+        self.sums = np.zeros((horizon + 1, horizon + 1))
+        self.counts = np.zeros(horizon + 1, dtype=int)
+
+    def record(self, s: int, losses: np.ndarray) -> None:
+        """Store batch s from its (rows, s) loss matrix over candidates 1..s."""
+        if losses.ndim != 2 or losses.shape[1] != s:
+            raise ValueError(f"batch {s} needs losses of candidates 1..{s}")
+        self.sums[s, 1 : s + 1] = losses.sum(axis=0)
+        self.counts[s] = len(losses)
+
+    def row(self, s: int, abstain_cost: float) -> np.ndarray:
+        """Mean loss on batch s of abstention (index 0) and of every candidate."""
+        out = np.empty(s + 1)
+        out[0] = abstain_cost
+        out[1:] = self.sums[s, 1 : s + 1] / self.counts[s]
+        return out
+
+    def pooled(self, lo: int, hi: int, j: int) -> tuple[float, int]:
+        """Mean loss of candidate j over batches lo..hi-1, and its row count."""
+        count = int(self.counts[lo:hi].sum())
+        if count == 0:
+            raise ValueError(f"candidate {j} has an empty evaluation window")
+        return float(self.sums[lo:hi, j].sum()) / count, count
 
 
 def build_bound_table(
     t: int,
     registry: ModelRegistry,
-    history: Sequence[MonitoringBatch],
+    ledger: LossLedger,
     newest_split: tuple[MonitoringBatch, MonitoringBatch],
     cfg: BoundConfig,
     loss_cfg: AugmentedLossConfig,
 ) -> RiskBoundTable:
     """Construct the bound table for decision time t.
 
-    ``history`` holds the monitoring batches 1..t-1 (prospective for every
-    candidate older than the newest).  ``newest_split`` is the
+    ``ledger`` holds the loss sums of monitoring batches 1..t-1
+    (prospective for every candidate older than the newest).  ``newest_split`` is the
     (train, validation) partition of the latest available batch; only its
-    validation part is prospective for the newest candidate.  Each bound is
-    a Hoeffding UCB at level alpha/t, so simultaneous coverage holds at
-    level alpha by the union bound.  Batches are pooled with equal weight
-    per observation, matching a uniform mixture when batch sizes are equal.
+    validation part is prospective for the newest candidate, which is the
+    only one scored here.  Each bound is a Hoeffding UCB at level alpha/t,
+    so simultaneous coverage holds at level alpha by the union bound.
+    Batches are pooled with equal weight per observation, matching a
+    uniform mixture when batch sizes are equal.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if registry.latest_id != t:
         raise ValueError(f"registry must hold candidates 1..{t}")
-    if len(history) != t - 1:
-        raise ValueError(f"history must hold batches 1..{t - 1}")
     level = cfg.alpha / t
-    base = loss_cfg.base
 
     bounds = np.empty(t + 1)
     starts = np.empty(t + 1, dtype=int)
@@ -144,18 +172,11 @@ def build_bound_table(
 
     for j in range(1, t):
         tau = window_start(t, j, cfg.window)
-        pooled = [
-            base.of_array(registry[j].predict(batch.features), batch.labels)
-            for batch in history[tau - 1 : t - 1]
-        ]
-        losses = np.concatenate(pooled)
-        if losses.size == 0:
-            raise ValueError(f"candidate {j} has an empty evaluation window")
-        bounds[j] = hoeffding_ucb(losses, level)
+        bounds[j] = hoeffding_ucb(*ledger.pooled(tau, t, j), level)
         starts[j] = tau
 
     _, validation = newest_split
-    val_losses = base.of_array(registry[t].predict(validation.features), validation.labels)
-    bounds[t] = hoeffding_ucb(val_losses, level)
+    val_losses = loss_cfg.base.of_array(registry[t].predict(validation.features), validation.labels)
+    bounds[t] = hoeffding_ucb(val_losses.mean(), val_losses.size, level)
     starts[t] = window_start(t, t, cfg.window)
     return RiskBoundTable(t, bounds, starts)

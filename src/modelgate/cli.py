@@ -36,6 +36,7 @@ from .sim import (
     MetaConfig,
     ScenarioConfig,
     ScenarioKind,
+    holdout_size,
     run_replicate,
 )
 
@@ -98,7 +99,11 @@ kind  = clipped_hinge | zero_one | scaled_absolute  (default clipped_hinge)
 scale = float > 0                                   (default 2.0)
 
 [data]            (ingested scenario only)
-path          = CSV file with a header row
+path          = CSV file with a header row; every feature and label
+                must be a finite number.  A run rejects the data unless
+                it forms at least two batches, every batch splits at
+                bounds.validation_fraction into two nonempty parts, and,
+                for clipped_hinge and zero_one, the labels are 0/1 or -1/+1
 timestamp_col = column name (default timestamp)
 label_col     = column name (default label)
 batch_by      = count | month   (default count)
@@ -163,7 +168,6 @@ class RunConfig:
             batch_size=self.batch_size,
             dim=self.dim,
             drift=self.drift,
-            window=self.bound_window,
             seed=self.seed,
             eval_size=self.eval_size,
             bayes_risk=self.bayes_risk,
@@ -178,7 +182,6 @@ class RunConfig:
                 alpha=self.bound_alpha,
                 window=self.bound_window,
                 validation_fraction=self.validation_fraction,
-                drift_margin=self.drift or 0.0,
             ),
             margin_mult=self.margin_mult,
             step_margin_mult=self.step_margin_mult,
@@ -369,9 +372,13 @@ class IngestedStream:
 def _parse_timestamp(raw: str):
     raw = raw.strip()
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         pass
+    else:
+        if not math.isfinite(value):
+            raise ConfigError(f"timestamp {raw!r} is not finite")
+        return value
     try:
         return date.fromisoformat(raw[:10])
     except ValueError as exc:
@@ -388,9 +395,11 @@ def ingest(
 ) -> IngestedStream:
     """Read a header CSV of (timestamp, features..., label) into batches.
 
-    Rows are sorted by timestamp (an error in strict mode if out of
-    order).  Binary labels {0, 1} are mapped to {-1, +1}; labels already
-    in {-1, +1} or real-valued labels pass through unchanged.
+    Every feature and label must be a finite number; the first that is not
+    is reported as ``file:line``.  Rows are sorted by timestamp (an error
+    in strict mode if out of order).  Binary labels {0, 1} are mapped to
+    {-1, +1}; labels already in {-1, +1} or real-valued labels pass
+    through unchanged.
     """
     path = Path(path)
     try:
@@ -410,10 +419,14 @@ def ingest(
             for i, row in enumerate(reader, start=2):
                 stamps.append(_parse_timestamp(row[timestamp_col]))
                 try:
-                    feats.append([float(row[c]) for c in feature_names])
-                    labels.append(float(row[label_col]))
+                    values = {c: float(row[c]) for c in (*feature_names, label_col)}
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{path}:{i}: non-numeric value ({exc})") from exc
+                bad = [c for c, v in values.items() if not math.isfinite(v)]
+                if bad:
+                    raise ConfigError(f"{path}:{i}: non-finite value in column {bad[0]!r}")
+                feats.append([values[c] for c in feature_names])
+                labels.append(values[label_col])
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not stamps:
@@ -470,13 +483,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _replay_batches(cfg: RunConfig) -> tuple[MonitoringBatch, ...]:
+    """Parse the ingested CSV once and reject data no replicate can run on:
+    fewer than two batches, labels the loss does not accept, or a batch
+    too small to split at the validation fraction."""
+    stream = ingest(cfg.data_path, cfg.batch_by, cfg.data_batch_size,
+                    cfg.timestamp_col, cfg.label_col)
+    if len(stream.batches) < 2:
+        raise ConfigError(f"{cfg.data_path}: replay needs at least two batches")
+    loss = cfg.meta_config().loss
+    for k, batch in enumerate(stream.batches):
+        try:
+            loss.check_labels(batch.labels)
+            holdout_size(batch.size, cfg.validation_fraction)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.data_path}: batch {k} ({batch.size} rows): {exc}") from exc
+    return stream.batches
+
+
 def _replicate_worker(args):
-    cfg, rep = args
-    batches = None
-    if cfg.scenario is ScenarioKind.INGESTED:
-        stream = ingest(cfg.data_path, cfg.batch_by, cfg.data_batch_size,
-                        cfg.timestamp_col, cfg.label_col)
-        batches = stream.batches
+    cfg, rep, batches = args
     return run_replicate(
         cfg.scenario_config(), cfg.meta_config(), rep,
         batches=batches, fixed_abstain_cost=cfg.abstain_cost,
@@ -488,10 +514,11 @@ def run(cfg: RunConfig) -> dict:
 
     Returns a small summary dict (paths, realized costs and rates).
     """
+    batches = _replay_batches(cfg) if cfg.scenario is ScenarioKind.INGESTED else None
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg, r) for r in range(cfg.replicates)]
+    jobs = [(cfg, r, batches) for r in range(cfg.replicates)]
     if cfg.threads > 1:
         with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
             traces = list(pool.map(_replicate_worker, jobs))

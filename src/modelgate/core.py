@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "ABSTAIN",
-    "Action",
-    "Observation",
     "MonitoringBatch",
     "LossFunction",
     "AugmentedLossConfig",
@@ -27,54 +23,13 @@ __all__ = [
     "ModelRegistry",
     "ApprovalStatus",
     "InvalidEnsembleError",
-    "augmented_loss",
-    "empirical_risk",
-    "batch_model_losses",
-    "ensemble_predict",
-    "deployed_risk",
-    "sample_action",
+    "pure_abstain",
+    "deployed_risks",
     "cumulative_average_risk",
 ]
 
-SIMPLEX_ATOL = 1e-12
-
-
-class _Abstain:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "ABSTAIN"
-
-
-#: Sentinel passed in place of a prediction when the deployed system declines.
-ABSTAIN = _Abstain()
-
-
-class Action(Enum):
-    ABSTAIN = "abstain"
-    PREDICT = "predict"
-
-
 class InvalidEnsembleError(ValueError):
-    """Raised when an ensemble is requested but all non-abstain mass is zero."""
-
-
-@dataclass(frozen=True)
-class Observation:
-    """A single labelled data point: feature vector plus outcome."""
-
-    features: np.ndarray
-    label: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
-        if self.features.ndim != 1:
-            raise ValueError("features must be a 1-d vector")
+    """Raised when the abstain-only model is asked for a prediction."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +64,6 @@ class MonitoringBatch:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    @classmethod
-    def from_observations(cls, time_index: int, observations: Sequence[Observation]) -> "MonitoringBatch":
-        feats = np.stack([o.features for o in observations])
-        labels = np.array([o.label for o in observations], dtype=float)
-        return cls(time_index, feats, labels)
-
-
 _MARGIN_KINDS = ("clipped_hinge", "zero_one")
 _KINDS = ("clipped_hinge", "zero_one", "scaled_absolute", "custom")
 
@@ -145,7 +93,7 @@ class LossFunction:
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom loss requires fn")
 
-    def _check_labels(self, y: np.ndarray) -> None:
+    def check_labels(self, y: np.ndarray) -> None:
         if self.kind in _MARGIN_KINDS and not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError(f"{self.kind} loss requires labels in {{-1, +1}}")
 
@@ -153,7 +101,7 @@ class LossFunction:
         """Vectorised loss; broadcasting follows numpy rules."""
         z = np.asarray(z, dtype=float)
         y = np.asarray(y, dtype=float)
-        self._check_labels(y)
+        self.check_labels(y)
         if self.kind == "clipped_hinge":
             return np.clip((1.0 - z * y) / self.scale, 0.0, 1.0)
         if self.kind == "zero_one":
@@ -238,14 +186,6 @@ class ModelRegistry:
     def models(self) -> tuple[CandidateModel, ...]:
         return tuple(self._models)
 
-    def prediction_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Scores of every real candidate on ``x``: shape (n, latest_id)."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.latest_id == 0:
-            return np.zeros((len(x), 0))
-        return np.column_stack([m.predict(x) for m in self._models[1:]])
-
-
 @dataclass(frozen=True)
 class ApprovalStatus:
     """Probability vector over {abstain, model 1, ..., model t}."""
@@ -286,86 +226,42 @@ class ApprovalStatus:
 
 
 def pure_abstain(time_index: int) -> ApprovalStatus:
+    """The status that abstains with certainty."""
     w = np.zeros(time_index + 1)
     w[0] = 1.0
     return ApprovalStatus(time_index, w)
 
 
-def augmented_loss(prediction, label: float, cfg: AugmentedLossConfig) -> float:
-    """Loss of a single decision: the abstain cost, or the clipped base loss."""
-    if prediction is ABSTAIN:
-        return cfg.abstain_cost
-    raw = cfg.base(float(prediction), float(label))
-    return min(1.0, max(0.0, raw))
-
-
-def empirical_risk(model: CandidateModel, batch: MonitoringBatch, cfg: AugmentedLossConfig) -> float:
-    """Mean augmented loss of one candidate over a batch.
-
-    The abstain-only model has exact risk equal to the abstain cost.
-    """
-    if batch.size < 1:
-        raise ValueError("batch must be nonempty")
-    if model.model_id == 0 or model.predictor is None:
-        return cfg.abstain_cost
-    z = model.predict(batch.features)
-    return float(np.mean(cfg.base.of_array(z, batch.labels)))
-
-
-def batch_model_losses(registry: ModelRegistry, batch: MonitoringBatch, cfg: AugmentedLossConfig) -> np.ndarray:
-    """Vector of empirical risks for every live candidate, index 0 = abstain cost."""
-    out = np.empty(len(registry))
-    out[0] = cfg.abstain_cost
-    for j in range(1, len(registry)):
-        out[j] = empirical_risk(registry[j], batch, cfg)
-    return out
-
-
-def _ensemble_scores(registry: ModelRegistry, status: ApprovalStatus, x: np.ndarray) -> np.ndarray:
-    w = status.weights[1:]
-    mass = float(w.sum())
-    if mass <= 0.0:
-        raise InvalidEnsembleError("all non-abstain mass is zero; caller must abstain")
-    preds = registry.prediction_matrix(x)
-    if preds.shape[1] != len(w):
-        raise ValueError("status length does not match registry size")
-    return preds @ (w / mass)
-
-
-def ensemble_predict(registry: ModelRegistry, status: ApprovalStatus, x: np.ndarray) -> np.ndarray | float:
-    """Weighted-average prediction of the approved models at ``x``.
-
-    Weights are renormalised over the non-abstain entries, so the result is
-    invariant to positive rescaling of the model weights.
-    """
-    single = np.asarray(x).ndim == 1
-    scores = _ensemble_scores(registry, status, x)
-    return float(scores[0]) if single else scores
-
-
-def deployed_risk(
-    registry: ModelRegistry,
-    status: ApprovalStatus,
-    batch: MonitoringBatch,
+def deployed_risks(
+    pred_matrix: np.ndarray,
+    labels: np.ndarray,
+    statuses: Sequence[ApprovalStatus],
     cfg: AugmentedLossConfig,
-) -> float:
-    """Expected augmented loss of the deployed randomized system on a batch.
+) -> np.ndarray:
+    """Expected augmented loss of each deployed status on one sample.
 
-    Equals ``p0 * abstain_cost + (1 - p0) * loss(ensemble)`` where p0 is the
-    abstention weight; the abstention randomisation is integrated out
-    analytically.  A status with no model mass costs exactly the abstain cost.
+    ``pred_matrix`` holds every real candidate's scores on the sample,
+    shape (n, t).  A status deploys ``p0 * abstain_cost + (1 - p0) *
+    loss(ensemble)``, where p0 is its abstention weight and the ensemble
+    averages the candidates' scores under the model weights renormalised
+    to sum to one; the abstention coin is integrated out analytically.  A
+    status with no model mass costs exactly the abstain cost.  All
+    statuses are scored in a single matrix product.
     """
-    p0 = status.abstain_prob
-    if status.model_mass <= 0.0:
-        return cfg.abstain_cost
-    scores = _ensemble_scores(registry, status, batch.features)
-    ens = float(np.mean(cfg.base.of_array(scores, batch.labels)))
-    return p0 * cfg.abstain_cost + (1.0 - p0) * ens
-
-
-def sample_action(status: ApprovalStatus, rng: np.random.Generator) -> Action:
-    """Draw the abstain/predict coin for one deployment of the status."""
-    return Action.ABSTAIN if rng.random() < status.abstain_prob else Action.PREDICT
+    delta = cfg.abstain_cost
+    out = np.full(len(statuses), delta)
+    live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
+    if not live:
+        return out
+    cols = np.column_stack(
+        [statuses[k].weights[1:] / statuses[k].model_mass for k in live]
+    ).astype(pred_matrix.dtype)
+    scores = pred_matrix @ cols
+    ens = cfg.base.of_array(scores, labels[:, None]).mean(axis=0, dtype=np.float64)
+    for i, k in enumerate(live):
+        p0 = statuses[k].abstain_prob
+        out[k] = p0 * delta + (1.0 - p0) * float(ens[i])
+    return out
 
 
 def cumulative_average_risk(per_step_risks: Sequence[float]) -> float:

@@ -22,15 +22,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundConfig, build_bound_table
+from .bounds import BoundConfig, LossLedger, build_bound_table
 from .core import (
-    ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
     LossFunction,
     ModelRegistry,
     MonitoringBatch,
     cumulative_average_risk,
+    deployed_risks,
 )
 from .meta import (
     RiskBoundInputs,
@@ -41,12 +41,12 @@ from .meta import (
     strategy_statuses,
 )
 from .strategy import (
-    SpecialStrategy,
+    REPEATED_TTEST,
     constraint_mask,
     advance as strategy_advance,
     init_state,
-    make_special,
     optimistic_step,
+    strategy_from_row,
 )
 
 __all__ = [
@@ -69,6 +69,7 @@ __all__ = [
     "developer_propose",
     "policy_for_scenario",
     "generate_batch",
+    "holdout_size",
     "split_batch",
     "apply_shift",
     "empirical_mmd",
@@ -81,14 +82,14 @@ __all__ = [
 GRID4: tuple[tuple[float, float, float], ...] = (
     (0.0, 0.0, 0.0),
     (0.0, 0.0, 0.99),
-    (0.5, 10000.0, 0.0),
+    REPEATED_TTEST,
     (0.3, 0.0, 1.5),
 )
 
 GRID12: tuple[tuple[float, float, float], ...] = (
     (0.0, 0.0, 0.0),
     (0.0, 0.0, 0.99),
-    (0.5, 10000.0, 0.0),
+    REPEATED_TTEST,
     (0.3, 0.0, 10.0),
     (0.3, 10.0, 10.0),
     (0.3, 100.0, 10.0),
@@ -146,7 +147,6 @@ class ScenarioConfig:
     batch_size: int = 75
     dim: int = 10
     drift: Optional[float] = None
-    window: int = 3
     seed: int = 0
     eval_size: int = 100_000
     bayes_risk: float = 0.10
@@ -334,13 +334,19 @@ class Split:
     validation: MonitoringBatch
 
 
-def split_batch(batch: MonitoringBatch, validation_fraction: float, rng: np.random.Generator) -> Split:
-    """Random train/validation partition; validation gets floor(fraction * n)."""
-    n = batch.size
+def holdout_size(n: int, validation_fraction: float) -> int:
+    """Rows of an n-row batch held out for validation: floor(fraction * n),
+    which must leave both parts nonempty."""
     n_val = int(validation_fraction * n)
     if not 0 < n_val < n:
-        raise ValueError("validation fraction leaves an empty part")
-    perm = rng.permutation(n)
+        raise ValueError(f"validation fraction {validation_fraction} leaves an empty part")
+    return n_val
+
+
+def split_batch(batch: MonitoringBatch, validation_fraction: float, rng: np.random.Generator) -> Split:
+    """Random train/validation partition of ``holdout_size`` validation rows."""
+    n_val = holdout_size(batch.size, validation_fraction)
+    perm = rng.permutation(batch.size)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
     mk = lambda idx: MonitoringBatch(batch.time_index, batch.features[idx], batch.labels[idx])
     return Split(train=mk(train_idx), validation=mk(val_idx))
@@ -569,6 +575,7 @@ def apply_shift(
     feedback: bool,
     models: Sequence[CandidateModel],
     loss: LossFunction,
+    window: int,
 ) -> None:
     """Realize the distribution for time ``t_new`` and append its coefficients.
 
@@ -580,7 +587,9 @@ def apply_shift(
     scenario sign-flips a budget-sized coordinate subset the moment the
     shadow tester approves a new candidate, so the approved model walks
     straight into the shifted distribution.  A warm-up and a minimum gap
-    keep early steps stationary and rule out back-to-back moves.
+    keep early steps stationary and rule out back-to-back moves.  Every
+    move is budget-checked against the windows 1..``window``, the bound
+    table's lookback.
     """
     beta = gen.coefficients
     shifted = None
@@ -588,7 +597,7 @@ def apply_shift(
         # small relative to the budget: trackable by short-window refits
         target = gen.rng.uniform(0.1, 0.35) * SHIFT_SAFETY * gen.budget
         path = _rotation_path(beta, gen.rng)
-        shifted = _budgeted_move(gen, path, target, t_new, cfg.window, models, loss, cfg)
+        shifted = _budgeted_move(gen, path, target, t_new, window, models, loss, cfg)
     elif cfg.kind is ScenarioKind.ADAPTIVE_SHIFTS:
         if feedback:
             gen.pending_shift = True
@@ -598,7 +607,7 @@ def apply_shift(
             victim = None
             if 0 < gen.shadow_top < len(models):
                 victim = models[gen.shadow_top]
-            shifted = _flip_subset(gen, target, t_new, cfg.window, models, loss, cfg, victim)
+            shifted = _flip_subset(gen, target, t_new, window, models, loss, cfg, victim)
             gen.pending_shift = False
     if shifted is not None and not np.array_equal(shifted, beta):
         gen.coeff_history.append(shifted)
@@ -741,41 +750,18 @@ class ReplicateTrace:
         return cumulative_average_risk(self.true_risk.tolist())
 
 
-def _status_risks(
-    pred_matrix: np.ndarray,
-    labels: np.ndarray,
-    statuses: Sequence[ApprovalStatus],
-    loss_cfg: AugmentedLossConfig,
-) -> np.ndarray:
-    """Deployed risks of several statuses on one sample in a single pass."""
-    delta = loss_cfg.abstain_cost
-    out = np.full(len(statuses), delta)
-    live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
-    if not live:
-        return out
-    cols = np.column_stack(
-        [statuses[k].weights[1:] / statuses[k].model_mass for k in live]
-    ).astype(pred_matrix.dtype)
-    scores = pred_matrix @ cols
-    ens = loss_cfg.base.of_array(scores, labels[:, None]).mean(axis=0, dtype=np.float64)
-    for i, k in enumerate(live):
-        p0 = statuses[k].abstain_prob
-        out[k] = p0 * delta + (1.0 - p0) * float(ens[i])
-    return out
-
-
 def _prediction_matrix(registry: ModelRegistry, x: np.ndarray) -> np.ndarray:
     """Scores of all candidates; one fused matmul when all are logistic.
 
     The computation runs in the dtype of ``x``, so callers can pass
     float32 features for the wide evaluation samples.
     """
-    models = [registry[j] for j in range(1, len(registry))]
-    if models and all(isinstance(m.predictor, LogisticModel) for m in models):
+    models = registry.models[1:]
+    if all(isinstance(m.predictor, LogisticModel) for m in models):
         coefs = np.column_stack([m.predictor.coef for m in models]).astype(x.dtype)
         margins = x @ coefs[:-1] + coefs[-1]
         return 2.0 * sigmoid(margins) - 1.0
-    return registry.prediction_matrix(x)
+    return np.column_stack([m.predict(x) for m in models])
 
 
 def run_replicate(
@@ -851,12 +837,12 @@ def run_replicate(
             n_strategies=len(meta_cfg.rows),
             horizon=horizon,
             batch_size=n,
-            holdout_size=int(meta_cfg.bound.validation_fraction * n),
+            holdout_size=holdout_size(n, meta_cfg.bound.validation_fraction),
         )
         rate = max_learning_rate(delta + margin, inputs)
 
     meta = init_meta(meta_cfg.rows, rate, delta, step_margin)
-    shadow_params, shadow_prior = make_special(SpecialStrategy.REPEATED_TTEST, delta, step_margin)
+    shadow_params, shadow_prior = strategy_from_row(REPEATED_TTEST, delta, step_margin)
     shadow = init_state(shadow_params, shadow_prior)
 
     m = len(meta_cfg.rows)
@@ -879,6 +865,7 @@ def run_replicate(
 
     history: list[MonitoringBatch] = []
     splits: list[Split] = []
+    ledger = LossLedger(horizon)
     shift_times: list[int] = []
 
     for t in range(1, horizon + 1):
@@ -886,7 +873,7 @@ def run_replicate(
             registry.add(developer_propose(policy, history, splits, t, scenario.fit))
         newest = split0 if t == 1 else splits[t - 2]
         table = build_bound_table(
-            t, registry, history, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
+            t, registry, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
         )
 
         # the distribution for step t is realized now, before any data from
@@ -902,7 +889,8 @@ def run_replicate(
                 gen.shadow_top = top
         if not ingested:
             before = gen.shift_count
-            apply_shift(gen, scenario, t, shadow_changed, registry.models, loss)
+            apply_shift(gen, scenario, t, shadow_changed, registry.models, loss,
+                        meta_cfg.bound.window)
             if gen.shift_count > before:
                 shift_times.append(t)
 
@@ -911,7 +899,8 @@ def run_replicate(
         combined = combine(statuses, weights)
 
         if ingested:
-            eval_feats, eval_labels = batches[t].features, batches[t].labels
+            batch = batches[t]
+            eval_feats, eval_labels = batch.features, batch.labels
         else:
             # float32 is plenty for a Monte Carlo risk estimate and halves
             # the cost of the widest arrays in the loop
@@ -923,7 +912,7 @@ def run_replicate(
             )
         eval_preds = _prediction_matrix(registry, eval_feats)
 
-        eval_risks = _status_risks(eval_preds, eval_labels, statuses + [combined], loss_cfg)
+        eval_risks = deployed_risks(eval_preds, eval_labels, statuses + [combined], loss_cfg)
         trace.true_risk[t - 1] = eval_risks[-1]
         trace.abstain_prob[t - 1] = combined.abstain_prob
         trace.meta_weights[t - 1] = weights
@@ -932,18 +921,19 @@ def run_replicate(
         for j, status in enumerate(statuses):
             trace.strategy_abstain[t - 1, j] = status.abstain_prob
             trace.strategy_top[t - 1, j] = status.top_model()
-        del eval_preds, eval_feats, eval_labels
 
-        batch = batches[t] if ingested else generate_batch(gen, scenario, t)
+        if ingested:
+            # the batch is the evaluation sample: reuse its scores
+            batch_preds, batch_risks = eval_preds, eval_risks
+        else:
+            del eval_preds, eval_feats, eval_labels
+            batch = generate_batch(gen, scenario, t)
+            batch_preds = _prediction_matrix(registry, batch.features)
+            batch_risks = deployed_risks(batch_preds, batch.labels, statuses + [combined], loss_cfg)
         history.append(batch)
         splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))
-
-        batch_preds = _prediction_matrix(registry, batch.features)
-        blosses = np.empty(t + 1)
-        blosses[0] = delta
-        per_model = loss.of_array(batch_preds, batch.labels[:, None])
-        blosses[1:] = per_model.mean(axis=0)
-        batch_risks = _status_risks(batch_preds, batch.labels, statuses + [combined], loss_cfg)
+        ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
+        blosses = ledger.row(t, delta)
         trace.emp_risk[t - 1] = batch_risks[-1]
         strat_risks = batch_risks[:-1]
 

@@ -25,20 +25,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import RiskBoundTable
-from .core import ApprovalStatus
+from .core import ApprovalStatus, pure_abstain
 from .numerics import NEG_INF, logsumexp, safe_log, softmax
 
 __all__ = [
     "MarkovPrior",
     "StrategyParams",
     "StrategyState",
-    "SpecialStrategy",
     "transition_matrix",
     "init_state",
     "constraint_mask",
@@ -46,13 +44,17 @@ __all__ = [
     "loss_update",
     "advance",
     "step",
-    "make_special",
+    "REPEATED_TTEST",
     "strategy_from_row",
     "brute_force_status",
 ]
 
 RENORM_TOL = 1e-10
 BRUTE_FORCE_CAP = 6
+
+#: The repeated non-inferiority tester as a strategy row: huge optimism
+#: concentrates on the lowest feasible risk bound at every step.
+REPEATED_TTEST = (0.5, 1e4, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,6 @@ class StrategyState:
         return np.exp(self.log_weights)
 
 
-class SpecialStrategy(Enum):
-    ABSTAIN_ONLY = "abstain_only"
-    BLIND = "blind"
-    REPEATED_TTEST = "repeated_ttest"
-    MARKOV_HEDGE = "markov_hedge"
-
-
 def transition_matrix(t: int, approve_prob: float) -> np.ndarray:
     """Transition from states {0..t-1} into states {0..t}, shape (t+1, t).
 
@@ -176,7 +171,7 @@ def optimistic_step(state: StrategyState, table: RiskBoundTable) -> ApprovalStat
     logw = state.log_weights - state.params.optimism * table.bounds
     logw = np.where(mask, logw, NEG_INF)
     if not np.isfinite(logsumexp(logw)):
-        return _pure_abstain_status(state.time_index)
+        return pure_abstain(state.time_index)
     return ApprovalStatus(state.time_index, softmax(logw))
 
 
@@ -204,7 +199,7 @@ def loss_update(
     if mask is not None:
         logv = np.where(mask, logv, NEG_INF)
         if not np.isfinite(logsumexp(logv)):
-            logv = _pure_abstain_log(state.time_index)
+            return pure_abstain(state.time_index).weights
     v = softmax(logv)
     assert abs(v.sum() - 1.0) < RENORM_TOL
     return v
@@ -240,35 +235,6 @@ def step(
     return status, advance(state, batch_losses, mask)
 
 
-def make_special(
-    kind: SpecialStrategy,
-    abstain_cost: float,
-    step_margin: float,
-    horizon: int = 50,
-) -> tuple[StrategyParams, MarkovPrior]:
-    """Named corner cases of the strategy family.
-
-    abstain_only     never leaves the abstain state.
-    blind            hops to the newest candidate almost surely.
-    repeated_ttest   concentrates on the lowest feasible risk bound,
-                     approximating a non-inferiority test at each step.
-    markov_hedge     moderate prior plus loss-driven reweighting.
-    """
-    del horizon  # reserved for variants whose optimism scales with T
-    if kind is SpecialStrategy.ABSTAIN_ONLY:
-        row, initial = (0.0, 0.0, 0.0), (1.0, 0.0)
-    elif kind is SpecialStrategy.BLIND:
-        row, initial = (0.99, 0.0, 0.0), (0.5, 0.5)
-    elif kind is SpecialStrategy.REPEATED_TTEST:
-        row, initial = (0.5, 1e4, 0.0), (0.5, 0.5)
-    elif kind is SpecialStrategy.MARKOV_HEDGE:
-        row, initial = (0.3, 0.0, 1.5), (0.5, 0.5)
-    else:
-        raise ValueError(f"unknown special strategy {kind}")
-    params = StrategyParams(row[0], row[1], row[2], step_margin, abstain_cost)
-    return params, MarkovPrior(row[0], initial)
-
-
 def strategy_from_row(
     row: Sequence[float],
     abstain_cost: float,
@@ -283,18 +249,6 @@ def strategy_from_row(
     initial = (1.0, 0.0) if (a, o, l) == (0.0, 0.0, 0.0) else (0.5, 0.5)
     params = StrategyParams(a, o, l, step_margin, abstain_cost)
     return params, MarkovPrior(a, initial)
-
-
-def _pure_abstain_log(t: int) -> np.ndarray:
-    logw = np.full(t + 1, NEG_INF)
-    logw[0] = 0.0
-    return logw
-
-
-def _pure_abstain_status(t: int) -> ApprovalStatus:
-    w = np.zeros(t + 1)
-    w[0] = 1.0
-    return ApprovalStatus(t, w)
 
 
 def brute_force_status(
@@ -350,5 +304,5 @@ def brute_force_status(
         logsumexp(np.array(v)) if v else NEG_INF for v in per_state
     ])
     if not np.isfinite(logsumexp(agg)):
-        return _pure_abstain_status(t)
+        return pure_abstain(t)
     return ApprovalStatus(t, softmax(agg))

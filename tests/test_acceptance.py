@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from modelgate.bounds import BoundConfig, RiskBoundTable, build_bound_table
+from modelgate.bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table
 from modelgate.cli import load_config, run
 from modelgate.core import (
     AugmentedLossConfig,
@@ -275,8 +275,12 @@ def test_criterion_7_simultaneous_coverage():
     history = [MonitoringBatch(s, x[(s - 1) * n : s * n], y[(s - 1) * n : s * n]) for s in (1, 2, 3)]
     val = MonitoringBatch(3, history[2].features[:n_val], history[2].labels[:n_val])
     train = MonitoringBatch(3, history[2].features[n_val:], history[2].labels[n_val:])
+    ledger = LossLedger(4)
+    for s, b in enumerate(history, start=1):
+        preds = np.column_stack([model(b.features) for model in models[:s]])
+        ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, registry, history, (train, val), BoundConfig(alpha=alpha, window=window),
+        4, registry, ledger, (train, val), BoundConfig(alpha=alpha, window=window),
         AugmentedLossConfig(HINGE, 0.25),
     )
     for j in range(1, 4):

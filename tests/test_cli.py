@@ -217,6 +217,13 @@ class TestIngest:
         with pytest.raises(ConfigError, match="non-numeric"):
             ingest(path)
 
+    def test_non_finite_values_rejected(self, tmp_path):
+        for rows, where in ((["1,inf,2,1"], ":2: non-finite value in column 'x1'"),
+                            (["1,1,2,1", "2,1,2,nan"], ":3: non-finite value in column 'label'"),
+                            (["nan,1,2,1"], "timestamp 'nan' is not finite")):
+            with pytest.raises(ConfigError, match=where):
+                ingest(toy_csv(tmp_path, rows))
+
     def test_missing_column_rejected(self, tmp_path):
         path = toy_csv(tmp_path, ["1,2,3"], header="timestamp,x1,x2")
         with pytest.raises(ConfigError, match="label"):
@@ -264,6 +271,69 @@ class TestMainExitCodes:
     def test_ingest_check_bad_file_is_exit_2(self, tmp_path, capsys):
         path = toy_csv(tmp_path, ["1,oops,1,1"])
         assert main(["ingest-check", str(path)]) == 2
+
+
+def replay_csv(tmp_path, rows, bad_row=None, label=lambda y: y):
+    """``rows`` rows of a 3-feature stream; ``bad_row`` gets a nan feature."""
+    rng = np.random.default_rng(1)
+    lines = []
+    for i in range(rows):
+        x = rng.standard_normal(3)
+        y = 1 if rng.random() < 0.5 + 0.4 * np.tanh(x[0]) else 0
+        a = "nan" if i == bad_row else f"{x[0]:.5f}"
+        lines.append(f"{i + 1},{a},{x[1]:.5f},{x[2]:.5f},{label(y)}")
+    return toy_csv(tmp_path, lines, header="timestamp,a,b,c,label")
+
+
+def replay_config(tmp_path, data):
+    return write_config(tmp_path, f"""\
+[run]
+scenario = ingested
+replicates = 2
+out = {tmp_path / 'rout'}
+
+[strategies]
+rows = 0,0,0 / 0.5,10000,0 / 0.3,0,1.5
+
+[meta]
+rate_mode = fixed
+
+[data]
+path = {data}
+batch_size = 75
+""", name="replay.ini")
+
+
+class TestMalformedReplay:
+    @pytest.mark.parametrize("rows, bad_row, label, expect", [
+        (301, None, lambda y: y, "batch 4 (1 rows)"),          # 1-row tail batch
+        (300, 10, lambda y: y, ":12: non-finite value in column 'a'"),
+        (300, None, lambda y: 0.25 + 0.5 * y, "labels in {-1, +1}"),  # real-valued labels
+        (75, None, lambda y: y, "at least two batches"),
+    ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch"])
+    def test_run_exits_2_with_one_line(self, tmp_path, capsys, rows, bad_row, label, expect):
+        config = replay_config(tmp_path, replay_csv(tmp_path, rows, bad_row, label))
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        assert len(captured.err.strip().splitlines()) == 1
+        assert expect in captured.err
+        assert not (tmp_path / "rout").exists()  # rejected before any replicate ran
+
+    def test_ingest_check_rejects_nan(self, tmp_path, capsys):
+        path = replay_csv(tmp_path, 300, bad_row=3)
+        assert main(["ingest-check", str(path)]) == 2
+        assert f"{path}:5:" in capsys.readouterr().err
+
+    def test_csv_parsed_once_per_run(self, tmp_path, monkeypatch):
+        import modelgate.cli as cli
+
+        calls = []
+        real = cli.ingest
+        monkeypatch.setattr(cli, "ingest", lambda *a, **k: calls.append(a) or real(*a, **k))
+        cfg = load_config(replay_config(tmp_path, replay_csv(tmp_path, 300)))
+        run(cfg)
+        assert cfg.replicates == 2 and len(calls) == 1
 
 
 class TestIngestedRun:

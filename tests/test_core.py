@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modelgate.bounds import LossLedger
 from modelgate.core import (
-    ABSTAIN,
-    Action,
     ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
@@ -14,13 +13,8 @@ from modelgate.core import (
     LossFunction,
     ModelRegistry,
     MonitoringBatch,
-    augmented_loss,
-    batch_model_losses,
     cumulative_average_risk,
-    deployed_risk,
-    empirical_risk,
-    ensemble_predict,
-    sample_action,
+    deployed_risks,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
@@ -30,44 +24,57 @@ def constant_model(model_id, value, birth_time=1):
     return CandidateModel(model_id, lambda x, v=value: np.full(len(x), v), birth_time)
 
 
-def make_batch(preds_labels, t=1):
-    # 1-d feature equal to the index; labels as given
-    labels = np.array([y for _, y in preds_labels], dtype=float)
-    feats = np.arange(len(labels), dtype=float).reshape(-1, 1)
-    return MonitoringBatch(t, feats, labels)
+def ledger_row(preds, labels, delta):
+    """A batch's loss vector as the run loop reads it: abstain cost, then
+    the mean loss of each candidate (one column of ``preds`` each).  With s
+    candidates it is batch s, the first batch they all score."""
+    preds = np.asarray(preds, dtype=float).reshape(len(labels), -1)
+    s = preds.shape[1]
+    ledger = LossLedger(s)
+    ledger.record(s, HINGE.of_array(preds, np.asarray(labels, dtype=float)[:, None]))
+    return ledger.row(s, delta)
+
+
+def constant_preds(values, n):
+    """Prediction matrix of constant candidates: one column per value."""
+    return np.tile(np.asarray(values, dtype=float), (n, 1))
+
+
+def risk_of(weights, preds, labels, delta):
+    status = ApprovalStatus(len(weights) - 1, np.asarray(weights, dtype=float))
+    cfg = AugmentedLossConfig(HINGE, delta)
+    return float(deployed_risks(preds, np.asarray(labels, dtype=float), [status], cfg)[0])
 
 
 class TestAugmentedLoss:
     def test_abstain_costs_exactly_delta(self):
-        cfg = AugmentedLossConfig(HINGE, 0.15)
-        assert augmented_loss(ABSTAIN, 1.0, cfg) == 0.15
+        assert AugmentedLossConfig(HINGE, 0.15).abstain_cost == 0.15
+        for bad in (0.0, 1.0, float("nan")):
+            with pytest.raises(ValueError):
+                AugmentedLossConfig(HINGE, bad)
 
     def test_hinge_zero_region(self):
-        cfg = AugmentedLossConfig(HINGE, 0.15)
-        assert augmented_loss(1.0, 1.0, cfg) == 0.0
-        assert augmented_loss(1.0, 1, cfg) == 0.0
+        assert HINGE(1.0, 1.0) == 0.0
+        assert HINGE(1.0, 1) == 0.0
 
     def test_hinge_midpoint(self):
         # max(0, 1 - z*y)/2 at z=0, y=+1 is 0.5
-        cfg = AugmentedLossConfig(HINGE, 0.15)
-        assert augmented_loss(0.0, 1.0, cfg) == pytest.approx(0.5)
+        assert HINGE(0.0, 1.0) == pytest.approx(0.5)
 
     def test_bad_label_rejected(self):
-        cfg = AugmentedLossConfig(HINGE, 0.15)
         with pytest.raises(ValueError):
-            augmented_loss(0.2, 0.5, cfg)
+            HINGE(0.2, 0.5)
+        with pytest.raises(ValueError):
+            LossFunction("zero_one").check_labels(np.array([1.0, 0.0]))
 
     @given(
         z=st.floats(-1, 1),
         y=st.sampled_from([-1.0, 1.0]),
-        delta=st.floats(0.01, 0.99),
         scale=st.floats(0.25, 4.0),
     )
     @settings(max_examples=200, deadline=None)
-    def test_always_in_unit_interval(self, z, y, delta, scale):
-        cfg = AugmentedLossConfig(LossFunction("clipped_hinge", scale=scale), delta)
-        assert 0.0 <= augmented_loss(z, y, cfg) <= 1.0
-        assert 0.0 <= augmented_loss(ABSTAIN, y, cfg) <= 1.0
+    def test_always_in_unit_interval(self, z, y, scale):
+        assert 0.0 <= LossFunction("clipped_hinge", scale=scale)(z, y) <= 1.0
 
     def test_other_kinds(self):
         zo = LossFunction("zero_one")
@@ -84,129 +91,93 @@ class TestAugmentedLoss:
 
 
 class TestEmpiricalRisk:
+    """A candidate's empirical risk on a batch is its entry in the ledger row."""
+
     def test_abstain_model_risk_is_delta(self):
-        cfg = AugmentedLossConfig(HINGE, 0.2)
-        batch = make_batch([(0, 1.0), (0, -1.0)])
-        assert empirical_risk(CandidateModel(0, None), batch, cfg) == 0.2
+        assert ledger_row([0.0, 0.0], [1.0, -1.0], 0.2)[0] == 0.2
 
     def test_perfect_classifier_zero_risk(self):
-        cfg = AugmentedLossConfig(HINGE, 0.2)
-        feats = np.array([[1.0], [-1.0], [2.0]])
+        feats = np.array([1.0, -1.0, 2.0])
         labels = np.array([1.0, -1.0, 1.0])
-        batch = MonitoringBatch(1, feats, labels)
-        model = CandidateModel(1, lambda x: np.sign(x[:, 0]))
-        assert empirical_risk(model, batch, cfg) == 0.0
+        assert ledger_row(np.sign(feats), labels, 0.2)[1] == 0.0
 
     def test_hand_computed_mean(self):
         # predictions (0.5, -0.5, 0) on labels (+1, +1, -1):
         # hinge/2 gives (0.25, 0.75, 0.5) -> mean 0.5
-        cfg = AugmentedLossConfig(HINGE, 0.2)
-        preds = {0: 0.5, 1: -0.5, 2: 0.0}
-        model = CandidateModel(1, lambda x: np.array([preds[int(v)] for v in x[:, 0]]))
-        batch = make_batch([(None, 1.0), (None, 1.0), (None, -1.0)])
-        assert empirical_risk(model, batch, cfg) == pytest.approx(0.5)
+        assert ledger_row([0.5, -0.5, 0.0], [1.0, 1.0, -1.0], 0.2)[1] == pytest.approx(0.5)
 
 
 class TestEnsemble:
+    """The deployed ensemble averages candidate scores under the model
+    weights renormalised to sum to one."""
+
     def setup_method(self):
-        self.registry = ModelRegistry()
-        self.registry.add(constant_model(1, 0.2))
-        self.registry.add(constant_model(2, 0.6))
+        self.preds = constant_preds([0.2, 0.6], 3)
+        self.labels = np.ones(3)  # hinge/2 of score z on +1 is (1 - z) / 2
 
     def test_degenerate_ensemble(self):
-        status = ApprovalStatus(2, np.array([0.7, 0.3, 0.0]))
-        x = np.zeros(3)
-        assert ensemble_predict(self.registry, status, x) == pytest.approx(0.2)
+        got = risk_of([0.7, 0.3, 0.0], self.preds, self.labels, 0.25)
+        assert got == pytest.approx(0.7 * 0.25 + 0.3 * 0.4)
 
     def test_weighted_average(self):
-        status = ApprovalStatus(2, np.array([0.5, 0.25, 0.25]))
-        assert ensemble_predict(self.registry, status, np.zeros(3)) == pytest.approx(0.4)
+        # ensemble score 0.4 -> loss 0.3
+        got = risk_of([0.5, 0.25, 0.25], self.preds, self.labels, 0.25)
+        assert got == pytest.approx(0.5 * 0.25 + 0.5 * 0.3)
 
     def test_identical_models_fixed_point(self):
-        registry = ModelRegistry()
-        registry.add(constant_model(1, 0.3))
-        registry.add(constant_model(2, 0.3))
+        preds = constant_preds([0.3, 0.3], 3)
         for split in (0.1, 0.5, 0.9):
-            status = ApprovalStatus(2, np.array([0.0, split, 1.0 - split]))
-            assert ensemble_predict(registry, status, np.zeros(3)) == pytest.approx(0.3)
+            got = risk_of([0.0, split, 1.0 - split], preds, self.labels, 0.25)
+            assert got == pytest.approx(0.35)
 
     def test_zero_mass_raises(self):
-        status = ApprovalStatus(2, np.array([1.0, 0.0, 0.0]))
+        # the abstain-only model has no predictor to put in an ensemble
         with pytest.raises(InvalidEnsembleError):
-            ensemble_predict(self.registry, status, np.zeros(3))
+            CandidateModel(0, None).predict(np.zeros((3, 1)))
 
-    @given(scale=st.floats(0.05, 20.0))
+    @given(scale=st.floats(0.05, 2.0))
     @settings(max_examples=50, deadline=None)
     def test_rescaling_invariance(self, scale):
         # renormalisation makes the ensemble depend only on weight ratios
-        w = np.array([0.5, 0.25, 0.25])
-        base = ApprovalStatus(2, w)
-        scaled = ApprovalStatus.from_weights(
-            2, np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25])
-        ) if scale * 0.5 <= 1.0 else None
-        x = np.zeros(2)
-        expected = ensemble_predict(self.registry, base, x)
-        if scaled is not None:
-            assert ensemble_predict(self.registry, scaled, x) == pytest.approx(expected)
+        base = ApprovalStatus(2, np.array([0.5, 0.25, 0.25]))
+        scaled = ApprovalStatus(2, np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25]))
+        cfg = AugmentedLossConfig(HINGE, 0.25)
+        rb, rs = deployed_risks(self.preds, self.labels, [base, scaled], cfg)
+        model_part = lambda r, s: (r - s.abstain_prob * 0.25) / s.model_mass
+        assert model_part(rs, scaled) == pytest.approx(model_part(rb, base))
 
 
 class TestDeployedRisk:
     def setup_method(self):
-        self.cfg = AugmentedLossConfig(HINGE, 0.31)
-        self.registry = ModelRegistry()
-        self.registry.add(constant_model(1, 0.5))
-        self.batch = make_batch([(None, 1.0), (None, 1.0), (None, -1.0), (None, 1.0)])
+        self.labels = np.array([1.0, 1.0, -1.0, 1.0])
+        self.preds = constant_preds([0.5], 4)
 
     def test_pure_abstain_is_exactly_delta(self):
-        status = ApprovalStatus(1, np.array([1.0, 0.0]))
-        assert deployed_risk(self.registry, status, self.batch, self.cfg) == 0.31
+        assert risk_of([1.0, 0.0], self.preds, self.labels, 0.31) == 0.31
 
     def test_pure_model_matches_empirical_risk(self):
-        status = ApprovalStatus(1, np.array([0.0, 1.0]))
-        expected = empirical_risk(self.registry[1], self.batch, self.cfg)
-        assert deployed_risk(self.registry, status, self.batch, self.cfg) == pytest.approx(expected)
+        expected = ledger_row(self.preds, self.labels, 0.31)[1]
+        assert risk_of([0.0, 1.0], self.preds, self.labels, 0.31) == pytest.approx(expected)
 
     def test_mixed_status_hand_computed(self):
-        status = ApprovalStatus(1, np.array([0.4, 0.6]))
-        model_risk = empirical_risk(self.registry[1], self.batch, self.cfg)
+        model_risk = ledger_row(self.preds, self.labels, 0.31)[1]
         expected = 0.4 * 0.31 + 0.6 * model_risk
-        assert deployed_risk(self.registry, status, self.batch, self.cfg) == pytest.approx(expected)
+        assert risk_of([0.4, 0.6], self.preds, self.labels, 0.31) == pytest.approx(expected)
 
     def test_jensen_mixing(self):
         # averaging predictions before a convex loss can only help
         rng = np.random.default_rng(5)
-        registry = ModelRegistry()
-        vals = rng.uniform(-1, 1, size=3)
-        for j, v in enumerate(vals, start=1):
-            registry.add(constant_model(j, float(v), birth_time=j))
-        feats = rng.standard_normal((40, 2))
+        preds = constant_preds(rng.uniform(-1, 1, size=3), 40)
         labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        batch = MonitoringBatch(3, feats, labels)
         cfg = AugmentedLossConfig(HINGE, 0.25)
         for _ in range(25):
             wa = rng.dirichlet(np.ones(4))
             wb = rng.dirichlet(np.ones(4))
             alpha = rng.random()
             mix = alpha * wa + (1 - alpha) * wb
-            ra = deployed_risk(registry, ApprovalStatus(3, wa), batch, cfg)
-            rb = deployed_risk(registry, ApprovalStatus(3, wb), batch, cfg)
-            rmix = deployed_risk(registry, ApprovalStatus(3, mix), batch, cfg)
+            statuses = [ApprovalStatus(3, w) for w in (wa, wb, mix)]
+            ra, rb, rmix = deployed_risks(preds, labels, statuses, cfg)
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
-
-
-class TestSampleAction:
-    def test_degenerate_cases(self):
-        rng = np.random.default_rng(0)
-        always = ApprovalStatus(1, np.array([1.0, 0.0]))
-        never = ApprovalStatus(1, np.array([0.0, 1.0]))
-        assert all(sample_action(always, rng) is Action.ABSTAIN for _ in range(20))
-        assert all(sample_action(never, rng) is Action.PREDICT for _ in range(20))
-
-    def test_monte_carlo_rate(self):
-        rng = np.random.default_rng(11)
-        status = ApprovalStatus(1, np.array([0.3, 0.7]))
-        draws = sum(sample_action(status, rng) is Action.ABSTAIN for _ in range(100_000))
-        assert draws / 100_000 == pytest.approx(0.3, abs=0.01)
 
 
 class TestCumulativeAverage:
@@ -247,10 +218,8 @@ class TestTypes:
             MonitoringBatch(1, np.zeros((3, 2)), np.zeros(4))
 
     def test_batch_model_losses_layout(self):
-        registry = ModelRegistry()
-        registry.add(constant_model(1, 1.0))
-        cfg = AugmentedLossConfig(HINGE, 0.2)
-        batch = make_batch([(None, 1.0), (None, 1.0)])
-        losses = batch_model_losses(registry, batch, cfg)
-        assert losses[0] == 0.2
-        assert losses[1] == 0.0
+        # entry 0 is the abstain cost, entry j the mean loss of candidate j
+        row = ledger_row(constant_preds([1.0, 0.0], 2), [1.0, 1.0], 0.2)
+        assert row.tolist() == [0.2, 0.0, 0.5]
+        with pytest.raises(ValueError):
+            LossLedger(3).record(2, np.zeros((5, 3)))  # batch 2 has two candidates

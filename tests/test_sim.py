@@ -179,7 +179,7 @@ class TestGenerator:
             gen = GeneratorState([np.ones(cfg.dim)], np.random.default_rng(13), budget=0.3)
             models = [CandidateModel(0, None), model_from_coef(1, np.ones(cfg.dim + 1))]
             for t in range(1, 9):
-                apply_shift(gen, cfg, t, False, models, HINGE)
+                apply_shift(gen, cfg, t, False, models, HINGE, 3)
             assert gen.shift_count == 0
             assert all(np.array_equal(c, gen.coeff_history[0]) for c in gen.coeff_history)
 
@@ -191,7 +191,7 @@ class TestGenerator:
         shifted_at = []
         for t in range(1, 14):
             before = gen.shift_count
-            apply_shift(gen, cfg, t, False, models, HINGE)
+            apply_shift(gen, cfg, t, False, models, HINGE, 3)
             if gen.shift_count > before:
                 shifted_at.append(t)
         assert shifted_at == [4, 8, 12]
@@ -201,7 +201,7 @@ class TestGenerator:
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(15), budget=0.27)
         models = [CandidateModel(0, None), model_from_coef(1, np.concatenate([beta, [0.0]]))]
-        apply_shift(gen, cfg, 4, False, models, HINGE)
+        apply_shift(gen, cfg, 4, False, models, HINGE, 3)
         assert gen.shift_count == 1
         assert np.linalg.norm(gen.coefficients) == pytest.approx(np.linalg.norm(beta), rel=1e-9)
 

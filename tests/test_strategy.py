@@ -4,14 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from modelgate.bounds import RiskBoundTable
 from modelgate.strategy import (
+    REPEATED_TTEST,
     MarkovPrior,
-    SpecialStrategy,
     StrategyParams,
     brute_force_status,
     advance,
     init_state,
     loss_update,
-    make_special,
     optimistic_step,
     step,
     strategy_from_row,
@@ -176,8 +175,10 @@ class TestOptimisticStep:
 
 
 class TestSpecials:
+    """Corner cases of the strategy family, built from their rows."""
+
     def test_abstain_only_is_pure_abstention_forever(self):
-        params, prior = make_special(SpecialStrategy.ABSTAIN_ONLY, DELTA, 0.05)
+        params, prior = strategy_from_row((0, 0, 0), DELTA, 0.05)
         assert params.row == (0.0, 0.0, 0.0)
         state = init_state(params, prior)
         rng = np.random.default_rng(3)
@@ -186,15 +187,16 @@ class TestSpecials:
             assert status.weights[0] == 1.0
 
     def test_repeated_ttest_concentrates_on_lowest_ucb(self):
-        params, prior = make_special(SpecialStrategy.REPEATED_TTEST, DELTA, 0.05)
-        assert params.optimism == 1e4
+        params, prior = strategy_from_row(REPEATED_TTEST, DELTA, 0.05)
+        assert params.row == (0.5, 1e4, 0.0)
+        assert prior.initial == (0.5, 0.5)
         state = init_state(params, prior)
         status, state = step(state, table_from([DELTA, 0.2]), losses_vec(0.2))
         status = optimistic_step(state, table_from([DELTA, 0.21, 0.17]))
         assert status.weights[2] > 0.999
 
     def test_blind_prefers_newest_unmasked(self):
-        params, prior = make_special(SpecialStrategy.BLIND, DELTA, 0.05)
+        params, prior = strategy_from_row((0.99, 0.0, 0.0), DELTA, 0.05)
         assert params.approve_prob == 0.99
         state = init_state(params, prior)
         rng = np.random.default_rng(4)
@@ -202,10 +204,6 @@ class TestSpecials:
             status, state = step(state, open_table(t), np.concatenate([[DELTA], rng.random(t)]))
         status = optimistic_step(state, open_table(state.time_index))
         assert status.weights[-1] >= status.weights[1:-1].max()
-
-    def test_markov_hedge_defaults(self):
-        params, _ = make_special(SpecialStrategy.MARKOV_HEDGE, DELTA, 0.05)
-        assert params.approve_prob == 0.3 and params.optimism == 0.0 and params.learn_rate > 0
 
     def test_fail_safe_row_gets_abstain_prior(self):
         _, prior = strategy_from_row((0, 0, 0), DELTA, 0.05)
