@@ -68,6 +68,5 @@ from .sim import (
     run_replicate,
     verify_drift,
 )
-from .cli import ConfigError, IngestedStream, RunConfig, bound_curves, ingest, load_config, run
 
 __version__ = "0.1.0"

@@ -65,7 +65,9 @@ Sections and keys (all optional except run.scenario):
 scenario    = adaptive_shifts | small_frequent_shifts | iid_good_models
               | iid_random_models | ingested
 horizon     = int >= 1          (default 50; ignored for ingested streams)
-batch_size  = int >= 1          (default 75)
+batch_size  = int >= 1          (default 75); a run rejects a size that
+              does not split at bounds.validation_fraction into two
+              nonempty parts (so at least 2)
 dim         = int >= 1          (default 10)
 bayes_risk  = float in (0, .5)  (default 0.10; best-in-class hinge risk)
 drift       = float >= 0        (default: the realized abstain cost)
@@ -493,12 +495,26 @@ def _replay_batches(cfg: RunConfig) -> tuple[MonitoringBatch, ...]:
         raise ConfigError(f"{cfg.data_path}: replay needs at least two batches")
     loss = cfg.meta_config().loss
     for k, batch in enumerate(stream.batches):
+        what = f"{cfg.data_path}: batch {k}"
         try:
             loss.check_labels(batch.labels)
-            holdout_size(batch.size, cfg.validation_fraction)
         except ValueError as exc:
-            raise ConfigError(f"{cfg.data_path}: batch {k} ({batch.size} rows): {exc}") from exc
+            raise ConfigError(f"{what} ({batch.size} rows): {exc}") from exc
+        _check_split(what, batch.size, cfg.validation_fraction)
     return stream.batches
+
+
+def _check_split(what: str, size: int, fraction: Optional[float] = None) -> None:
+    """Reject a batch that cannot split into nonempty validation and
+    training parts: fewer than two rows never can, at any fraction; with
+    ``fraction`` given, ``sim.holdout_size`` decides."""
+    try:
+        if size < 2:
+            raise ValueError("fewer than two rows cannot split into validation and training parts")
+        if fraction is not None:
+            holdout_size(size, fraction)
+    except ValueError as exc:
+        raise ConfigError(f"{what} ({size} rows): {exc}") from exc
 
 
 def _replicate_worker(args):
@@ -514,7 +530,11 @@ def run(cfg: RunConfig) -> dict:
 
     Returns a small summary dict (paths, realized costs and rates).
     """
-    batches = _replay_batches(cfg) if cfg.scenario is ScenarioKind.INGESTED else None
+    if cfg.scenario is ScenarioKind.INGESTED:
+        batches = _replay_batches(cfg)
+    else:
+        batches = None
+        _check_split("run.batch_size", cfg.batch_size, cfg.validation_fraction)
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -663,6 +683,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_ingest_check(args) -> int:
     stream = ingest(args.csv, args.batch_by, args.batch_size,
                     args.timestamp_col, args.label_col, strict_sorted=args.strict)
+    for k, size in enumerate(stream.sizes):
+        _check_split(f"{args.csv}: batch {k}", size)
     print(f"rule {stream.rule}: {len(stream.batches)} batches")
     print(f"feature columns ({len(stream.feature_names)}): {', '.join(stream.feature_names)}")
     print("batch sizes: " + " ".join(str(s) for s in stream.sizes))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -233,34 +233,39 @@ def pure_abstain(time_index: int) -> ApprovalStatus:
 
 
 def deployed_risks(
-    pred_matrix: np.ndarray,
-    labels: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     statuses: Sequence[ApprovalStatus],
     cfg: AugmentedLossConfig,
 ) -> np.ndarray:
     """Expected augmented loss of each deployed status on one sample.
 
-    ``pred_matrix`` holds every real candidate's scores on the sample,
-    shape (n, t).  A status deploys ``p0 * abstain_cost + (1 - p0) *
-    loss(ensemble)``, where p0 is its abstention weight and the ensemble
-    averages the candidates' scores under the model weights renormalised
-    to sum to one; the abstention coin is integrated out analytically.  A
-    status with no model mass costs exactly the abstain cost.  All
-    statuses are scored in a single matrix product.
+    ``blocks`` yields ``(scores, labels)`` row blocks that together cover
+    the sample once: ``scores`` holds every real candidate's scores on the
+    block's rows, shape (n_b, t).  A status deploys ``p0 * abstain_cost +
+    (1 - p0) * loss(ensemble)``, where p0 is its abstention weight and the
+    ensemble averages the candidates' scores under the model weights
+    renormalised to sum to one; the abstention coin is integrated out
+    analytically.  Each block adds its per-status loss sums (all statuses
+    in one matrix product); the abstention mix is applied once, to the
+    sample mean, so a status with no model mass costs exactly the abstain
+    cost.  When no status has model mass the blocks are not drawn.
     """
     delta = cfg.abstain_cost
     out = np.full(len(statuses), delta)
     live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
     if not live:
         return out
-    cols = np.column_stack(
-        [statuses[k].weights[1:] / statuses[k].model_mass for k in live]
-    ).astype(pred_matrix.dtype)
-    scores = pred_matrix @ cols
-    ens = cfg.base.of_array(scores, labels[:, None]).mean(axis=0, dtype=np.float64)
+    cols = np.column_stack([statuses[k].weights[1:] / statuses[k].model_mass for k in live])
+    sums = np.zeros(len(live))
+    rows = 0
+    for scores, labels in blocks:
+        ens = scores @ cols.astype(scores.dtype, copy=False)
+        sums += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
+        rows += len(labels)
+    mean = sums / rows
     for i, k in enumerate(live):
         p0 = statuses[k].abstain_prob
-        out[k] = p0 * delta + (1.0 - p0) * float(ens[i])
+        out[k] = p0 * delta + (1.0 - p0) * float(mean[i])
     return out
 
 

@@ -182,64 +182,84 @@ class RiskBoundInputs:
             raise ValueError("abstain_cost + step_margin + drift must be > 0")
 
 
+class _FloatOps:
+    """The math-module and builtin counterparts of the numpy functions the
+    bound formula uses, so one formula serves a float and an array."""
+
+    exp = staticmethod(math.exp)
+    minimum = staticmethod(min)
+    maximum = staticmethod(max)
+    any = staticmethod(bool)
+
+
+def _ops(slack: float | np.ndarray):
+    """numpy for an array of slacks (the grid), math and builtins for one
+    float (the golden-section polish, where numpy's per-call cost on a
+    scalar would exceed the arithmetic)."""
+    return np if isinstance(slack, np.ndarray) else _FloatOps
+
+
 def tail_alpha(
-    slack: float,
+    slack: float | np.ndarray,
     batch_size: Optional[int],
     holdout_size: Optional[int],
     horizon: int,
-) -> float:
+) -> float | np.ndarray:
     """Probability any risk bound fails by more than ``slack``.
 
     (T - 1) exp(-8 z^2 n) + exp(-8 z^2 n'), capped at 1; a Hoeffding tail
     for each of the monitored candidates plus one for the held-out newest.
-    Infinite sample sizes contribute nothing.
+    Infinite sample sizes contribute nothing, and slack 0 gives 1.
+    ``slack`` is a float or an array of slacks, evaluated elementwise.
     """
-    if slack < 0:
+    xp = _ops(slack)
+    if xp.any(slack < 0):
         raise ValueError("slack must be >= 0")
-    if slack == 0:
-        return 1.0
     total = 0.0
     if batch_size is not None:
-        total += (horizon - 1) * math.exp(-8.0 * slack * slack * batch_size)
+        total += (horizon - 1) * xp.exp(-8.0 * slack * slack * batch_size)
     if holdout_size is not None:
-        total += math.exp(-8.0 * slack * slack * holdout_size)
-    return min(1.0, total)
+        total += xp.exp(-8.0 * slack * slack * holdout_size)
+    # adding 1 where slack == 0 (exactly 0 elsewhere) lifts that entry to the cap
+    return xp.minimum(1.0, total + (slack == 0))
 
 
-def _rate_term(rate: float, s: float) -> float:
-    return (math.exp(-rate * s) - 1.0) / s
+def _rate_term(rate: float, s: float | np.ndarray, xp) -> float | np.ndarray:
+    return (xp.exp(-rate * s) - 1.0) / s
 
 
-def _resolve_tail(inputs: RiskBoundInputs, slack: float) -> float:
+def _resolve_tail(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
     if inputs.tail is not None:
         return inputs.tail
     return tail_alpha(slack, inputs.batch_size, inputs.holdout_size, inputs.horizon)
 
 
-def mgf_rate(inputs: RiskBoundInputs, slack: Optional[float] = None) -> float:
+def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray | None = None) -> float | np.ndarray:
     """The (negative) exponential-moment coefficient of the guarantee.
 
     A three-case mixture of (exp(-rate * s) - 1) / s evaluated at
     s = cost + margin + drift, at s + slack, and at 1, weighted by the
     coverage split (1 - a1 - a2, a1, a2).  Strictly negative for any
-    positive rate.
+    positive rate.  ``slack`` is a float or an array of slacks.
     """
     z = inputs.slack if slack is None else slack
     if z is None:
         raise ValueError("slack must be provided or set on the inputs")
     if inputs.rate <= 0:
         raise ValueError("rate must be > 0")
+    xp = _ops(z)
     a1 = inputs.cover_alpha
     a2 = _resolve_tail(inputs, z)
     s0 = inputs.abstain_cost + inputs.step_margin + inputs.drift
-    w0 = max(0.0, 1.0 - a1 - a2)
-    c = _rate_term(inputs.rate, s0) * w0
-    c += _rate_term(inputs.rate, s0 + z) * a1
+    w0 = xp.maximum(0.0, 1.0 - a1 - a2)
+    c = _rate_term(inputs.rate, s0, xp) * w0
+    c += _rate_term(inputs.rate, s0 + z, xp) * a1
     c += (math.exp(-inputs.rate) - 1.0) * a2
     return c
 
 
-def _bound_at(inputs: RiskBoundInputs, slack: float) -> float:
+def _bound_at(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
+    """The bound at one slack or, elementwise, at an array of slacks."""
     c = mgf_rate(inputs, slack)
     numer = inputs.rate * inputs.abstain_cost + math.log(inputs.n_strategies) / inputs.horizon
     if inputs.batch_size is not None:
@@ -250,7 +270,7 @@ def _bound_at(inputs: RiskBoundInputs, slack: float) -> float:
 def optimize_slack(inputs: RiskBoundInputs, grid: int = 200) -> tuple[float, float]:
     """Minimise the bound over slack in [0, 1]: coarse grid, then golden section."""
     zs = np.linspace(0.0, 1.0, grid + 1)
-    vals = [_bound_at(inputs, float(z)) for z in zs]
+    vals = _bound_at(inputs, zs)
     k = int(np.argmin(vals))
     lo = float(zs[max(0, k - 1)])
     hi = float(zs[min(grid, k + 1)])
@@ -269,7 +289,7 @@ def optimize_slack(inputs: RiskBoundInputs, grid: int = 200) -> tuple[float, flo
             c2 = a + phi * (b - a)
             f2 = _bound_at(inputs, c2)
     z_star = (a + b) / 2.0
-    best = min((vals[k], float(zs[k])), (_bound_at(inputs, z_star), z_star))
+    best = min((float(vals[k]), float(zs[k])), (_bound_at(inputs, z_star), z_star))
     return best[1], best[0]
 
 

@@ -110,6 +110,10 @@ SHIFT_SAFETY = 0.85
 MIN_SHIFT_GAP = 2
 WARMUP_STEPS = 4
 MMD_PROBE = 20000
+# rows scored per block when measuring deployed risk: a block's (rows, t)
+# score and loss temporaries stay in cache, where the whole 100k-row
+# evaluation sample's would not
+EVAL_BLOCK_ROWS = 4096
 
 
 class ScenarioKind(Enum):
@@ -750,18 +754,35 @@ class ReplicateTrace:
         return cumulative_average_risk(self.true_risk.tolist())
 
 
-def _prediction_matrix(registry: ModelRegistry, x: np.ndarray) -> np.ndarray:
-    """Scores of all candidates; one fused matmul when all are logistic.
+def _scores(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every candidate's score ``2 * sigmoid(x @ w + b) - 1`` on the rows of
+    ``x``, shape (n, t), in the dtype of ``x``.
 
-    The computation runs in the dtype of ``x``, so callers can pass
-    float32 features for the wide evaluation samples.
+    ``2 sigma - 1`` is applied in place on the margins with the same
+    elementwise operations, in the same order, as ``LogisticModel``, so
+    each score is bitwise what ``sigmoid`` gives; only one (n, t) array is
+    allocated.
     """
-    models = registry.models[1:]
-    if all(isinstance(m.predictor, LogisticModel) for m in models):
-        coefs = np.column_stack([m.predictor.coef for m in models]).astype(x.dtype)
-        margins = x @ coefs[:-1] + coefs[-1]
-        return 2.0 * sigmoid(margins) - 1.0
-    return np.column_stack([m.predict(x) for m in models])
+    out = x @ coefs[:-1]
+    out += coefs[-1]
+    np.negative(out, out=out)
+    # exp may overflow to inf for very negative margins; 1/(1+inf) is the
+    # correct 0, as in sigmoid
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
+def _score_blocks(coefs: np.ndarray, x: np.ndarray, labels: np.ndarray):
+    """``(scores, labels)`` for consecutive blocks of EVAL_BLOCK_ROWS rows,
+    the input ``core.deployed_risks`` sums over."""
+    for lo in range(0, len(labels), EVAL_BLOCK_ROWS):
+        hi = lo + EVAL_BLOCK_ROWS
+        yield _scores(coefs, x[lo:hi]), labels[lo:hi]
 
 
 def run_replicate(
@@ -898,9 +919,10 @@ def run_replicate(
         statuses = strategy_statuses(meta, table)
         combined = combine(statuses, weights)
 
+        # every candidate is a LogisticModel: one (dim + 1, t) matrix per step
+        coefs = np.column_stack([m.predictor.coef for m in registry.models[1:]])
         if ingested:
             batch = batches[t]
-            eval_feats, eval_labels = batch.features, batch.labels
         else:
             # float32 is plenty for a Monte Carlo risk estimate and halves
             # the cost of the widest arrays in the loop
@@ -910,9 +932,18 @@ def run_replicate(
             eval_labels = np.where(
                 rng.random(scenario.eval_size) < probs, np.float32(1.0), np.float32(-1.0)
             )
-        eval_preds = _prediction_matrix(registry, eval_feats)
-
-        eval_risks = deployed_risks(eval_preds, eval_labels, statuses + [combined], loss_cfg)
+            eval_risks = deployed_risks(
+                _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
+                statuses + [combined],
+                loss_cfg,
+            )
+            del eval_feats, eval_labels, probs
+            batch = generate_batch(gen, scenario, t)
+        batch_preds = _scores(coefs, batch.features)
+        batch_risks = deployed_risks([(batch_preds, batch.labels)], statuses + [combined], loss_cfg)
+        if ingested:
+            # the batch is the evaluation sample: its risks are the true ones
+            eval_risks = batch_risks
         trace.true_risk[t - 1] = eval_risks[-1]
         trace.abstain_prob[t - 1] = combined.abstain_prob
         trace.meta_weights[t - 1] = weights
@@ -922,14 +953,6 @@ def run_replicate(
             trace.strategy_abstain[t - 1, j] = status.abstain_prob
             trace.strategy_top[t - 1, j] = status.top_model()
 
-        if ingested:
-            # the batch is the evaluation sample: reuse its scores
-            batch_preds, batch_risks = eval_preds, eval_risks
-        else:
-            del eval_preds, eval_feats, eval_labels
-            batch = generate_batch(gen, scenario, t)
-            batch_preds = _prediction_matrix(registry, batch.features)
-            batch_risks = deployed_risks(batch_preds, batch.labels, statuses + [combined], loss_cfg)
         history.append(batch)
         splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))
         ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
@@ -946,9 +969,7 @@ def run_replicate(
         np.stack(gen.coeff_history[: horizon + 1]) if not ingested else np.zeros((0, dim))
     )
     trace.shift_times = tuple(shift_times)
-    fitted = [registry[j].predictor for j in range(1, len(registry))]
-    if all(isinstance(p, LogisticModel) for p in fitted):
-        trace.model_coefs = np.column_stack([p.coef for p in fitted])
+    trace.model_coefs = coefs
     return trace
 
 

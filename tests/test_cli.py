@@ -264,8 +264,8 @@ class TestMainExitCodes:
         assert len(lines) == 6
 
     def test_ingest_check_subcommand(self, tmp_path, capsys):
-        path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0"])
-        assert main(["ingest-check", str(path), "--batch-size", "1"]) == 0
+        path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0", "3,0.1,0.2,1", "4,0.3,0.4,0"])
+        assert main(["ingest-check", str(path), "--batch-size", "2"]) == 0
         assert "2 batches" in capsys.readouterr().out
 
     def test_ingest_check_bad_file_is_exit_2(self, tmp_path, capsys):
@@ -304,21 +304,51 @@ batch_size = 75
 """, name="replay.ini")
 
 
+def replay_case(rows, bad_row=None, label=lambda y: y):
+    return lambda tmp_path: replay_config(tmp_path, replay_csv(tmp_path, rows, bad_row, label))
+
+
+def simulated_batch_of_one(tmp_path):
+    return write_config(tmp_path, f"""\
+[run]
+scenario = iid_good_models
+horizon = 3
+batch_size = 1
+eval_size = 500
+replicates = 1
+out = {tmp_path / 'rout'}
+
+[meta]
+rate_mode = fixed
+""")
+
+
 class TestMalformedReplay:
-    @pytest.mark.parametrize("rows, bad_row, label, expect", [
-        (301, None, lambda y: y, "batch 4 (1 rows)"),          # 1-row tail batch
-        (300, 10, lambda y: y, ":12: non-finite value in column 'a'"),
-        (300, None, lambda y: 0.25 + 0.5 * y, "labels in {-1, +1}"),  # real-valued labels
-        (75, None, lambda y: y, "at least two batches"),
-    ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch"])
-    def test_run_exits_2_with_one_line(self, tmp_path, capsys, rows, bad_row, label, expect):
-        config = replay_config(tmp_path, replay_csv(tmp_path, rows, bad_row, label))
+    @pytest.mark.parametrize("make_config, expect", [
+        (replay_case(301), "batch 4 (1 rows)"),          # 1-row tail batch
+        (replay_case(300, bad_row=10), ":12: non-finite value in column 'a'"),
+        (replay_case(300, label=lambda y: 0.25 + 0.5 * y), "labels in {-1, +1}"),  # real-valued labels
+        (replay_case(75), "at least two batches"),
+        (simulated_batch_of_one, "run.batch_size (1 rows)"),  # no batch splits
+    ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch",
+            "simulated_batch_of_one"])
+    def test_run_exits_2_with_one_line(self, tmp_path, capsys, make_config, expect):
+        config = make_config(tmp_path)
         assert main(["run", str(config)]) == 2
         captured = capsys.readouterr()
         assert "Traceback" not in captured.err + captured.out
         assert len(captured.err.strip().splitlines()) == 1
         assert expect in captured.err
         assert not (tmp_path / "rout").exists()  # rejected before any replicate ran
+
+    def test_ingest_check_rejects_unsplittable_batch(self, tmp_path, capsys):
+        # 301 rows by 75 leave a 1-row tail that no validation fraction splits
+        path = replay_csv(tmp_path, 301)
+        assert main(["ingest-check", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert f"{path}: batch 4 (1 rows)" in captured.err
 
     def test_ingest_check_rejects_nan(self, tmp_path, capsys):
         path = replay_csv(tmp_path, 300, bad_row=3)
@@ -385,13 +415,15 @@ class TestProcessIsolation:
 
         config = write_config(tmp_path)
         outs = []
-        for sub in ("p1", "p2"):
+        # the module and the package entry point run the same command line
+        for sub, module in (("p1", "modelgate.cli"), ("p2", "modelgate")):
             out_dir = tmp_path / sub
-            code = subprocess.run(
-                [sys.executable, "-m", "modelgate.cli", "run", str(config), "--out", str(out_dir)],
-                capture_output=True,
-            ).returncode
-            assert code == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", module, "run", str(config), "--out", str(out_dir)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0
+            assert "RuntimeWarning" not in proc.stderr
             outs.append((out_dir / "steps.csv").read_bytes())
         assert outs[0] == outs[1]
 

@@ -43,7 +43,7 @@ def constant_preds(values, n):
 def risk_of(weights, preds, labels, delta):
     status = ApprovalStatus(len(weights) - 1, np.asarray(weights, dtype=float))
     cfg = AugmentedLossConfig(HINGE, delta)
-    return float(deployed_risks(preds, np.asarray(labels, dtype=float), [status], cfg)[0])
+    return float(deployed_risks([(preds, np.asarray(labels, dtype=float))], [status], cfg)[0])
 
 
 class TestAugmentedLoss:
@@ -142,7 +142,7 @@ class TestEnsemble:
         base = ApprovalStatus(2, np.array([0.5, 0.25, 0.25]))
         scaled = ApprovalStatus(2, np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25]))
         cfg = AugmentedLossConfig(HINGE, 0.25)
-        rb, rs = deployed_risks(self.preds, self.labels, [base, scaled], cfg)
+        rb, rs = deployed_risks([(self.preds, self.labels)], [base, scaled], cfg)
         model_part = lambda r, s: (r - s.abstain_prob * 0.25) / s.model_mass
         assert model_part(rs, scaled) == pytest.approx(model_part(rb, base))
 
@@ -176,7 +176,7 @@ class TestDeployedRisk:
             alpha = rng.random()
             mix = alpha * wa + (1 - alpha) * wb
             statuses = [ApprovalStatus(3, w) for w in (wa, wb, mix)]
-            ra, rb, rmix = deployed_risks(preds, labels, statuses, cfg)
+            ra, rb, rmix = deployed_risks([(preds, labels)], statuses, cfg)
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
 
 

@@ -148,6 +148,12 @@ class TestTailAlpha:
     def test_infinite_data_contributes_nothing(self):
         assert tail_alpha(0.3, None, None, 50) == 0.0
 
+    def test_negative_slack_rejected(self):
+        with pytest.raises(ValueError):
+            tail_alpha(-0.1, 75, 37, 50)
+        with pytest.raises(ValueError):
+            tail_alpha(np.array([0.2, -0.1]), 75, 37, 50)
+
 
 class TestMgfRate:
     def test_degenerate_mixture(self):
@@ -176,6 +182,27 @@ class TestMgfRate:
                 batch_size=75, holdout_size=37,
             )
             assert mgf_rate(inp, float(rng.uniform(0, 1))) < 0.0
+
+
+class TestSlackArrays:
+    """The slack grid is evaluated as one array expression; each entry must
+    be what the same formula gives for that slack alone."""
+
+    @pytest.mark.parametrize("sizes, horizon", [((75, 37), 50), ((None, None), 50), ((75, None), 1)])
+    def test_tail_alpha_matches_scalar_loop(self, sizes, horizon):
+        zs = np.linspace(0.0, 1.0, 201)
+        got = tail_alpha(zs, *sizes, horizon)
+        want = [tail_alpha(float(z), *sizes, horizon) for z in zs]
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert got[0] == 1.0
+
+    @pytest.mark.parametrize("tail", [None, 0.0])
+    def test_mgf_rate_matches_scalar_loop(self, tail):
+        zs = np.linspace(0.0, 1.0, 201)
+        inp = RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37, tail=tail)
+        got = mgf_rate(inp, zs)
+        want = [mgf_rate(inp, float(z)) for z in zs]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestRiskBound:

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from modelgate.core import AugmentedLossConfig, CandidateModel, LossFunction, MonitoringBatch
+from modelgate.core import (
+    ApprovalStatus,
+    AugmentedLossConfig,
+    CandidateModel,
+    LossFunction,
+    MonitoringBatch,
+    deployed_risks,
+    pure_abstain,
+)
 from modelgate.sim import (
+    EVAL_BLOCK_ROWS,
     DeveloperPolicy,
     FitConfig,
     GeneratorState,
@@ -23,6 +32,8 @@ from modelgate.sim import (
     solve_signal_scale,
     split_batch,
     verify_drift,
+    _score_blocks,
+    _scores,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
@@ -332,3 +343,74 @@ class TestAdversarialDrift:
                               n_check=8000, tolerance=0.025, seed=4)
         assert tr.shift_times, "the adversary should have fired at least once"
         assert report.ok, report.violations
+
+
+def whole_matrix_risks(coefs, x, y, statuses, cfg):
+    """Deployed risks from the (n, t) score matrix of the whole sample: every
+    candidate's 2 sigmoid - 1 score, every live status's ensemble score in
+    one product, and the sample mean of its loss, mixed with the abstain
+    cost."""
+    preds = 2.0 * sigmoid(x @ coefs[:-1] + coefs[-1]) - 1.0
+    live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
+    cols = np.column_stack([statuses[k].weights[1:] / statuses[k].model_mass for k in live])
+    ens = cfg.base.of_array(preds @ cols.astype(preds.dtype), y[:, None]).mean(axis=0)
+    out = np.full(len(statuses), cfg.abstain_cost)
+    for i, k in enumerate(live):
+        p0 = statuses[k].abstain_prob
+        out[k] = p0 * cfg.abstain_cost + (1.0 - p0) * ens[i]
+    return out
+
+
+class TestBlockwiseEvaluator:
+    """``core.deployed_risks`` over ``sim._score_blocks``: the true-risk path."""
+
+    def sample(self, n, t=7, dim=10, seed=0):
+        rng = np.random.default_rng(seed)
+        coefs = rng.normal(0.0, 0.6, size=(dim + 1, t))
+        x = rng.standard_normal((n, dim), dtype=np.float32)
+        y = np.where(rng.random(n) < 0.5, np.float32(1.0), np.float32(-1.0))
+        statuses = [ApprovalStatus(t, w) for w in rng.dirichlet(np.ones(t + 1), size=5)]
+        statuses.append(ApprovalStatus(t, np.r_[0.0, rng.dirichlet(np.ones(t))]))
+        statuses.append(pure_abstain(t))
+        return coefs, x, y, statuses
+
+    @pytest.mark.parametrize("n", [1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 100_000])
+    @pytest.mark.parametrize("loss", [
+        HINGE, LossFunction("zero_one"), LossFunction("scaled_absolute", scale=2.0),
+    ], ids=["clipped_hinge", "zero_one", "scaled_absolute"])
+    def test_matches_whole_matrix_reference(self, n, loss):
+        coefs, x, y, statuses = self.sample(n)
+        cfg = AugmentedLossConfig(loss, 0.3)
+        c32 = coefs.astype(np.float32)
+        got = deployed_risks(_score_blocks(c32, x, y), statuses, cfg)
+        want = whole_matrix_risks(c32, x, y, statuses, cfg)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_zero_model_mass_costs_exactly_delta(self):
+        # at this size, averaging per-block mixed risks would miss delta by
+        # an ulp for most costs; the mix is applied once, to the mean
+        coefs, x, y, statuses = self.sample(100_000)
+        for delta in np.linspace(0.05, 0.95, 19):
+            got = deployed_risks(_score_blocks(coefs.astype(np.float32), x, y), statuses,
+                                 AugmentedLossConfig(HINGE, delta))
+            assert got[-1] == delta
+
+    def test_blocks_unused_without_model_mass(self):
+        def blocks():
+            raise AssertionError("no status needs scores")
+            yield
+
+        got = deployed_risks(blocks(), [pure_abstain(3)] * 2, LOSS_CFG)
+        assert got.tolist() == [0.25, 0.25]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_scores_bitwise_equal_sigmoid(self, dtype):
+        coefs, x, _, _ = self.sample(3000)
+        # scale some rows so exp overflows and saturates both ways
+        x = (x * np.where(np.arange(3000) % 7 == 0, 200.0, 1.0)[:, None]).astype(dtype)
+        c = coefs.astype(dtype)
+        want = 2.0 * sigmoid(x @ c[:-1] + c[-1]) - 1.0
+        got = _scores(c, x)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want)
+        assert np.any(np.abs(got) == 1.0)
