@@ -8,7 +8,6 @@ rate is certified by an average-risk guarantee.
 """
 
 from .core import (
-    ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
     InvalidEnsembleError,
@@ -21,16 +20,12 @@ from .core import (
 from .bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
 from .strategy import (
     REPEATED_TTEST,
-    MarkovPrior,
-    StrategyParams,
-    StrategyState,
+    StrategyBank,
     advance,
     brute_force_status,
-    init_state,
-    loss_update,
+    init_bank,
     optimistic_step,
     step,
-    strategy_from_row,
     transition_matrix,
 )
 from .meta import (

@@ -15,15 +15,15 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .numerics import outside
+
 __all__ = [
     "MonitoringBatch",
     "LossFunction",
     "AugmentedLossConfig",
     "CandidateModel",
     "ModelRegistry",
-    "ApprovalStatus",
     "InvalidEnsembleError",
-    "pure_abstain",
     "deployed_risks",
     "cumulative_average_risk",
 ]
@@ -186,86 +186,52 @@ class ModelRegistry:
     def models(self) -> tuple[CandidateModel, ...]:
         return tuple(self._models)
 
-@dataclass(frozen=True)
-class ApprovalStatus:
-    """Probability vector over {abstain, model 1, ..., model t}."""
-
-    time_index: int
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        object.__setattr__(self, "weights", w)
-        if w.ndim != 1 or len(w) != self.time_index + 1:
-            raise ValueError("weights must have length time_index + 1")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to one")
-
-    @classmethod
-    def from_weights(cls, time_index: int, weights: np.ndarray) -> "ApprovalStatus":
-        """Build a status from non-negative weights, normalising exactly."""
-        w = np.asarray(weights, dtype=float)
-        total = float(w.sum())
-        if total <= 0:
-            raise ValueError("weights must have positive total mass")
-        return cls(time_index, w / total)
-
-    @property
-    def abstain_prob(self) -> float:
-        return float(self.weights[0])
-
-    @property
-    def model_mass(self) -> float:
-        return float(self.weights[1:].sum())
-
-    def top_model(self) -> int:
-        """Index with the largest weight (0 means abstain)."""
-        return int(np.argmax(self.weights))
-
-
-def pure_abstain(time_index: int) -> ApprovalStatus:
-    """The status that abstains with certainty."""
-    w = np.zeros(time_index + 1)
-    w[0] = 1.0
-    return ApprovalStatus(time_index, w)
-
-
 def deployed_risks(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
-    statuses: Sequence[ApprovalStatus],
+    statuses: np.ndarray,
     cfg: AugmentedLossConfig,
 ) -> np.ndarray:
     """Expected augmented loss of each deployed status on one sample.
 
-    ``blocks`` yields ``(scores, labels)`` row blocks that together cover
-    the sample once: ``scores`` holds every real candidate's scores on the
-    block's rows, shape (n_b, t).  A status deploys ``p0 * abstain_cost +
-    (1 - p0) * loss(ensemble)``, where p0 is its abstention weight and the
-    ensemble averages the candidates' scores under the model weights
-    renormalised to sum to one; the abstention coin is integrated out
-    analytically.  Each block adds its per-status loss sums (all statuses
-    in one matrix product); the abstention mix is applied once, to the
-    sample mean, so a status with no model mass costs exactly the abstain
-    cost.  When no status has model mass the blocks are not drawn.
+    Row k of ``statuses`` (shape (k, t+1)) is a probability vector over
+    {abstain, model 1, ..., model t}.  ``blocks`` yields ``(scores,
+    labels)`` row blocks that together cover the sample once: ``scores``
+    holds every real candidate's scores on the block's rows, shape (n_b, t).
+    A status deploys ``p0 * abstain_cost + (1 - p0) * loss(ensemble)``,
+    where p0 is its abstention weight and the ensemble averages the
+    candidates' scores under the model weights renormalised to sum to one;
+    the abstention coin is integrated out analytically.  Each block adds
+    its per-status loss sums (all statuses in one matrix product); the
+    abstention mix is applied once, to the sample mean, so a status with no
+    model mass costs exactly the abstain cost.  When no status has model
+    mass the blocks are not drawn.
     """
+    w = np.asarray(statuses, dtype=float)
+    if w.ndim != 2 or w.shape[1] < 2:
+        raise ValueError("statuses must have shape (k, t + 1) with t >= 1")
+    if outside(w, 0.0, np.inf):
+        raise ValueError("status weights must be non-negative")
+    if outside(w.sum(axis=1), 1.0 - 1e-9, 1.0 + 1e-9):
+        raise ValueError("each status must sum to one")
     delta = cfg.abstain_cost
-    out = np.full(len(statuses), delta)
-    live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
-    if not live:
+    p0 = w[:, 0]
+    mass = w[:, 1:].sum(axis=1)
+    out = np.full(len(w), delta)
+    live = np.flatnonzero(mass > 0.0)
+    if not live.size:
         return out
-    cols = np.column_stack([statuses[k].weights[1:] / statuses[k].model_mass for k in live])
+    # C order: a Fortran-order operand takes another BLAS path, whose
+    # float32 rounding differs by up to 1e-8 in the risks
+    cols = np.ascontiguousarray((w[live, 1:] / mass[live, None]).T)
     sums = np.zeros(len(live))
     rows = 0
     for scores, labels in blocks:
+        if scores.shape[1] != w.shape[1] - 1:
+            raise ValueError("statuses must have one entry per candidate plus abstain")
         ens = scores @ cols.astype(scores.dtype, copy=False)
         sums += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
         rows += len(labels)
-    mean = sums / rows
-    for i, k in enumerate(live):
-        p0 = statuses[k].abstain_prob
-        out[k] = p0 * delta + (1.0 - p0) * float(mean[i])
+    out[live] = p0[live] * delta + (1.0 - p0[live]) * (sums / rows)
     return out
 
 

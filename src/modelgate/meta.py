@@ -20,16 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bounds import RiskBoundTable
-from .core import ApprovalStatus
-from .numerics import log_normalize
-from .strategy import (
-    StrategyState,
-    constraint_mask,
-    init_state,
-    optimistic_step,
-    advance as strategy_advance,
-    strategy_from_row,
-)
+from .numerics import log_normalize, outside
+from .strategy import StrategyBank, init_bank, optimistic_step, advance as strategy_advance
 
 __all__ = [
     "MetaState",
@@ -57,23 +49,26 @@ class InfeasibleRateError(ValueError):
 
 @dataclass(frozen=True)
 class MetaState:
-    """Forecaster weights plus the per-strategy states at one time step."""
+    """Forecaster weights plus the strategy bank at one time step."""
 
-    time_index: int
     log_weights: np.ndarray
     meta_rate: float
-    strategies: tuple[StrategyState, ...]
+    bank: StrategyBank
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
         object.__setattr__(self, "log_weights", lw)
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        if len(lw) != len(self.strategies):
+        if lw.shape != self.bank.approve_prob.shape:
             raise ValueError("one weight per strategy required")
         if self.meta_rate < 0:
             raise ValueError("meta_rate must be >= 0")
-        if self.strategies and self.strategies[0].params.row != (0.0, 0.0, 0.0):
+        b = self.bank
+        if (b.approve_prob[0], b.optimism[0], b.learn_rate[0]) != (0.0, 0.0, 0.0):
             raise ValueError("strategy 0 must be the abstain-only fail-safe")
+
+    @property
+    def time_index(self) -> int:
+        return self.bank.time_index
 
     @property
     def weights(self) -> np.ndarray:
@@ -92,38 +87,34 @@ def init_meta(
     """
     if len(rows) < 1:
         raise ValueError("need at least one strategy row")
-    if tuple(float(v) for v in rows[0]) != (0.0, 0.0, 0.0):
-        raise ValueError("row 0 must be the fail-safe (0, 0, 0)")
-    states = []
-    for row in rows:
-        params, prior = strategy_from_row(row, abstain_cost, step_margin)
-        states.append(init_state(params, prior))
-    m = len(states)
-    return MetaState(1, np.full(m, -math.log(m)), meta_rate, tuple(states))
+    m = len(rows)
+    return MetaState(np.full(m, -math.log(m)), meta_rate, init_bank(rows, abstain_cost, step_margin))
 
 
-def strategy_statuses(state: MetaState, table: RiskBoundTable) -> list[ApprovalStatus]:
-    return [optimistic_step(s, table) for s in state.strategies]
+def strategy_statuses(state: MetaState, table: RiskBoundTable) -> np.ndarray:
+    """Every strategy's deployed status, shape (m, t+1)."""
+    return optimistic_step(state.bank, table)
 
 
-def combine(statuses: Sequence[ApprovalStatus], weights: np.ndarray) -> ApprovalStatus:
-    """Entrywise convex combination of equally-long statuses."""
-    if len(statuses) != len(weights):
-        raise ValueError("one weight per status required")
-    t = statuses[0].time_index
-    if any(s.time_index != t for s in statuses):
-        raise ValueError("statuses must share a time index")
-    stacked = np.stack([s.weights for s in statuses])
-    mixed = np.asarray(weights, dtype=float) @ stacked
-    return ApprovalStatus.from_weights(t, mixed)
+def combine(statuses: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted mixture of the rows of ``statuses``, normalised exactly."""
+    statuses = np.asarray(statuses, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if statuses.ndim != 2 or weights.shape != (len(statuses),):
+        raise ValueError("one weight per status row required")
+    mixed = weights @ statuses
+    total = float(mixed.sum())
+    if not total > 0:
+        raise ValueError("weights must have positive total mass")
+    return mixed / total
 
 
 def meta_update(state: MetaState, strategy_batch_risks: np.ndarray) -> MetaState:
     """Reweight strategies by their deployed empirical risk on one batch."""
     risks = np.asarray(strategy_batch_risks, dtype=float)
-    if len(risks) != len(state.strategies):
+    if risks.shape != state.log_weights.shape:
         raise ValueError("one risk per strategy required")
-    if np.any(risks < -1e-12) or np.any(risks > 1.0 + 1e-12):
+    if outside(risks, -1e-12, 1.0 + 1e-12):
         raise ValueError("risks must lie in [0, 1]")
     logw = log_normalize(state.log_weights - state.meta_rate * risks)
     return replace(state, log_weights=logw)
@@ -135,13 +126,11 @@ def meta_advance(
     batch_losses: np.ndarray,
     strategy_batch_risks: np.ndarray,
 ) -> MetaState:
-    """Absorb the step's batch: update weights, advance every strategy."""
+    """Absorb the step's batch: update the weights, advance the bank."""
     updated = meta_update(state, strategy_batch_risks)
-    nxt = tuple(
-        strategy_advance(s, batch_losses, constraint_mask(table, s.params))
-        for s in state.strategies
-    )
-    return MetaState(state.time_index + 1, updated.log_weights, state.meta_rate, nxt)
+    bank = state.bank
+    mask = table.feasible(bank.abstain_cost, bank.step_margin)
+    return replace(updated, bank=strategy_advance(bank, batch_losses, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,20 @@ import numpy as np
 NEG_INF = -np.inf
 
 
-def logsumexp(logw: np.ndarray) -> float:
+def outside(x, lo: float, hi: float) -> bool:
+    """True if any entry of ``x`` lies outside [lo, hi]; nan always does."""
+    x = np.asarray(x, dtype=float)
+    return bool(np.any(~((x >= lo) & (x <= hi))))
+
+
+def logsumexp(logw: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log(sum(exp(logw))) along ``axis``; -inf where every entry is -inf."""
     logw = np.asarray(logw, dtype=float)
-    m = np.max(logw)
-    if not np.isfinite(m):
-        return float(m)
-    return float(m + np.log(np.sum(np.exp(logw - m))))
+    top = np.max(logw, axis=axis, keepdims=True)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        out = top + np.log(np.sum(np.exp(logw - top), axis=axis, keepdims=True))
+    return np.squeeze(out, axis=axis)
 
 
 def log_normalize(logw: np.ndarray) -> np.ndarray:
@@ -24,8 +32,13 @@ def log_normalize(logw: np.ndarray) -> np.ndarray:
 
 
 def softmax(logw: np.ndarray) -> np.ndarray:
-    p = np.exp(log_normalize(logw))
-    return p / p.sum()
+    """Normalise each row of an (m, n) log-weight array to a probability
+    vector; a row with no mass becomes (1, 0, ..., 0), pure abstention."""
+    total = logsumexp(logw)
+    dead = total == NEG_INF
+    p = np.exp(logw - np.where(dead, 0.0, total)[:, None])
+    p[dead, 0] = 1.0
+    return p / p.sum(axis=1, keepdims=True)
 
 
 def safe_log(w: np.ndarray) -> np.ndarray:

@@ -40,14 +40,7 @@ from .meta import (
     meta_advance,
     strategy_statuses,
 )
-from .strategy import (
-    REPEATED_TTEST,
-    constraint_mask,
-    advance as strategy_advance,
-    init_state,
-    optimistic_step,
-    strategy_from_row,
-)
+from .strategy import REPEATED_TTEST, advance as strategy_advance, init_bank, optimistic_step
 
 __all__ = [
     "ScenarioKind",
@@ -863,8 +856,7 @@ def run_replicate(
         rate = max_learning_rate(delta + margin, inputs)
 
     meta = init_meta(meta_cfg.rows, rate, delta, step_margin)
-    shadow_params, shadow_prior = strategy_from_row(REPEATED_TTEST, delta, step_margin)
-    shadow = init_state(shadow_params, shadow_prior)
+    shadow = init_bank([REPEATED_TTEST], delta, step_margin)
 
     m = len(meta_cfg.rows)
     trace = ReplicateTrace(
@@ -903,8 +895,7 @@ def run_replicate(
         # data through t - 1
         shadow_changed = False
         if not ingested and scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
-            shadow_status = optimistic_step(shadow, table)
-            top = shadow_status.top_model()
+            top = int(np.argmax(optimistic_step(shadow, table)[0]))
             shadow_changed = top > 0 and top != gen.shadow_top
             if top > 0:
                 gen.shadow_top = top
@@ -918,6 +909,7 @@ def run_replicate(
         weights = meta.weights
         statuses = strategy_statuses(meta, table)
         combined = combine(statuses, weights)
+        deployed = np.vstack([statuses, combined])
 
         # every candidate is a LogisticModel: one (dim + 1, t) matrix per step
         coefs = np.column_stack([m.predictor.coef for m in registry.models[1:]])
@@ -934,24 +926,23 @@ def run_replicate(
             )
             eval_risks = deployed_risks(
                 _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
-                statuses + [combined],
+                deployed,
                 loss_cfg,
             )
             del eval_feats, eval_labels, probs
             batch = generate_batch(gen, scenario, t)
         batch_preds = _scores(coefs, batch.features)
-        batch_risks = deployed_risks([(batch_preds, batch.labels)], statuses + [combined], loss_cfg)
+        batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss_cfg)
         if ingested:
             # the batch is the evaluation sample: its risks are the true ones
             eval_risks = batch_risks
         trace.true_risk[t - 1] = eval_risks[-1]
-        trace.abstain_prob[t - 1] = combined.abstain_prob
+        trace.abstain_prob[t - 1] = combined[0]
         trace.meta_weights[t - 1] = weights
-        trace.meta_top[t - 1] = combined.top_model()
+        trace.meta_top[t - 1] = np.argmax(combined)
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
-        for j, status in enumerate(statuses):
-            trace.strategy_abstain[t - 1, j] = status.abstain_prob
-            trace.strategy_top[t - 1, j] = status.top_model()
+        trace.strategy_abstain[t - 1] = statuses[:, 0]
+        trace.strategy_top[t - 1] = statuses.argmax(axis=1)
 
         history.append(batch)
         splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))
@@ -963,7 +954,7 @@ def run_replicate(
         if t < horizon:
             meta = meta_advance(meta, table, blosses, strat_risks)
             if not ingested and scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
-                shadow = strategy_advance(shadow, blosses, constraint_mask(table, shadow_params))
+                shadow = strategy_advance(shadow, blosses, table.feasible(delta, step_margin))
 
     trace.coeff_history = (
         np.stack(gen.coeff_history[: horizon + 1]) if not ingested else np.zeros((0, dim))

@@ -1,14 +1,15 @@
-"""One approval strategy: a constrained multiplicative-weights recursion.
+"""The approval strategies: one constrained multiplicative-weights recursion
+run for every (approve_prob, optimism, learn_rate) row at once.
 
-A strategy keeps a weight vector over {abstain, model 1, ..., model t}
+Each strategy keeps a weight vector over {abstain, model 1, ..., model t}
 backed by a Markov prior on hard approval sequences.  Each step it
 
   1. reweights by the exponentiated risk bounds (optimism) and zeroes any
      candidate whose bound exceeds the abstain cost plus a per-step margin,
   2. deploys the resulting status,
   3. reweights by the exponentiated empirical batch losses, and
-  4. pushes the weights through the prior's transition matrix, which
-     admits the next candidate.
+  4. pushes the weights through the prior's transition, which admits the
+     next candidate.
 
 Constraint masks are folded into the carried weights, so a candidate that
 ever violated the bound constraint loses the mass it had accumulated and
@@ -16,36 +17,32 @@ can only re-enter at the rate the prior's transitions allow.  That makes
 the recursion agree exactly with brute-force enumeration over hard
 approval sequences (``brute_force_status``), which is the test oracle.
 
-Three scalar hyperparameters steer the behaviour: ``approve_prob`` (the
-prior's chance of hopping to a newer model), ``optimism`` (weight on the
-risk bounds), and ``learn_rate`` (weight on observed batch losses).
+A ``StrategyBank`` holds m strategies as one (m, t+1) log-weight array
+with one hyperparameter triple per row; a single strategy is a one-row
+bank.  The prior either stays (probability 1 - approve_prob) or hops
+uniformly to a newer state, a fixed-share update (Herbster & Warmuth
+1998), so one cumulative sum applies it in O(t) per row.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bounds import RiskBoundTable
-from .core import ApprovalStatus, pure_abstain
-from .numerics import NEG_INF, logsumexp, safe_log, softmax
+from .numerics import NEG_INF, logsumexp, outside, safe_log, softmax
 
 __all__ = [
-    "MarkovPrior",
-    "StrategyParams",
-    "StrategyState",
+    "StrategyBank",
     "transition_matrix",
-    "init_state",
-    "constraint_mask",
+    "init_bank",
     "optimistic_step",
-    "loss_update",
     "advance",
     "step",
     "REPEATED_TTEST",
-    "strategy_from_row",
     "brute_force_status",
 ]
 
@@ -58,69 +55,40 @@ REPEATED_TTEST = (0.5, 1e4, 0.0)
 
 
 @dataclass(frozen=True)
-class MarkovPrior:
-    """Markov chain over approval sequences: stay put, or hop forward.
+class StrategyBank:
+    """Carried weights of m strategies entering decision time ``time_index``.
 
-    ``approve_prob`` is the chance of moving to one of the newer candidates
-    (split equally among them); ``initial`` is the starting split between
-    the abstain option and the first candidate.
-    """
-
-    approve_prob: float
-    initial: tuple[float, float] = (0.5, 0.5)
-
-    def __post_init__(self):
-        if not 0.0 <= self.approve_prob <= 1.0:
-            raise ValueError("approve_prob must lie in [0, 1]")
-        a0, a1 = self.initial
-        if a0 < 0 or a1 < 0 or abs(a0 + a1 - 1.0) > 1e-12:
-            raise ValueError("initial must be a 2-point probability vector")
-
-
-@dataclass(frozen=True)
-class StrategyParams:
-    """Hyperparameters of one approval strategy."""
-
-    approve_prob: float
-    optimism: float
-    learn_rate: float
-    step_margin: float
-    abstain_cost: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.approve_prob <= 1.0:
-            raise ValueError("approve_prob must lie in [0, 1]")
-        if self.optimism < 0 or self.learn_rate < 0 or self.step_margin < 0:
-            raise ValueError("optimism, learn_rate and step_margin must be >= 0")
-        if not 0.0 < self.abstain_cost < 1.0:
-            raise ValueError("abstain_cost must lie in (0, 1)")
-
-    @property
-    def row(self) -> tuple[float, float, float]:
-        return (self.approve_prob, self.optimism, self.learn_rate)
-
-
-@dataclass(frozen=True)
-class StrategyState:
-    """Weights of one strategy entering decision time ``time_index``.
-
-    ``log_weights`` has length time_index + 1 and describes the carried
-    (pre-optimism) probability over {abstain, candidates}.
+    Row i of ``log_weights`` (shape (m, time_index + 1)) is strategy i's
+    pre-optimism probability over {abstain, candidates}; ``approve_prob``,
+    ``optimism`` and ``learn_rate`` hold its row of hyperparameters.
     """
 
     time_index: int
     log_weights: np.ndarray
-    params: StrategyParams
-    prior: MarkovPrior
+    approve_prob: np.ndarray
+    optimism: np.ndarray
+    learn_rate: np.ndarray
+    abstain_cost: float
+    step_margin: float
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
         object.__setattr__(self, "log_weights", lw)
-        if len(lw) != self.time_index + 1:
-            raise ValueError("log_weights must have length time_index + 1")
-        err = abs(np.exp(logsumexp(lw)) - 1.0)
-        if err > RENORM_TOL:
-            raise ValueError(f"weights are not normalised (error {err:.2e})")
+        for name in ("approve_prob", "optimism", "learn_rate"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if lw.ndim != 2 or lw.shape[1] != self.time_index + 1:
+            raise ValueError("log_weights must have shape (m, time_index + 1)")
+        if any(len(p) != len(lw) for p in (self.approve_prob, self.optimism, self.learn_rate)):
+            raise ValueError("one approve_prob, optimism and learn_rate per row required")
+        if outside(self.approve_prob, 0.0, 1.0):
+            raise ValueError("approve_prob must lie in [0, 1]")
+        if outside(np.r_[self.optimism, self.learn_rate, self.step_margin], 0.0, np.inf):
+            raise ValueError("optimism, learn_rate and step_margin must be >= 0")
+        if not 0.0 < self.abstain_cost < 1.0:
+            raise ValueError("abstain_cost must lie in (0, 1)")
+        err = np.abs(np.exp(logsumexp(lw)) - 1.0)
+        if outside(err, 0.0, RENORM_TOL):
+            raise ValueError(f"weights are not normalised (error {np.max(err):.2e})")
 
     @property
     def weights(self) -> np.ndarray:
@@ -133,6 +101,8 @@ def transition_matrix(t: int, approve_prob: float) -> np.ndarray:
     Column k stays at k with probability 1 - approve_prob and hops to each
     of the newer states k+1..t with probability approve_prob / (t - k).
     No backward moves, so approvals are monotone.  Every column sums to 1.
+    ``advance`` applies the same map with a cumulative sum; this dense form
+    is the reference the oracle and the tests use.
     """
     if t < 2:
         raise ValueError("transitions only exist from t = 2 onward")
@@ -145,121 +115,102 @@ def transition_matrix(t: int, approve_prob: float) -> np.ndarray:
     return A
 
 
-def init_state(params: StrategyParams, prior: MarkovPrior) -> StrategyState:
-    """State entering t = 1: the prior's initial split over {abstain, model 1}."""
-    if prior.approve_prob != params.approve_prob:
-        raise ValueError("prior and params disagree on approve_prob")
-    return StrategyState(1, safe_log(np.array(prior.initial)), params, prior)
+def init_bank(rows: Sequence[Sequence[float]], abstain_cost: float, step_margin: float) -> StrategyBank:
+    """Bank entering t = 1, one strategy per (approve_prob, optimism, learn_rate) row.
+
+    The all-zero row is the fail-safe and starts on abstention, (1, 0); any
+    other row starts from the even split over {abstain, model 1}.
+    """
+    params = np.asarray(rows, dtype=float).reshape(-1, 3)
+    log_weights = np.full((len(params), 2), np.log(0.5))
+    log_weights[~params.any(axis=1)] = (0.0, NEG_INF)
+    a, o, l = params.T
+    return StrategyBank(1, log_weights, a, o, l, abstain_cost, step_margin)
 
 
-def constraint_mask(table: RiskBoundTable, params: StrategyParams) -> np.ndarray:
-    return table.feasible(params.abstain_cost, params.step_margin)
-
-
-def optimistic_step(state: StrategyState, table: RiskBoundTable) -> ApprovalStatus:
-    """Status deployed at time t: carried weights, reweighted by the bounds.
+def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
+    """Statuses deployed at time t, shape (m, t+1): carried weights,
+    reweighted by the bounds.
 
     Each entry is proportional to w_j * exp(-optimism * bound_j), with
     candidates failing the bound constraint zeroed.  Abstention always
-    passes, so the output is well defined unless the prior itself puts no
-    mass on any feasible entry, in which case the only feasible act is
-    pure abstention.
+    passes, so a row is well defined unless the prior itself puts no mass
+    on any feasible entry, in which case the only feasible act is pure
+    abstention.
     """
-    if table.time_index != state.time_index:
-        raise ValueError("bound table and state refer to different times")
-    mask = constraint_mask(table, state.params)
-    logw = state.log_weights - state.params.optimism * table.bounds
-    logw = np.where(mask, logw, NEG_INF)
-    if not np.isfinite(logsumexp(logw)):
-        return pure_abstain(state.time_index)
-    return ApprovalStatus(state.time_index, softmax(logw))
-
-
-def loss_update(
-    state: StrategyState,
-    batch_losses: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Posterior weights after one batch: w_j * exp(-learn_rate * loss_j).
-
-    ``batch_losses`` holds the empirical augmented risk of every entry on
-    the step's monitoring batch (index 0 is the abstain cost).  ``mask``,
-    when given, zeroes entries that violated the step's bound constraint
-    before the update, keeping the recursion consistent with the
-    sequence-level constraints.
-    """
-    losses = np.asarray(batch_losses, dtype=float)
-    if len(losses) != state.time_index + 1:
-        raise ValueError("batch_losses must have length time_index + 1")
-    if np.any(losses < -1e-12) or np.any(losses > 1.0 + 1e-12):
-        raise ValueError("losses must lie in [0, 1]")
-    if abs(losses[0] - state.params.abstain_cost) > 1e-9:
-        raise ValueError("entry 0 of batch_losses must equal the abstain cost")
-    logv = state.log_weights - state.params.learn_rate * losses
-    if mask is not None:
-        logv = np.where(mask, logv, NEG_INF)
-        if not np.isfinite(logsumexp(logv)):
-            return pure_abstain(state.time_index).weights
-    v = softmax(logv)
-    assert abs(v.sum() - 1.0) < RENORM_TOL
-    return v
+    if table.time_index != bank.time_index:
+        raise ValueError("bound table and bank refer to different times")
+    mask = table.feasible(bank.abstain_cost, bank.step_margin)
+    logw = bank.log_weights - bank.optimism[:, None] * table.bounds
+    return softmax(np.where(mask, logw, NEG_INF))
 
 
 def advance(
-    state: StrategyState,
+    bank: StrategyBank,
     batch_losses: np.ndarray,
     mask: Optional[np.ndarray] = None,
-) -> StrategyState:
-    """Move to time t+1: loss update, then the prior's transition matrix."""
-    v = loss_update(state, batch_losses, mask)
-    A = transition_matrix(state.time_index + 1, state.params.approve_prob)
-    nxt = A @ v
-    total = float(nxt.sum())
-    assert abs(total - 1.0) < RENORM_TOL
-    return StrategyState(state.time_index + 1, safe_log(nxt / total), state.params, state.prior)
+) -> StrategyBank:
+    """Move to time t+1: loss update, then the prior's transition.
+
+    ``batch_losses`` holds the empirical augmented risk of every entry on
+    the step's monitoring batch (index 0 is the abstain cost).  Each row is
+    reweighted by exp(-learn_rate * loss); ``mask``, when given, zeroes the
+    entries that violated the step's bound constraint first, keeping the
+    recursion consistent with the sequence-level constraints (a row left
+    with no mass abstains).  The transition is
+    ``nxt[k] = (1 - a) v[k] + sum_{i<k} a v[i] / (t + 1 - i)``.
+    """
+    losses = np.asarray(batch_losses, dtype=float)
+    t = bank.time_index
+    if losses.shape != (t + 1,):
+        raise ValueError("batch_losses must have length time_index + 1")
+    if outside(losses, -1e-12, 1.0 + 1e-12):
+        raise ValueError("losses must lie in [0, 1]")
+    if abs(losses[0] - bank.abstain_cost) > 1e-9:
+        raise ValueError("entry 0 of batch_losses must equal the abstain cost")
+    logv = bank.log_weights - bank.learn_rate[:, None] * losses
+    if mask is not None:
+        logv = np.where(mask, logv, NEG_INF)
+    v = softmax(logv)
+    a = bank.approve_prob[:, None]
+    nxt = np.zeros((len(v), t + 2))
+    nxt[:, : t + 1] = (1.0 - a) * v
+    nxt[:, 1:] += a * np.cumsum(v / (t + 1 - np.arange(t + 1)), axis=1)
+    total = nxt.sum(axis=1, keepdims=True)
+    if outside(total, 1.0 - RENORM_TOL, 1.0 + RENORM_TOL):
+        raise ValueError("advanced weights are not normalised")
+    return replace(bank, time_index=t + 1, log_weights=safe_log(nxt / total))
 
 
 def step(
-    state: StrategyState,
+    bank: StrategyBank,
     table: RiskBoundTable,
     batch_losses: np.ndarray,
-) -> tuple[ApprovalStatus, StrategyState]:
-    """One full decision step: emit the status, then absorb the batch.
+) -> tuple[np.ndarray, StrategyBank]:
+    """One full decision step: emit the statuses, then absorb the batch.
 
     The constraint mask derived from the step's bound table is applied both
-    to the emitted status and to the carried weights, so masked candidates
-    forfeit their accumulated mass.
+    to the emitted statuses and to the carried weights, so masked
+    candidates forfeit their accumulated mass.
     """
-    status = optimistic_step(state, table)
-    mask = constraint_mask(table, state.params)
-    return status, advance(state, batch_losses, mask)
-
-
-def strategy_from_row(
-    row: Sequence[float],
-    abstain_cost: float,
-    step_margin: float,
-) -> tuple[StrategyParams, MarkovPrior]:
-    """Build a strategy from an (approve_prob, optimism, learn_rate) triple.
-
-    The all-zero row is the fail-safe and gets the abstain-only prior; any
-    other row starts from the even split over {abstain, model 1}.
-    """
-    a, o, l = (float(v) for v in row)
-    initial = (1.0, 0.0) if (a, o, l) == (0.0, 0.0, 0.0) else (0.5, 0.5)
-    params = StrategyParams(a, o, l, step_margin, abstain_cost)
-    return params, MarkovPrior(a, initial)
+    statuses = optimistic_step(bank, table)
+    mask = table.feasible(bank.abstain_cost, bank.step_margin)
+    return statuses, advance(bank, batch_losses, mask)
 
 
 def brute_force_status(
     t: int,
     losses_by_time: Sequence[np.ndarray],
     tables: Sequence[RiskBoundTable],
-    params: StrategyParams,
-    prior: MarkovPrior,
+    row: Sequence[float],
+    abstain_cost: float,
+    step_margin: float,
+    initial: tuple[float, float],
     cap: int = BRUTE_FORCE_CAP,
-) -> ApprovalStatus:
-    """Status at time t by explicit enumeration of hard approval sequences.
+) -> np.ndarray:
+    """Status at time t of the strategy ``row`` = (approve_prob, optimism,
+    learn_rate) started from ``initial`` over {abstain, model 1}, by
+    explicit enumeration of hard approval sequences.
 
     Every sequence (s_1, ..., s_t) with s_k in {0..k} is weighted by
 
@@ -278,11 +229,10 @@ def brute_force_status(
     if len(tables) != t:
         raise ValueError("tables must cover steps 1..t")
 
-    masks = [constraint_mask(tb, params) for tb in tables]
-    log_init = safe_log(np.array(prior.initial))
-    log_trans = [
-        safe_log(transition_matrix(s, prior.approve_prob)) for s in range(2, t + 1)
-    ]
+    approve_prob, optimism, learn_rate = (float(v) for v in row)
+    masks = [tb.feasible(abstain_cost, step_margin) for tb in tables]
+    log_init = safe_log(np.array(initial))
+    log_trans = [safe_log(transition_matrix(s, approve_prob)) for s in range(2, t + 1)]
 
     per_state = [[] for _ in range(t + 1)]
     for seq in itertools.product(*(range(s + 1) for s in range(1, t + 1))):
@@ -296,13 +246,9 @@ def brute_force_status(
         if logw == NEG_INF:
             continue
         for s, losses in enumerate(losses_by_time, start=1):
-            logw -= params.learn_rate * float(losses[seq[s - 1]])
-        logw -= params.optimism * float(tables[-1].bounds[seq[-1]])
+            logw -= learn_rate * float(losses[seq[s - 1]])
+        logw -= optimism * float(tables[-1].bounds[seq[-1]])
         per_state[seq[-1]].append(logw)
 
-    agg = np.array([
-        logsumexp(np.array(v)) if v else NEG_INF for v in per_state
-    ])
-    if not np.isfinite(logsumexp(agg)):
-        return pure_abstain(t)
-    return ApprovalStatus(t, softmax(agg))
+    agg = np.array([logsumexp(v) if v else NEG_INF for v in per_state])
+    return softmax(agg[None, :])[0]

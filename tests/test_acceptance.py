@@ -36,13 +36,7 @@ from modelgate.sim import (
     solve_signal_scale,
     verify_drift,
 )
-from modelgate.strategy import (
-    MarkovPrior,
-    StrategyParams,
-    brute_force_status,
-    init_state,
-    step,
-)
+from modelgate.strategy import brute_force_status, init_bank, step
 
 SEED = 20240801
 REPLICATES = 15
@@ -83,28 +77,28 @@ def test_criterion_1_recursion_matches_enumeration():
     for _ in range(200):
         t_max = int(rng.integers(1, 6))
         delta = float(rng.uniform(0.1, 0.4))
-        params = StrategyParams(
-            approve_prob=float(rng.uniform(0.0, 1.0)),
-            optimism=float(rng.choice([0.0, 0.7, 5.0, 1e2, 1e4])),
-            learn_rate=float(rng.choice([0.0, 0.5, 2.0, 10.0])),
-            step_margin=float(rng.uniform(0.0, 0.2)),
-            abstain_cost=delta,
+        # (approve_prob, optimism, learn_rate); approve_prob is never 0, so
+        # the row is never the fail-safe and starts from the even split
+        row = (
+            float(rng.uniform(0.0, 1.0)),
+            float(rng.choice([0.0, 0.7, 5.0, 1e2, 1e4])),
+            float(rng.choice([0.0, 0.5, 2.0, 10.0])),
         )
-        prior = MarkovPrior(params.approve_prob, (0.5, 0.5))
-        state = init_state(params, prior)
+        margin = float(rng.uniform(0.0, 0.2))
+        bank = init_bank([row], delta, margin)
         tables, losses_hist, status = [], [], None
         for t in range(1, t_max + 1):
             bounds = np.empty(t + 1)
             bounds[0] = delta
             # spread around the feasibility threshold so masks activate
-            bounds[1:] = rng.uniform(delta - 0.2, delta + params.step_margin + 0.25, size=t)
+            bounds[1:] = rng.uniform(delta - 0.2, delta + margin + 0.25, size=t)
             table = RiskBoundTable(t, bounds, np.zeros(t + 1, dtype=int))
             losses = np.concatenate([[delta], rng.uniform(0.0, 1.0, size=t)])
             tables.append(table)
             losses_hist.append(losses)
-            status, state = step(state, table, losses)
-        oracle = brute_force_status(t_max, losses_hist[:-1], tables, params, prior)
-        worst = max(worst, float(np.max(np.abs(status.weights - oracle.weights))))
+            status, bank = step(bank, table, losses)
+        oracle = brute_force_status(t_max, losses_hist[:-1], tables, row, delta, margin, (0.5, 0.5))
+        worst = max(worst, float(np.max(np.abs(status[0] - oracle))))
     elapsed = time.time() - started
     report(
         1,

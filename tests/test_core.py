@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from modelgate.bounds import LossLedger
 from modelgate.core import (
-    ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
     InvalidEnsembleError,
@@ -41,9 +40,8 @@ def constant_preds(values, n):
 
 
 def risk_of(weights, preds, labels, delta):
-    status = ApprovalStatus(len(weights) - 1, np.asarray(weights, dtype=float))
     cfg = AugmentedLossConfig(HINGE, delta)
-    return float(deployed_risks([(preds, np.asarray(labels, dtype=float))], [status], cfg)[0])
+    return float(deployed_risks([(preds, np.asarray(labels, dtype=float))], [weights], cfg)[0])
 
 
 class TestAugmentedLoss:
@@ -139,11 +137,11 @@ class TestEnsemble:
     @settings(max_examples=50, deadline=None)
     def test_rescaling_invariance(self, scale):
         # renormalisation makes the ensemble depend only on weight ratios
-        base = ApprovalStatus(2, np.array([0.5, 0.25, 0.25]))
-        scaled = ApprovalStatus(2, np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25]))
+        base = np.array([0.5, 0.25, 0.25])
+        scaled = np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25])
         cfg = AugmentedLossConfig(HINGE, 0.25)
         rb, rs = deployed_risks([(self.preds, self.labels)], [base, scaled], cfg)
-        model_part = lambda r, s: (r - s.abstain_prob * 0.25) / s.model_mass
+        model_part = lambda r, s: (r - s[0] * 0.25) / s[1:].sum()
         assert model_part(rs, scaled) == pytest.approx(model_part(rb, base))
 
 
@@ -175,8 +173,7 @@ class TestDeployedRisk:
             wb = rng.dirichlet(np.ones(4))
             alpha = rng.random()
             mix = alpha * wa + (1 - alpha) * wb
-            statuses = [ApprovalStatus(3, w) for w in (wa, wb, mix)]
-            ra, rb, rmix = deployed_risks([(preds, labels)], statuses, cfg)
+            ra, rb, rmix = deployed_risks([(preds, labels)], [wa, wb, mix], cfg)
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
 
 
@@ -204,12 +201,18 @@ class TestTypes:
             registry.add(constant_model(5, 0.0))
 
     def test_status_validation(self):
-        with pytest.raises(ValueError):
-            ApprovalStatus(1, np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            ApprovalStatus(1, np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
-            ApprovalStatus(2, np.array([0.5, 0.5]))
+        # deployed_risks checks the statuses it is given
+        cfg = AugmentedLossConfig(HINGE, 0.25)
+        block = (constant_preds([0.5], 3), np.array([1.0, -1.0, 1.0]))
+        for statuses in (
+            [[0.5, 0.6]],                 # does not sum to one
+            [[-0.1, 1.1]],                # negative weight
+            [[0.5, 0.5], [np.nan, 1.0]],  # nan in a later row
+            [[0.5, 0.25, 0.25]],          # one candidate scored, two weighted
+            [0.5, 0.5],                   # not a (k, t + 1) matrix
+        ):
+            with pytest.raises(ValueError):
+                deployed_risks([block], statuses, cfg)
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from modelgate.bounds import RiskBoundTable
-from modelgate.core import ApprovalStatus
 from modelgate.meta import (
     InfeasibleRateError,
     RiskBoundInputs,
@@ -82,6 +81,12 @@ class TestMetaForecaster:
         with pytest.raises(ValueError):
             meta_update(state, np.array([0.1, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_risks_rejected(self, bad):
+        state = init_meta(ROWS[:2], 1.0, DELTA, 0.05)
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            meta_update(state, np.array([0.1, bad]))
+
     def test_fail_safe_weight_never_vanishes(self):
         # adversarial risks: fail-safe always worst; its weight still obeys
         # the multiplicative lower bound w0 * e^{-rate*T} / normaliser
@@ -99,25 +104,28 @@ class TestMetaForecaster:
     def test_combine_matches_direct_mixture(self):
         rng = np.random.default_rng(1)
         t = 3
-        statuses = [
-            ApprovalStatus.from_weights(t, rng.random(t + 1)) for _ in range(4)
-        ]
+        statuses = rng.random((4, t + 1))
+        statuses /= statuses.sum(axis=1, keepdims=True)
         w = rng.dirichlet(np.ones(4))
         mixed = combine(statuses, w)
-        direct = sum(wj * s.weights for wj, s in zip(w, statuses))
-        assert np.allclose(mixed.weights, direct, atol=1e-12)
+        direct = sum(wj * s for wj, s in zip(w, statuses))
+        assert np.allclose(mixed, direct, atol=1e-12)
+        assert mixed.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_combine_identical_statuses(self):
         t = 2
-        s = ApprovalStatus(t, np.array([0.2, 0.5, 0.3]))
+        s = np.array([0.2, 0.5, 0.3])
         out = combine([s, s, s], np.array([0.2, 0.3, 0.5]))
-        assert np.allclose(out.weights, s.weights)
+        assert len(out) == t + 1
+        assert np.allclose(out, s)
 
     def test_combine_length_mismatch(self):
-        a = ApprovalStatus(1, np.array([0.5, 0.5]))
-        b = ApprovalStatus(2, np.array([0.5, 0.25, 0.25]))
+        a = np.array([0.5, 0.5])
+        b = np.array([0.5, 0.25, 0.25])
         with pytest.raises(ValueError):
             combine([a, b], np.array([0.5, 0.5]))
+        with pytest.raises(ValueError):
+            combine([b, b], np.array([0.2, 0.3, 0.5]))
 
     def test_equal_risk_history_gives_uniform_mixture(self):
         state = init_meta(ROWS, 1.3, DELTA, 0.05)
@@ -128,7 +136,8 @@ class TestMetaForecaster:
             state = meta_advance(state, open_table(t), losses, np.full(4, 0.4))
         statuses = strategy_statuses(state, open_table(state.time_index))
         mixed = combine(statuses, state.weights)
-        assert np.allclose(mixed.weights, np.mean([s.weights for s in statuses], axis=0), atol=1e-10)
+        assert statuses.shape == (4, state.time_index + 1)
+        assert np.allclose(mixed, statuses.mean(axis=0), atol=1e-10)
 
 
 class TestTailAlpha:

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from modelgate.core import (
-    ApprovalStatus,
     AugmentedLossConfig,
     CandidateModel,
     LossFunction,
     MonitoringBatch,
     deployed_risks,
-    pure_abstain,
 )
 from modelgate.sim import (
     EVAL_BLOCK_ROWS,
@@ -351,12 +349,13 @@ def whole_matrix_risks(coefs, x, y, statuses, cfg):
     one product, and the sample mean of its loss, mixed with the abstain
     cost."""
     preds = 2.0 * sigmoid(x @ coefs[:-1] + coefs[-1]) - 1.0
-    live = [k for k, s in enumerate(statuses) if s.model_mass > 0.0]
-    cols = np.column_stack([statuses[k].weights[1:] / statuses[k].model_mass for k in live])
+    mass = statuses[:, 1:].sum(axis=1)
+    live = [k for k in range(len(statuses)) if mass[k] > 0.0]
+    cols = np.column_stack([statuses[k, 1:] / mass[k] for k in live])
     ens = cfg.base.of_array(preds @ cols.astype(preds.dtype), y[:, None]).mean(axis=0)
     out = np.full(len(statuses), cfg.abstain_cost)
     for i, k in enumerate(live):
-        p0 = statuses[k].abstain_prob
+        p0 = statuses[k, 0]
         out[k] = p0 * cfg.abstain_cost + (1.0 - p0) * ens[i]
     return out
 
@@ -369,9 +368,11 @@ class TestBlockwiseEvaluator:
         coefs = rng.normal(0.0, 0.6, size=(dim + 1, t))
         x = rng.standard_normal((n, dim), dtype=np.float32)
         y = np.where(rng.random(n) < 0.5, np.float32(1.0), np.float32(-1.0))
-        statuses = [ApprovalStatus(t, w) for w in rng.dirichlet(np.ones(t + 1), size=5)]
-        statuses.append(ApprovalStatus(t, np.r_[0.0, rng.dirichlet(np.ones(t))]))
-        statuses.append(pure_abstain(t))
+        statuses = np.vstack([
+            rng.dirichlet(np.ones(t + 1), size=5),
+            np.r_[0.0, rng.dirichlet(np.ones(t))],
+            np.eye(1, t + 1),  # pure abstention
+        ])
         return coefs, x, y, statuses
 
     @pytest.mark.parametrize("n", [1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 100_000])
@@ -400,7 +401,8 @@ class TestBlockwiseEvaluator:
             raise AssertionError("no status needs scores")
             yield
 
-        got = deployed_risks(blocks(), [pure_abstain(3)] * 2, LOSS_CFG)
+        pure_abstain = np.tile(np.eye(1, 4), (2, 1))
+        got = deployed_risks(blocks(), pure_abstain, LOSS_CFG)
         assert got.tolist() == [0.25, 0.25]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
