@@ -74,8 +74,8 @@ class LossFunction:
 
     Kinds:
       clipped_hinge   min(1, max(0, 1 - z*y) / scale); labels in {-1, +1}.
-                      The default scale 2 keeps the loss unclipped (hence
-                      convex) for scores z in [-1, 1].
+                      A scale of 2 or more keeps the loss unclipped, hence
+                      affine in z, for scores z in [-1, 1] (see ``affine``).
       zero_one        1{z*y <= 0}; labels in {-1, +1}.
       scaled_absolute min(1, |z - y| / scale).
       custom          user callable (z_array, y_array) -> array in [0, 1].
@@ -92,6 +92,14 @@ class LossFunction:
             raise ValueError("scale must be positive")
         if self.kind == "custom" and self.fn is None:
             raise ValueError("custom loss requires fn")
+
+    @property
+    def affine(self) -> bool:
+        """True when the loss is exactly ``(1 - z*y) / scale`` for every score
+        z in [-1, 1] and label y in {-1, +1}, so the loss of an ensemble is
+        the same mixture of its members' losses: the clipped hinge with
+        scale >= 2 never clips there."""
+        return self.kind == "clipped_hinge" and self.scale >= 2.0
 
     def check_labels(self, y: np.ndarray) -> None:
         if self.kind in _MARGIN_KINDS and not np.all(np.isin(y, (-1.0, 1.0))):
@@ -200,11 +208,20 @@ def deployed_risks(
     A status deploys ``p0 * abstain_cost + (1 - p0) * loss(ensemble)``,
     where p0 is its abstention weight and the ensemble averages the
     candidates' scores under the model weights renormalised to sum to one;
-    the abstention coin is integrated out analytically.  Each block adds
-    its per-status loss sums (all statuses in one matrix product); the
-    abstention mix is applied once, to the sample mean, so a status with no
-    model mass costs exactly the abstain cost.  When no status has model
-    mass the blocks are not drawn.
+    the abstention coin is integrated out analytically.  The abstention
+    mix is applied once, to the sample mean, so a status with no model mass
+    costs exactly the abstain cost.  When no status has model mass the
+    blocks are not drawn.
+
+    For an affine loss (``LossFunction.affine``) an ensemble's loss is the
+    same mixture of its candidates' losses, so each block only adds its
+    label-weighted score sums ``labels @ scores`` (float64, one per
+    candidate), and every status's loss sum is ``(rows - ysum @ cols) /
+    scale`` at the end, with ysum their total and cols the statuses'
+    renormalised model weights.  Each block must then hold scores in
+    [-1, 1] and labels in {-1, +1}, or a ``ValueError`` is raised.  Any
+    other loss scores every status's ensemble on each block (all statuses
+    in one matrix product) and sums its losses.
     """
     w = np.asarray(statuses, dtype=float)
     if w.ndim != 2 or w.shape[1] < 2:
@@ -223,14 +240,24 @@ def deployed_risks(
     # C order: a Fortran-order operand takes another BLAS path, whose
     # float32 rounding differs by up to 1e-8 in the risks
     cols = np.ascontiguousarray((w[live, 1:] / mass[live, None]).T)
-    sums = np.zeros(len(live))
+    affine = cfg.base.affine
+    acc = np.zeros(len(cols) if affine else len(live))
     rows = 0
     for scores, labels in blocks:
-        if scores.shape[1] != w.shape[1] - 1:
+        if scores.shape[1] != len(cols):
             raise ValueError("statuses must have one entry per candidate plus abstain")
-        ens = scores @ cols.astype(scores.dtype, copy=False)
-        sums += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
+        if affine:
+            # min and max are nan when any score is
+            if not (scores.min() >= -1.0 and scores.max() <= 1.0):
+                raise ValueError("an affine loss needs scores in [-1, 1]")
+            if np.any(np.abs(labels) != 1.0):
+                raise ValueError("an affine loss needs labels in {-1, +1}")
+            acc += np.asarray(labels, dtype=float) @ scores.astype(float)
+        else:
+            ens = scores @ cols.astype(scores.dtype, copy=False)
+            acc += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
         rows += len(labels)
+    sums = (rows - acc @ cols) / cfg.base.scale if affine else acc
     out[live] = p0[live] * delta + (1.0 - p0[live]) * (sums / rows)
     return out
 

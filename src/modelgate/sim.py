@@ -403,32 +403,38 @@ def generate_batch(gen: GeneratorState, cfg: ScenarioConfig, time_index: int) ->
     return MonitoringBatch(time_index, x, y)
 
 
-def _class_risks(beta: np.ndarray, probe: np.ndarray, loss_plus: np.ndarray, loss_minus: np.ndarray) -> np.ndarray:
+def _class_risks(beta: np.ndarray, probe: np.ndarray, diff: np.ndarray, mean_minus: np.ndarray) -> np.ndarray:
     """Risk of each probed model under the label law of ``beta``; the label
-    expectation is analytic, only the feature average is Monte Carlo."""
+    expectation is analytic, only the feature average is Monte Carlo.
+
+    With p the probability of label +1, a row's expected loss is
+    ``loss(-1) + p * (loss(+1) - loss(-1))``, so one product with ``diff``
+    serves any loss."""
     p = sigmoid(probe @ beta)
-    return p @ loss_plus / len(probe) + (1.0 - p) @ loss_minus / len(probe)
+    return mean_minus + p @ diff / len(probe)
 
 
 def _probe_losses(models: Sequence[CandidateModel], probe: np.ndarray, loss: LossFunction):
-    real = [m for m in models if m.predictor is not None]
-    if not real:
-        return np.zeros((len(probe), 0)), np.zeros((len(probe), 0))
-    scores = np.column_stack([m.predict(probe) for m in real])
-    ones = np.ones(scores.shape[1])
-    loss_plus = loss.of_array(scores, ones)
-    loss_minus = loss.of_array(scores, -ones)
-    return loss_plus, loss_minus
+    """``(diff, mean_minus)`` for the real candidates on the probe rows:
+    ``loss(+1) - loss(-1)`` per row and model, shape (n, t), and the column
+    means of ``loss(-1)``, the two inputs of ``_class_risks``.  Every real
+    candidate is a ``LogisticModel``, scored with one ``_scores`` call."""
+    coefs = [m.predictor.coef for m in models if m.predictor is not None]
+    if not coefs:
+        return np.zeros((len(probe), 0)), np.zeros(0)
+    scores = _scores(np.column_stack(coefs), probe)
+    loss_minus = loss.of_array(scores, -1.0)
+    return loss.of_array(scores, 1.0) - loss_minus, loss_minus.mean(axis=0)
 
 
 class _WindowMMD:
     """Windowed discrepancy of a candidate coefficient vector against the
     recent history, with the per-history risks precomputed once."""
 
-    def __init__(self, gen: GeneratorState, t_new: int, window: int, probe, loss_plus, loss_minus):
+    def __init__(self, gen: GeneratorState, t_new: int, window: int, probe, diff, mean_minus):
         self.probe = probe
-        self.loss_plus = loss_plus
-        self.loss_minus = loss_minus
+        self.diff = diff
+        self.mean_minus = mean_minus
         history_risks = {}
         self.window_means = []
         for w in range(1, window + 1):
@@ -440,12 +446,12 @@ class _WindowMMD:
                 beta = gen.coeff_history[min(s, len(gen.coeff_history) - 1)]
                 key = id(beta)
                 if key not in history_risks:
-                    history_risks[key] = _class_risks(beta, probe, loss_plus, loss_minus)
+                    history_risks[key] = _class_risks(beta, probe, diff, mean_minus)
                 members.append(history_risks[key])
             self.window_means.append(np.mean(members, axis=0))
 
     def __call__(self, beta_new: np.ndarray) -> float:
-        new = _class_risks(beta_new, self.probe, self.loss_plus, self.loss_minus)
+        new = _class_risks(beta_new, self.probe, self.diff, self.mean_minus)
         return max(float(np.max(np.abs(new - mean))) for mean in self.window_means)
 
 
@@ -462,10 +468,10 @@ def _budgeted_move(
     """Furthest point along ``path`` (a map [0, 1] -> coefficients) whose
     windowed risk change stays at or below ``target``, by bisection."""
     probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    loss_plus, loss_minus = _probe_losses(models, probe, loss)
-    if loss_plus.shape[1] == 0:
+    diff, mean_minus = _probe_losses(models, probe, loss)
+    if diff.shape[1] == 0:
         return None  # no models to measure against: stay put
-    mmd = _WindowMMD(gen, t_new, window, probe, loss_plus, loss_minus)
+    mmd = _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
 
     if mmd(path(1.0)) <= target:
         return path(1.0)
@@ -524,10 +530,10 @@ def _flip_subset(
     """
     beta = gen.coefficients
     probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    loss_plus, loss_minus = _probe_losses(models, probe, loss)
-    if loss_plus.shape[1] == 0:
+    diff, mean_minus = _probe_losses(models, probe, loss)
+    if diff.shape[1] == 0:
         return None
-    mmd = _WindowMMD(gen, t_new, window, probe, loss_plus, loss_minus)
+    mmd = _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
     if victim is not None and isinstance(victim.predictor, LogisticModel):
         alignment = victim.predictor.coef[: cfg.dim] * beta
         order = np.argsort(-alignment)
@@ -727,7 +733,6 @@ class ReplicateTrace:
     meta_top: np.ndarray
     strategy_true_risk: np.ndarray
     strategy_abstain: np.ndarray
-    strategy_top: np.ndarray
     coeff_history: np.ndarray
     shift_times: tuple[int, ...]
     model_coefs: np.ndarray  # fitted (dim + 1, n_models) columns, for audits
@@ -870,7 +875,6 @@ def run_replicate(
         meta_top=np.zeros(horizon, dtype=int),
         strategy_true_risk=np.zeros((horizon, m)),
         strategy_abstain=np.zeros((horizon, m)),
-        strategy_top=np.zeros((horizon, m), dtype=int),
         coeff_history=np.zeros((0, dim)),
         shift_times=(),
         model_coefs=np.zeros((dim + 1, 0)),
@@ -942,7 +946,6 @@ def run_replicate(
         trace.meta_top[t - 1] = np.argmax(combined)
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
         trace.strategy_abstain[t - 1] = statuses[:, 0]
-        trace.strategy_top[t - 1] = statuses.argmax(axis=1)
 
         history.append(batch)
         splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))

@@ -82,6 +82,13 @@ class TestAugmentedLoss:
         assert sa(1.0, 5.0) == pytest.approx(1.0)
         assert sa(4.0, 5.0) == pytest.approx(0.25)
 
+    def test_affine_only_where_never_clipped(self):
+        assert HINGE.affine and LossFunction("clipped_hinge", scale=3.0).affine
+        for loss in (LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
+                     LossFunction("scaled_absolute", scale=2.0),
+                     LossFunction("custom", fn=lambda z, y: np.zeros_like(z))):
+            assert not loss.affine
+
     def test_custom_loss_range_checked(self):
         bad = LossFunction("custom", fn=lambda z, y: np.abs(z - y))
         with pytest.raises(ValueError):
@@ -161,6 +168,25 @@ class TestDeployedRisk:
         model_risk = ledger_row(self.preds, self.labels, 0.31)[1]
         expected = 0.4 * 0.31 + 0.6 * model_risk
         assert risk_of([0.4, 0.6], self.preds, self.labels, 0.31) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("score, label", [
+        (1.5, 1.0), (-1.0001, 1.0), (np.nan, 1.0), (0.5, 0.5),
+    ], ids=["above_one", "below_minus_one", "nan_score", "label_half"])
+    def test_affine_path_checks_its_precondition(self, score, label):
+        # the affine sums hold only for scores in [-1, 1] and labels +-1;
+        # a block outside raises instead of being clipped
+        preds = np.array([[0.2], [score]])
+        labels = np.array([1.0, label])
+        with pytest.raises(ValueError):
+            deployed_risks([(preds, labels)], [[0.5, 0.5]], AugmentedLossConfig(HINGE, 0.3))
+
+    def test_clipping_hinge_takes_the_general_path(self):
+        # scale 1.5 is not affine: a score above one is clipped, not refused
+        clipped = LossFunction("clipped_hinge", scale=1.5)
+        preds = np.array([[0.2], [1.5]])
+        got = deployed_risks([(preds, np.array([1.0, -1.0]))], [[0.5, 0.5]],
+                             AugmentedLossConfig(clipped, 0.3))
+        assert got[0] == pytest.approx(0.5 * 0.3 + 0.5 * (0.8 / 1.5 + 1.0) / 2)
 
     def test_jensen_mixing(self):
         # averaging predictions before a convex loss can only help

@@ -30,6 +30,8 @@ from modelgate.sim import (
     solve_signal_scale,
     split_batch,
     verify_drift,
+    _class_risks,
+    _probe_losses,
     _score_blocks,
     _scores,
 )
@@ -215,6 +217,32 @@ class TestGenerator:
         assert np.linalg.norm(gen.coefficients) == pytest.approx(np.linalg.norm(beta), rel=1e-9)
 
 
+class TestShiftProbe:
+    def test_class_risks_match_two_product_form(self):
+        # the old form: per-model predict columns, then the label expectation
+        # as p @ loss(+1) + (1 - p) @ loss(-1)
+        rng = np.random.default_rng(21)
+        n, dim = 5000, 4
+        probe = rng.standard_normal((n, dim))
+        models = [CandidateModel(0, None)] + [
+            model_from_coef(j, rng.normal(0.0, 1.0, dim + 1)) for j in range(1, 7)
+        ]
+        scores = np.column_stack([m.predict(probe) for m in models[1:]])
+        for loss in (HINGE, LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
+                     LossFunction("scaled_absolute", scale=2.0)):
+            diff, mean_minus = _probe_losses(models, probe, loss)
+            loss_plus, loss_minus = loss.of_array(scores, 1.0), loss.of_array(scores, -1.0)
+            for beta in rng.normal(0.0, 1.5, size=(5, dim)):
+                p = sigmoid(probe @ beta)
+                want = p @ loss_plus / n + (1.0 - p) @ loss_minus / n
+                got = _class_risks(beta, probe, diff, mean_minus)
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_no_real_models(self):
+        diff, mean_minus = _probe_losses([CandidateModel(0, None)], np.zeros((3, 2)), HINGE)
+        assert diff.shape == (3, 0) and mean_minus.shape == (0,)
+
+
 class TestEmpiricalMmd:
     def test_identical_samples_give_zero(self):
         rng = np.random.default_rng(16)
@@ -347,12 +375,16 @@ def whole_matrix_risks(coefs, x, y, statuses, cfg):
     """Deployed risks from the (n, t) score matrix of the whole sample: every
     candidate's 2 sigmoid - 1 score, every live status's ensemble score in
     one product, and the sample mean of its loss, mixed with the abstain
-    cost."""
+    cost.  For an affine loss the ensemble and the clip formula are float64,
+    since the affine path is float64 arithmetic on the scores; other losses
+    round the ensemble to the scores' dtype, as the general path does."""
     preds = 2.0 * sigmoid(x @ coefs[:-1] + coefs[-1]) - 1.0
     mass = statuses[:, 1:].sum(axis=1)
     live = [k for k in range(len(statuses)) if mass[k] > 0.0]
     cols = np.column_stack([statuses[k, 1:] / mass[k] for k in live])
-    ens = cfg.base.of_array(preds @ cols.astype(preds.dtype), y[:, None]).mean(axis=0)
+    dtype = np.float64 if cfg.base.affine else preds.dtype
+    ens = preds.astype(dtype) @ cols.astype(dtype)
+    ens = cfg.base.of_array(ens, y[:, None]).mean(axis=0)
     out = np.full(len(statuses), cfg.abstain_cost)
     for i, k in enumerate(live):
         p0 = statuses[k, 0]
@@ -367,6 +399,8 @@ class TestBlockwiseEvaluator:
         rng = np.random.default_rng(seed)
         coefs = rng.normal(0.0, 0.6, size=(dim + 1, t))
         x = rng.standard_normal((n, dim), dtype=np.float32)
+        # every 7th row far out, so its float32 scores saturate at -1 or +1
+        x[::7] *= 200.0
         y = np.where(rng.random(n) < 0.5, np.float32(1.0), np.float32(-1.0))
         statuses = np.vstack([
             rng.dirichlet(np.ones(t + 1), size=5),
@@ -377,15 +411,24 @@ class TestBlockwiseEvaluator:
 
     @pytest.mark.parametrize("n", [1, EVAL_BLOCK_ROWS - 1, EVAL_BLOCK_ROWS, EVAL_BLOCK_ROWS + 1, 100_000])
     @pytest.mark.parametrize("loss", [
-        HINGE, LossFunction("zero_one"), LossFunction("scaled_absolute", scale=2.0),
-    ], ids=["clipped_hinge", "zero_one", "scaled_absolute"])
+        HINGE, LossFunction("clipped_hinge", scale=3.0), LossFunction("clipped_hinge", scale=1.5),
+        LossFunction("zero_one"), LossFunction("scaled_absolute", scale=2.0),
+    ], ids=["clipped_hinge", "clipped_hinge_scale3", "clipped_hinge_scale1.5", "zero_one",
+            "scaled_absolute"])
     def test_matches_whole_matrix_reference(self, n, loss):
+        # clipped_hinge at scale 2 and 3 takes the affine path; at scale 1.5
+        # it clips, so it takes the general path with the other losses
         coefs, x, y, statuses = self.sample(n)
         cfg = AugmentedLossConfig(loss, 0.3)
         c32 = coefs.astype(np.float32)
         got = deployed_risks(_score_blocks(c32, x, y), statuses, cfg)
         want = whole_matrix_risks(c32, x, y, statuses, cfg)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_sample_saturates_scores(self):
+        coefs, x, _, _ = self.sample(EVAL_BLOCK_ROWS)
+        scores = _scores(coefs.astype(np.float32), x)
+        assert np.any(scores == 1.0) and np.any(scores == -1.0)
 
     def test_zero_model_mass_costs_exactly_delta(self):
         # at this size, averaging per-block mixed risks would miss delta by
