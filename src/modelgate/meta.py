@@ -303,26 +303,33 @@ def max_learning_rate(
     """Largest rate in (0, cap] whose optimised bound stays at or below target.
 
     The bound diverges at both ends of the rate axis, so feasibility is an
-    interior interval; a grid scan finds it and bisection polishes its
-    upper edge.  Raises InfeasibleRateError when no rate qualifies.
+    interior interval: an ascending grid scan stops at the first infeasible
+    rate after a feasible one, and bisection polishes that upper edge until
+    the midpoint rounds onto an end.  Raises InfeasibleRateError when no
+    rate qualifies.
     """
 
     def bound(rate: float) -> float:
         return risk_bound(replace(inputs, rate=rate, slack=None, tail=None))
 
-    rates = [cap * (i + 1) / grid for i in range(grid)]
-    feasible = [r for r in rates if bound(r) <= target]
-    if not feasible:
+    lo = hi = None
+    for i in range(grid):
+        rate = cap * (i + 1) / grid
+        if bound(rate) <= target:
+            lo = rate
+        elif lo is not None:
+            hi = rate
+            break
+    if lo is None:
         raise InfeasibleRateError(
             f"no rate in (0, {cap}] certifies average risk <= {target:.6g}"
         )
-    lo = max(feasible)
-    later = [r for r in rates if r > lo]
-    if not later:
+    if hi is None:
         return cap
-    hi = min(later)
     for _ in range(80):
         mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
         if bound(mid) <= target:
             lo = mid
         else:

@@ -285,6 +285,31 @@ class TestClassicalBound:
         assert rates[int(np.argmin(vals))] == pytest.approx(0.70, abs=0.05)
 
 
+def full_scan_rate(target, inputs, cap, grid):
+    """The rate solver before its early exits: every grid rate is scored and
+    the bisection always runs 80 steps.  None stands for infeasible."""
+
+    def bound(rate):
+        return risk_bound(replace(inputs, rate=rate, slack=None, tail=None))
+
+    rates = [cap * (i + 1) / grid for i in range(grid)]
+    feasible = [r for r in rates if bound(r) <= target]
+    if not feasible:
+        return None
+    lo = max(feasible)
+    later = [r for r in rates if r > lo]
+    if not later:
+        return cap
+    hi = min(later)
+    for _ in range(80):
+        mid = (lo + hi) / 2.0
+        if bound(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 class TestMaxLearningRate:
     def solver_inputs(self, delta):
         return RiskBoundInputs(
@@ -314,3 +339,32 @@ class TestMaxLearningRate:
         inp = self.solver_inputs(0.25)
         with pytest.raises(InfeasibleRateError):
             max_learning_rate(0.25, inp)  # cannot certify below the abstain cost
+
+    def test_early_exits_match_full_scan(self):
+        # the scan stops at the first infeasible rate after a feasible one
+        # and the bisection once its midpoint rounds onto an end; neither
+        # may change a rate.  Small grids and cap 2 reach the feasible-at-cap
+        # branch; grid 200 and cap 20 are the defaults.
+        rng = np.random.default_rng(6)
+        outcomes = {"infeasible": 0, "cap": 0, "bisected": 0}
+        for _ in range(300):
+            cost = float(rng.uniform(0.05, 0.4))
+            inp = RiskBoundInputs(
+                abstain_cost=cost, step_margin=float(rng.uniform(0, 0.1)),
+                drift=float(rng.uniform(0, 0.4)), rate=1.0,
+                cover_alpha=float(rng.uniform(0, 0.3)),
+                n_strategies=int(rng.integers(1, 100)), horizon=int(rng.integers(10, 300)),
+                batch_size=None if rng.random() < 0.2 else int(rng.integers(20, 500)),
+                holdout_size=None if rng.random() < 0.2 else int(rng.integers(10, 250)),
+            )
+            target = cost * float(rng.uniform(1.0, 3.0))
+            cap = float(rng.choice([2.0, 20.0]))
+            grid = int(rng.choice([20, 50, 200]))
+            want = full_scan_rate(target, inp, cap, grid)
+            try:
+                got = max_learning_rate(target, inp, cap=cap, grid=grid)
+            except InfeasibleRateError:
+                got = None
+            assert got == want, (inp, target, cap, grid)
+            outcomes["infeasible" if want is None else "cap" if want == cap else "bisected"] += 1
+        assert min(outcomes.values()) >= 30, outcomes

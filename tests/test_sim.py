@@ -10,6 +10,7 @@ from modelgate.core import (
 )
 from modelgate.sim import (
     EVAL_BLOCK_ROWS,
+    FIT_GRAD_TOL,
     DeveloperPolicy,
     FitConfig,
     GeneratorState,
@@ -84,9 +85,36 @@ class TestFitLogistic:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        model = fit_logistic(X, y, FitConfig(step_size=1.0, iterations=2500, l2=1e-4))
+        model = fit_logistic(X, y, FitConfig(iterations=2500, l2=1e-4))
         risk = HINGE.of_array(model(X), y).mean()
         assert risk < 0.05
+
+    @pytest.mark.parametrize("n, draws", [(150, 100), (14_250, 3)])
+    def test_converges_to_gradient_tolerance(self, n, draws):
+        # the developer's refits: d = 10, l2 = 1e-3, one batch's training
+        # slice up to every batch of a long run.  The last Newton steps
+        # change the objective by less than its rounding error, so many
+        # draws are needed to show that they are still taken.
+        rng = np.random.default_rng(n)
+        for _ in range(draws):
+            X = rng.standard_normal((n, 10)) * rng.uniform(0.5, 3.0)
+            y = np.where(rng.random(n) < sigmoid(X @ rng.standard_normal(10)), 1.0, -1.0)
+            model = fit_logistic(X, y, FitConfig(l2=1e-3))
+            _, grad = logistic_objective(model.coef, X, (y > 0).astype(float), 1e-3)
+            assert np.max(np.abs(grad)) <= FIT_GRAD_TOL
+
+    def test_separable_unpenalised_stops_at_cap(self):
+        # with l2 = 0 the optimum is at infinity: the coefficients keep
+        # growing with the cap and stay finite
+        rng = np.random.default_rng(1)
+        X = rng.standard_normal((60, 2))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        short = fit_logistic(X, y, FitConfig(iterations=5, l2=0.0))
+        long = fit_logistic(X, y, FitConfig(iterations=50, l2=0.0))
+        _, grad = logistic_objective(short.coef, X, (y > 0).astype(float), 0.0)
+        assert np.max(np.abs(grad)) > FIT_GRAD_TOL
+        assert np.all(np.isfinite(long.coef))
+        assert np.linalg.norm(long.coef) > np.linalg.norm(short.coef)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2)
@@ -99,15 +127,31 @@ class TestFitLogistic:
 
     def test_single_class_falls_back_to_intercept(self):
         X = np.random.default_rng(3).standard_normal((10, 3))
-        model = fit_logistic(X, np.ones(10), FitConfig())
-        assert np.allclose(model.coef[:-1], 0.0)
-        assert model.coef[-1] > 0
+        # the smoothed class rate (10 + 1) / (10 + 2) and its complement
+        for sign in (1.0, -1.0):
+            model = fit_logistic(X, sign * np.ones(10), FitConfig())
+            assert np.array_equal(model.coef[:-1], np.zeros(3))
+            assert model.coef[-1] == pytest.approx(sign * np.log(11.0), rel=1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 3))
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
         assert np.array_equal(fit_logistic(X, y, FitConfig()).coef, fit_logistic(X, y, FitConfig()).coef)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fit_raises(self, bad):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((40, 3))
+        y = np.where(X[:, 0] > 0, 1.0, -1.0)
+        X[7, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            fit_logistic(X, y, FitConfig())
+
+    @pytest.mark.parametrize("kw", [dict(l2=-1e-3), dict(l2=float("nan")), dict(iterations=0)])
+    def test_config_rejects_bad_values(self, kw):
+        with pytest.raises(ValueError):
+            FitConfig(**kw)
 
 
 class TestDeveloperPolicies:
