@@ -18,11 +18,14 @@ import configparser
 import csv
 import math
 import sys
+import textwrap
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -55,83 +58,24 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """A configuration file failed validation."""
+    """A run configuration failed validation."""
 
-
-CONFIG_GRAMMAR = """\
-Sections and keys (all optional except run.scenario):
-
-[run]
-scenario    = adaptive_shifts | small_frequent_shifts | iid_good_models
-              | iid_random_models | ingested
-horizon     = int >= 1          (default 50; ignored for ingested streams)
-batch_size  = int >= 1          (default 75); a run rejects a size that
-              does not split at bounds.validation_fraction into two
-              nonempty parts (so at least 2)
-dim         = int >= 1          (default 10)
-bayes_risk  = float in (0, .5)  (default 0.10; best-in-class hinge risk)
-drift       = float >= 0        (default: the realized abstain cost)
-eval_size   = int >= 1          (default 100000)
-initial_batches = int >= 1      (default 2; pre-deployment data volume)
-replicates  = int >= 1          (default 15)
-seed        = int >= 0          (default 20240801)
-out         = output directory  (default results)
-threads     = int >= 1          (default 1)
-
-[strategies]
-preset      = grid12 | grid4    (default grid12)
-rows        = triples "a,o,l" separated by "/" or newlines; overrides
-              preset; row 0 must be 0,0,0 (the fail-safe)
-
-[bounds]
-alpha               = float in (0,1)  (default 0.1)
-window              = int >= 1        (default 3)
-validation_fraction = float in (0,1)  (default 0.5)
-
-[margins]
-margin_mult      = float >= 0  (default 0.6; total margin = mult * cost)
-step_margin_mult = float >= 0  (default 0.2; per-step = mult * total)
-
-[meta]
-rate_mode = solve | fixed  (default solve)
-rate      = float > 0      (default 1.6; used when fixed)
-
-[loss]
-kind  = clipped_hinge | zero_one | scaled_absolute  (default clipped_hinge)
-scale = float > 0                                   (default 2.0)
-
-[data]            (ingested scenario only)
-path          = CSV file with a header row; every feature and label
-                must be a finite number.  A run rejects the data unless
-                it forms at least two batches, every batch splits at
-                bounds.validation_fraction into two nonempty parts, and,
-                for clipped_hinge and zero_one, the labels are 0/1 or -1/+1
-timestamp_col = column name (default timestamp)
-label_col     = column name (default label)
-batch_by      = count | month   (default count)
-batch_size    = int >= 2        (default 75; for batch_by = count)
-abstain_cost  = float in (0,1)  (default: first model's risk on batch 1)
-"""
-
-_SECTION_KEYS = {
-    "run": {
-        "scenario", "horizon", "batch_size", "dim", "bayes_risk", "drift",
-        "eval_size", "replicates", "seed", "out", "threads", "initial_batches",
-    },
-    "strategies": {"preset", "rows"},
-    "bounds": {"alpha", "window", "validation_fraction"},
-    "margins": {"margin_mult", "step_margin_mult"},
-    "meta": {"rate_mode", "rate"},
-    "loss": {"kind", "scale"},
-    "data": {"path", "timestamp_col", "label_col", "batch_by", "batch_size", "abstain_cost"},
-}
 
 _PRESETS = {"grid4": GRID4, "grid12": GRID12}
 
 
+def _fmt(x: float) -> str:
+    return repr(float(x))
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one run."""
+    """Fully resolved settings for one run.
+
+    Every value is checked against the config schema on construction, so a
+    config made with ``dataclasses.replace`` (command-line overrides, a
+    rerun from a manifest) is checked exactly like one read from a file.
+    """
 
     scenario: ScenarioKind
     horizon: int = 50
@@ -145,7 +89,6 @@ class RunConfig:
     seed: int = 20240801
     out: str = "results"
     threads: int = 1
-    preset: str = "grid12"
     rows: tuple[tuple[float, float, float], ...] = GRID12
     bound_alpha: float = 0.1
     bound_window: int = 3
@@ -162,6 +105,16 @@ class RunConfig:
     batch_by: str = "count"
     data_batch_size: int = 75
     abstain_cost: Optional[float] = None
+
+    def __post_init__(self):
+        for key in _FIELD_KEYS:
+            value = getattr(self, key.field)
+            if value is None and _DEFAULTS[key.field] is None:
+                continue
+            if not (key.type.accepts(value) and (key.check is None or key.check.ok(value))):
+                raise ConfigError(f"{key.name}: {value!r} is invalid (want {key.spec})")
+        if self.scenario is ScenarioKind.INGESTED and not self.data_path:
+            raise ConfigError("data.path is required for the ingested scenario")
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(
@@ -193,26 +146,170 @@ class RunConfig:
         )
 
 
-def _parse_rows(text: str) -> tuple[tuple[float, float, float], ...]:
-    rows = []
-    for chunk in text.replace("\n", "/").split("/"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 3:
-            raise ConfigError(f"strategy row {chunk!r} must have three values")
-        rows.append(tuple(float(p) for p in parts))
-    if not rows:
-        raise ConfigError("strategies.rows is empty")
-    if rows[0] != (0.0, 0.0, 0.0):
-        raise ConfigError("strategy row 0 must be the fail-safe 0,0,0")
-    return tuple(rows)
+# ---------------------------------------------------------------------------
+# Config schema: one row per INI key drives parsing, validation, the
+# manifest and CONFIG_GRAMMAR
+
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+
+
+class _Type(NamedTuple):
+    """How one kind of value is read from INI text, checked and written back."""
+
+    name: str  # its spelling in CONFIG_GRAMMAR
+    parse: Callable[[str], Any]  # raises ValueError or KeyError on malformed text
+    accepts: Callable[[Any], bool]
+    format: Optional[Callable[[Any], str]] = None  # None: read, never written
+
+
+class _Check(NamedTuple):
+    """A condition on a typed value: its CONFIG_GRAMMAR text and its test."""
+
+    text: str
+    ok: Callable[[Any], bool]
+
+
+def _at_least(lo) -> _Check:
+    return _Check(f">= {lo}", lambda v: v >= lo)
+
+
+def _above(lo) -> _Check:
+    return _Check(f"> {lo}", lambda v: v > lo)
+
+
+def _between(lo, hi) -> _Check:
+    return _Check(f"in ({lo}, {hi})", lambda v: lo < v < hi)
+
+
+def _choice(*names: str) -> _Type:
+    return _Type(" | ".join(names), str.strip, lambda v: v in names, str)
+
+
+def _finite(v) -> bool:
+    return isinstance(v, (int, float)) and math.isfinite(v)
+
+
+def _parse_rows(text: str) -> tuple[tuple[float, ...], ...]:
+    chunks = text.replace("\n", "/").split("/")
+    return tuple(tuple(float(p) for p in chunk.split(",")) for chunk in chunks if chunk.strip())
+
+
+def _valid_rows(v) -> bool:
+    return isinstance(v, tuple) and bool(v) and v[0] == (0.0, 0.0, 0.0) and all(
+        isinstance(row, tuple) and len(row) == 3 and all(map(_finite, row))
+        and 0 <= row[0] <= 1 and row[1] >= 0 and row[2] >= 0 for row in v
+    )
+
+
+_INT = _Type("int", int, lambda v: isinstance(v, int), str)
+_FLOAT = _Type("finite float", float, _finite, _fmt)
+_STR = _Type("string", str.strip, lambda v: isinstance(v, str), str)
+_SCENARIO = _Type(" | ".join(kind.value for kind in ScenarioKind),
+                  lambda s: ScenarioKind(s.strip().lower()),
+                  lambda v: isinstance(v, ScenarioKind), attrgetter("value"))
+_ROWS = _Type('triples "a,o,l" separated by "/" or newlines, row 0 = 0,0,0 (the '
+              "fail-safe), 0 <= a <= 1, o >= 0, l >= 0", _parse_rows, _valid_rows,
+              lambda rows: " / ".join(",".join(_fmt(v) for v in row) for row in rows))
+_PRESET = _Type(" | ".join(_PRESETS), lambda s: _PRESETS[s.strip()], _valid_rows)
+
+
+class _Key(NamedTuple):
+    """One INI key: its section, the ``RunConfig`` field it sets, its type,
+    an optional check on the typed value, and the help CONFIG_GRAMMAR shows."""
+
+    section: str
+    key: str
+    field: str
+    type: _Type
+    check: Optional[_Check] = None
+    help: str = ""
+
+    @property
+    def name(self) -> str:
+        return f"{self.section}.{self.key}"
+
+    @property
+    def spec(self) -> str:
+        return f"{self.type.name} {self.check.text}" if self.check else self.type.name
+
+
+# Table order is manifest order.  A field without a default is a required
+# key; one whose default is None may be left unset.
+_SCHEMA = (
+    _Key("run", "scenario", "scenario", _SCENARIO),
+    _Key("run", "horizon", "horizon", _INT, _at_least(1), "ignored for ingested streams"),
+    _Key("run", "batch_size", "batch_size", _INT, _at_least(1),
+         "a run rejects a size that does not split at bounds.validation_fraction "
+         "into two nonempty parts (so at least 2)"),
+    _Key("run", "dim", "dim", _INT, _at_least(1)),
+    _Key("run", "bayes_risk", "bayes_risk", _FLOAT, _between(0, 0.5), "best-in-class hinge risk"),
+    _Key("run", "initial_batches", "initial_batches", _INT, _at_least(1),
+         "pre-deployment data volume"),
+    _Key("run", "drift", "drift", _FLOAT, _at_least(0), "unset: the realized abstain cost"),
+    _Key("run", "eval_size", "eval_size", _INT, _at_least(1)),
+    _Key("run", "replicates", "replicates", _INT, _at_least(1)),
+    _Key("run", "seed", "seed", _INT, _at_least(0)),
+    _Key("run", "out", "out", _STR, help="output directory"),
+    _Key("run", "threads", "threads", _INT, _at_least(1),
+         "worker processes, at most one per replicate"),
+    _Key("strategies", "preset", "rows", _PRESET),
+    _Key("strategies", "rows", "rows", _ROWS, help="overrides preset"),
+    _Key("bounds", "alpha", "bound_alpha", _FLOAT, _between(0, 1)),
+    _Key("bounds", "window", "bound_window", _INT, _at_least(1)),
+    _Key("bounds", "validation_fraction", "validation_fraction", _FLOAT, _between(0, 1)),
+    _Key("margins", "margin_mult", "margin_mult", _FLOAT, _at_least(0),
+         "total margin = mult * cost"),
+    _Key("margins", "step_margin_mult", "step_margin_mult", _FLOAT, _at_least(0),
+         "per-step margin = mult * total"),
+    _Key("meta", "rate_mode", "rate_mode", _choice("solve", "fixed")),
+    _Key("meta", "rate", "rate", _FLOAT, _above(0), "used when rate_mode = fixed"),
+    _Key("loss", "kind", "loss_kind", _choice("clipped_hinge", "zero_one", "scaled_absolute")),
+    _Key("loss", "scale", "loss_scale", _FLOAT, _above(0)),
+    _Key("data", "path", "data_path", _STR,
+         help="required by the ingested scenario: a CSV file with a header row and finite "
+         "features and labels.  A run needs at least two batches, each split at "
+         "bounds.validation_fraction into two nonempty parts, and, for clipped_hinge "
+         "and zero_one, labels 0/1 or -1/+1"),
+    _Key("data", "timestamp_col", "timestamp_col", _STR, help="column name"),
+    _Key("data", "label_col", "label_col", _STR, help="column name"),
+    _Key("data", "batch_by", "batch_by", _choice("count", "month")),
+    _Key("data", "batch_size", "data_batch_size", _INT, _at_least(2), "for batch_by = count"),
+    _Key("data", "abstain_cost", "abstain_cost", _FLOAT, _between(0, 1),
+         "unset: the first model's risk on batch 1"),
+)
+
+# the one key that stores each RunConfig field; the others (preset) are input only
+_FIELD_KEYS = tuple(key for key in _SCHEMA if key.type.format is not None)
+
+
+def _grammar() -> str:
+    lines = ["Sections and keys of a run config.  A finite float rejects nan, inf and -inf."]
+    for section, keys in groupby(_SCHEMA, key=attrgetter("section")):
+        lines += ["", f"[{section}]"]
+        for key in keys:
+            default = _DEFAULTS[key.field]
+            if default is MISSING:
+                shown = "required"
+            elif default is None:
+                shown = "optional"
+            else:
+                preset = [name for name, rows in _PRESETS.items() if rows == default]
+                shown = "default " + (preset[0] if preset else key.type.format(default))
+            lines += textwrap.wrap(
+                "; ".join(filter(None, (key.spec, shown, key.help))), 76,
+                initial_indent=f"{key.key} = ", subsequent_indent=" " * (len(key.key) + 3),
+                break_on_hyphens=False,
+            )
+    return "\n".join(lines) + "\n"
+
+
+CONFIG_GRAMMAR = _grammar()
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration; unknown keys are rejected."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse and validate a run configuration; unknown sections and keys are rejected."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
@@ -222,136 +319,42 @@ def load_config(path: str | Path) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
+    known = {(key.section, key.key) for key in _SCHEMA}
     for section in parser.sections():
-        if section not in _SECTION_KEYS:
+        if section not in {key.section for key in _SCHEMA}:
             raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SECTION_KEYS[section]:
-                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+        for name in parser[section]:
+            if (section, name) not in known:
+                raise ConfigError(f"unknown key {name!r} in section [{section}]")
 
-    if not parser.has_option("run", "scenario"):
-        raise ConfigError("run.scenario is required")
-
-    def get(section, key, cast, default, check=None, describe=""):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            value = cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{section}.{key}: cannot parse {raw!r}") from exc
-        if check is not None and not check(value):
-            raise ConfigError(f"{section}.{key}: {raw!r} is invalid ({describe})")
-        return value
-
-    try:
-        scenario = ScenarioKind(parser.get("run", "scenario").strip().lower())
-    except ValueError as exc:
-        raise ConfigError(f"run.scenario: {exc}") from exc
-
-    preset = get("strategies", "preset", str.strip, "grid12",
-                 lambda v: v in _PRESETS, "must be grid4 or grid12")
-    rows = _PRESETS[preset]
-    if parser.has_option("strategies", "rows"):
-        rows = _parse_rows(parser.get("strategies", "rows"))
-        preset = "custom"
-
-    cfg = RunConfig(
-        scenario=scenario,
-        horizon=get("run", "horizon", int, 50, lambda v: v >= 1, ">= 1"),
-        batch_size=get("run", "batch_size", int, 75, lambda v: v >= 1, ">= 1"),
-        dim=get("run", "dim", int, 10, lambda v: v >= 1, ">= 1"),
-        bayes_risk=get("run", "bayes_risk", float, 0.10, lambda v: 0 < v < 0.5, "in (0, 0.5)"),
-        drift=get("run", "drift", float, None, lambda v: v >= 0, ">= 0"),
-        eval_size=get("run", "eval_size", int, 100_000, lambda v: v >= 1, ">= 1"),
-        initial_batches=get("run", "initial_batches", int, 2, lambda v: v >= 1, ">= 1"),
-        replicates=get("run", "replicates", int, 15, lambda v: v >= 1, ">= 1"),
-        seed=get("run", "seed", int, 20240801, lambda v: v >= 0, ">= 0"),
-        out=get("run", "out", str.strip, "results"),
-        threads=get("run", "threads", int, 1, lambda v: v >= 1, ">= 1"),
-        preset=preset,
-        rows=rows,
-        bound_alpha=get("bounds", "alpha", float, 0.1, lambda v: 0 < v < 1, "in (0, 1)"),
-        bound_window=get("bounds", "window", int, 3, lambda v: v >= 1, ">= 1"),
-        validation_fraction=get("bounds", "validation_fraction", float, 0.5,
-                                lambda v: 0 < v < 1, "in (0, 1)"),
-        margin_mult=get("margins", "margin_mult", float, 0.6, lambda v: v >= 0, ">= 0"),
-        step_margin_mult=get("margins", "step_margin_mult", float, 0.2, lambda v: v >= 0, ">= 0"),
-        rate_mode=get("meta", "rate_mode", str.strip, "solve",
-                      lambda v: v in ("solve", "fixed"), "solve or fixed"),
-        rate=get("meta", "rate", float, 1.6, lambda v: v > 0, "> 0"),
-        loss_kind=get("loss", "kind", str.strip, "clipped_hinge",
-                      lambda v: v in ("clipped_hinge", "zero_one", "scaled_absolute"),
-                      "a known loss kind"),
-        loss_scale=get("loss", "scale", float, 2.0, lambda v: v > 0, "> 0"),
-        data_path=get("data", "path", str.strip, None),
-        timestamp_col=get("data", "timestamp_col", str.strip, "timestamp"),
-        label_col=get("data", "label_col", str.strip, "label"),
-        batch_by=get("data", "batch_by", str.strip, "count",
-                     lambda v: v in ("count", "month"), "count or month"),
-        data_batch_size=get("data", "batch_size", int, 75, lambda v: v >= 2, ">= 2"),
-        abstain_cost=get("data", "abstain_cost", float, None, lambda v: 0 < v < 1, "in (0, 1)"),
-    )
-    if cfg.scenario is ScenarioKind.INGESTED and not cfg.data_path:
-        raise ConfigError("data.path is required for the ingested scenario")
-    return cfg
+    values = {}
+    for key in _SCHEMA:  # in table order, so rows overrides preset
+        if parser.has_option(key.section, key.key):
+            raw = parser.get(key.section, key.key)
+            try:
+                values[key.field] = key.type.parse(raw)
+            except (KeyError, ValueError) as exc:
+                raise ConfigError(f"{key.name}: cannot parse {raw!r} (want {key.spec})") from exc
+        elif _DEFAULTS[key.field] is MISSING:
+            raise ConfigError(f"{key.name} is required")
+    return RunConfig(**values)
 
 
 def save_manifest(cfg: RunConfig, path: Path, extra_comments: Sequence[str] = ()) -> None:
-    """Write the resolved config as a loadable INI manifest."""
+    """Write the resolved config as a loadable INI manifest: every key in
+    schema order, unset optional values omitted."""
+    blocks = []
+    for section, keys in groupby(_FIELD_KEYS, key=attrgetter("section")):
+        values = [(key, getattr(cfg, key.field)) for key in keys]
+        # only a replayed stream reads [data]; it is written once a key leaves its default
+        if section == "data" and all(v == _DEFAULTS[key.field] for key, v in values):
+            continue
+        blocks.append("\n".join([f"[{section}]"] + [
+            f"{key.key} = {key.type.format(v)}" for key, v in values if v is not None
+        ]))
     lines = ["# run manifest; load this file to reproduce the run exactly"]
     lines += [f"# {c}" for c in extra_comments]
-    lines += [
-        "[run]",
-        f"scenario = {cfg.scenario.value}",
-        f"horizon = {cfg.horizon}",
-        f"batch_size = {cfg.batch_size}",
-        f"dim = {cfg.dim}",
-        f"bayes_risk = {cfg.bayes_risk!r}",
-        f"initial_batches = {cfg.initial_batches}",
-    ]
-    if cfg.drift is not None:
-        lines.append(f"drift = {cfg.drift!r}")
-    lines += [
-        f"eval_size = {cfg.eval_size}",
-        f"replicates = {cfg.replicates}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out}",
-        f"threads = {cfg.threads}",
-        "",
-        "[strategies]",
-        "rows = " + " / ".join(",".join(repr(v) for v in row) for row in cfg.rows),
-        "",
-        "[bounds]",
-        f"alpha = {cfg.bound_alpha!r}",
-        f"window = {cfg.bound_window}",
-        f"validation_fraction = {cfg.validation_fraction!r}",
-        "",
-        "[margins]",
-        f"margin_mult = {cfg.margin_mult!r}",
-        f"step_margin_mult = {cfg.step_margin_mult!r}",
-        "",
-        "[meta]",
-        f"rate_mode = {cfg.rate_mode}",
-        f"rate = {cfg.rate!r}",
-        "",
-        "[loss]",
-        f"kind = {cfg.loss_kind}",
-        f"scale = {cfg.loss_scale!r}",
-    ]
-    if cfg.data_path:
-        lines += [
-            "",
-            "[data]",
-            f"path = {cfg.data_path}",
-            f"timestamp_col = {cfg.timestamp_col}",
-            f"label_col = {cfg.label_col}",
-            f"batch_by = {cfg.batch_by}",
-            f"batch_size = {cfg.data_batch_size}",
-        ]
-        if cfg.abstain_cost is not None:
-            lines.append(f"abstain_cost = {cfg.abstain_cost!r}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines + ["\n\n".join(blocks)]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +484,6 @@ def ingest(
 # Run orchestration
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _replay_batches(cfg: RunConfig) -> tuple[MonitoringBatch, ...]:
     """Parse the ingested CSV once and reject data no replicate can run on:
     fewer than two batches, labels the loss does not accept, or a batch
@@ -539,8 +538,10 @@ def run(cfg: RunConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = [(cfg, r, batches) for r in range(cfg.replicates)]
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    # the pool forks every worker at the first submit, so spawn no idle ones
+    workers = min(cfg.threads, cfg.replicates)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_replicate_worker, jobs))
     else:
         traces = [_replicate_worker(j) for j in jobs]
@@ -636,18 +637,9 @@ def bound_curves(
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    names = ("seed", "replicates", "out", "threads")
+    overrides = {k: v for k in names if (v := getattr(args, k)) is not None}
+    cfg = replace(load_config(args.config), **overrides)  # checked like the keys they replace
     result = run(cfg)
     print(f"wrote {result['steps']}")
     print(f"wrote {result['summary']}")

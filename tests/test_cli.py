@@ -1,10 +1,16 @@
 import csv
+import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from modelgate.cli import (
+    CONFIG_GRAMMAR,
     ConfigError,
+    _SCHEMA,
     bound_curves,
     ingest,
     load_config,
@@ -31,6 +37,14 @@ rows = 0,0,0 / 0.5,10000,0 / 0.3,0,1.5
 rate_mode = fixed
 rate = 1.5
 """
+
+
+def ini(entries):
+    """INI text of ``{(section, key): value}``, one block per section."""
+    sections = {}
+    for (section, key), value in entries.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "\n\n".join(f"[{s}]\n" + "\n".join(lines) for s, lines in sections.items()) + "\n"
 
 
 def write_config(tmp_path, text=None, name="run.ini"):
@@ -66,11 +80,11 @@ class TestLoadConfig:
     def test_explicit_rows_override_preset(self, tmp_path):
         path = write_config(
             tmp_path,
-            "[run]\nscenario = iid_good_models\n[strategies]\nrows = 0,0,0 / 0.4,2,1\n",
+            "[run]\nscenario = iid_good_models\n"
+            "[strategies]\npreset = grid4\nrows = 0,0,0 / 0.4,2,1\n",
         )
         cfg = load_config(path)
         assert cfg.rows == ((0.0, 0.0, 0.0), (0.4, 2.0, 1.0))
-        assert cfg.preset == "custom"
 
     def test_row_zero_must_be_fail_safe(self, tmp_path):
         path = write_config(
@@ -110,6 +124,108 @@ class TestLoadConfig:
         save_manifest(cfg, manifest, ["note: test"])
         again = load_config(manifest)
         assert again == cfg
+
+    @pytest.mark.parametrize("key", [k for k in _SCHEMA if k.type.name == "finite float"],
+                             ids=lambda k: k.name)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_is_exit_2(self, tmp_path, capsys, key, value):
+        # tiny sizes and a fixed rate, so a missed check fails fast instead of running
+        config = write_config(tmp_path, ini({
+            ("run", "scenario"): "iid_good_models", ("run", "horizon"): 2,
+            ("run", "eval_size"): 200, ("run", "replicates"): 1, ("run", "out"): tmp_path / "out",
+            ("meta", "rate_mode"): "fixed", (key.section, key.key): value,
+        }))
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key.name}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, name", [
+        ("[strategies]\nrows = 0,0,0 / 1.5,1,1", "strategies.rows"),  # approve_prob > 1
+        ("[strategies]\nrows = 0,0,0 / x,1,1", "strategies.rows"),
+        ("[strategies]\nrows = 0,0,0 / 0.5,1", "strategies.rows"),
+        ("[strategies]\npreset = grid5", "strategies.preset"),
+        ("[loss]\nkind = hinge", "loss.kind"),
+        ("[bounds]\nwindow = 1.5", "bounds.window"),
+    ], ids=["approve_prob_above_one", "non_numeric_row", "short_row", "unknown_preset",
+            "unknown_loss", "fractional_int"])
+    def test_bad_value_names_its_key(self, tmp_path, text, name):
+        path = write_config(tmp_path, "[run]\nscenario = iid_good_models\n" + text + "\n")
+        with pytest.raises(ConfigError, match=re.escape(name + ":")):
+            load_config(path)
+
+    def test_grammar_lists_every_key(self):
+        blocks = dict(re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", CONFIG_GRAMMAR, re.M | re.S))
+        for key in _SCHEMA:
+            assert re.search(rf"^{key.key} = ", blocks[key.section], re.M), key.name
+
+
+def _floats(lo=None, hi=None, **open_ends):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **open_ends).map(repr)
+
+
+def _rows_text(rows, sep):
+    return sep.join(",".join(map(repr, row)) for row in [(0.0, 0.0, 0.0), *rows])
+
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./%", min_size=1, max_size=12)
+_ROW = st.tuples(st.floats(0, 1), st.floats(0, 1e6), st.floats(0, 1e6))
+
+#: INI text of a valid value for every schema key
+KEY_VALUES = {
+    ("run", "scenario"): st.sampled_from([kind.value for kind in ScenarioKind]),
+    ("run", "horizon"): st.integers(1, 10**9).map(str),
+    ("run", "batch_size"): st.integers(1, 10**9).map(str),
+    ("run", "dim"): st.integers(1, 10**9).map(str),
+    ("run", "bayes_risk"): _floats(0, 0.5, exclude_min=True, exclude_max=True),
+    ("run", "initial_batches"): st.integers(1, 10**9).map(str),
+    ("run", "drift"): _floats(0),
+    ("run", "eval_size"): st.integers(1, 10**9).map(str),
+    ("run", "replicates"): st.integers(1, 10**9).map(str),
+    ("run", "seed"): st.integers(0, 2**63).map(str),
+    ("run", "out"): _NAMES,
+    ("run", "threads"): st.integers(1, 10**9).map(str),
+    ("strategies", "preset"): st.sampled_from(["grid4", "grid12"]),
+    ("strategies", "rows"): st.builds(_rows_text, st.lists(_ROW, max_size=4),
+                                      st.sampled_from([" / ", "\n  "])),
+    ("bounds", "alpha"): _floats(0, 1, exclude_min=True, exclude_max=True),
+    ("bounds", "window"): st.integers(1, 10**9).map(str),
+    ("bounds", "validation_fraction"): _floats(0, 1, exclude_min=True, exclude_max=True),
+    ("margins", "margin_mult"): _floats(0),
+    ("margins", "step_margin_mult"): _floats(0),
+    ("meta", "rate_mode"): st.sampled_from(["solve", "fixed"]),
+    ("meta", "rate"): _floats(0, exclude_min=True),
+    ("loss", "kind"): st.sampled_from(["clipped_hinge", "zero_one", "scaled_absolute"]),
+    ("loss", "scale"): _floats(0, exclude_min=True),
+    ("data", "path"): _NAMES,
+    ("data", "timestamp_col"): _NAMES,
+    ("data", "label_col"): _NAMES,
+    ("data", "batch_by"): st.sampled_from(["count", "month"]),
+    ("data", "batch_size"): st.integers(2, 10**9).map(str),
+    ("data", "abstain_cost"): _floats(0, 1, exclude_min=True, exclude_max=True),
+}
+
+
+def test_round_trip_values_cover_every_key():
+    assert set(KEY_VALUES) == {(key.section, key.key) for key in _SCHEMA}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.fixed_dictionaries(
+    {("run", "scenario"): KEY_VALUES[("run", "scenario")]},
+    optional={k: v for k, v in KEY_VALUES.items() if k != ("run", "scenario")},
+))
+@example({("run", "scenario"): "iid_good_models"})
+def test_any_valid_config_round_trips_through_its_manifest(tmp_path, values):
+    assume(values[("run", "scenario")] != "ingested" or ("data", "path") in values)
+    cfg = load_config(write_config(tmp_path, ini(values)))
+    manifest = tmp_path / "manifest.ini"
+    save_manifest(cfg, manifest, ["note: test"])
+    assert load_config(manifest) == cfg
+    first = manifest.read_bytes()
+    save_manifest(load_config(manifest), manifest, ["note: test"])
+    assert manifest.read_bytes() == first
 
 
 class TestRun:
@@ -248,6 +364,15 @@ class TestMainExitCodes:
 
     def test_missing_file_is_exit_2(self, capsys):
         assert main(["run", "/nonexistent/config.ini"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--replicates", "0"], ["--seed", "-1"], ["--threads", "0"]],
+                             ids=lambda f: f[0])
+    def test_bad_override_is_exit_2(self, tmp_path, capsys, flags):
+        config = write_config(tmp_path)
+        assert main(["run", str(config), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: run.{flags[0][2:]}: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_cli_overrides(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -426,6 +551,30 @@ class TestProcessIsolation:
             assert "RuntimeWarning" not in proc.stderr
             outs.append((out_dir / "steps.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_pool_has_at_most_one_worker_per_replicate(self, tmp_path, monkeypatch):
+        import modelgate.cli as cli
+
+        sizes = []
+
+        class RecordingPool:  # stands in for the process pool: records its size, runs in-process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        cfg = load_config(write_config(tmp_path))
+        run(dataclasses.replace(cfg, threads=64))
+        run(dataclasses.replace(cfg, threads=64, replicates=1))
+        assert cfg.replicates == 2 and sizes == [2]
 
     def test_worker_pool_matches_serial(self, tmp_path):
         config = write_config(tmp_path)
