@@ -161,6 +161,7 @@ class _Type(NamedTuple):
     parse: Callable[[str], Any]  # raises ValueError or KeyError on malformed text
     accepts: Callable[[Any], bool]
     format: Optional[Callable[[Any], str]] = None  # None: read, never written
+    choices: tuple[str, ...] = ()  # the accepted names of a choice
 
 
 class _Check(NamedTuple):
@@ -183,7 +184,7 @@ def _between(lo, hi) -> _Check:
 
 
 def _choice(*names: str) -> _Type:
-    return _Type(" | ".join(names), str.strip, lambda v: v in names, str)
+    return _Type(" | ".join(names), str.strip, lambda v: v in names, str, names)
 
 
 def _finite(v) -> bool:
@@ -247,7 +248,10 @@ _SCHEMA = (
     _Key("run", "initial_batches", "initial_batches", _INT, _at_least(1),
          "pre-deployment data volume"),
     _Key("run", "drift", "drift", _FLOAT, _at_least(0), "unset: the realized abstain cost"),
-    _Key("run", "eval_size", "eval_size", _INT, _at_least(1)),
+    _Key("run", "eval_size", "eval_size", _INT, _at_least(1),
+         "rows of the Monte Carlo sample that measures true risk, for losses that are "
+         "not affine only (zero_one, scaled_absolute, clipped_hinge with scale < 2); an "
+         "affine loss integrates it exactly"),
     _Key("run", "replicates", "replicates", _INT, _at_least(1)),
     _Key("run", "seed", "seed", _INT, _at_least(0)),
     _Key("run", "out", "out", _STR, help="output directory"),
@@ -392,10 +396,10 @@ def _parse_timestamp(raw: str):
 
 def ingest(
     path: str | Path,
-    batch_by: str = "count",
-    batch_size: int = 75,
-    timestamp_col: str = "timestamp",
-    label_col: str = "label",
+    batch_by: str = _DEFAULTS["batch_by"],
+    batch_size: int = _DEFAULTS["data_batch_size"],
+    timestamp_col: str = _DEFAULTS["timestamp_col"],
+    label_col: str = _DEFAULTS["label_col"],
     strict_sorted: bool = False,
 ) -> IngestedStream:
     """Read a header CSV of (timestamp, features..., label) into batches.
@@ -710,10 +714,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_check = sub.add_parser("ingest-check", help="validate a timestamped CSV dataset")
     p_check.add_argument("csv")
-    p_check.add_argument("--batch-by", choices=("count", "month"), default="count", dest="batch_by")
-    p_check.add_argument("--batch-size", type=int, default=75, dest="batch_size")
-    p_check.add_argument("--timestamp-col", default="timestamp", dest="timestamp_col")
-    p_check.add_argument("--label-col", default="label", dest="label_col")
+    # the [data] keys' defaults and choices, as a run reads them
+    batch_rules = next(key.type.choices for key in _SCHEMA if key.field == "batch_by")
+    p_check.add_argument("--batch-by", choices=batch_rules,
+                         default=_DEFAULTS["batch_by"], dest="batch_by")
+    p_check.add_argument("--batch-size", type=int, default=_DEFAULTS["data_batch_size"],
+                         dest="batch_size")
+    p_check.add_argument("--timestamp-col", default=_DEFAULTS["timestamp_col"], dest="timestamp_col")
+    p_check.add_argument("--label-col", default=_DEFAULTS["label_col"], dest="label_col")
     p_check.add_argument("--strict", action="store_true", help="reject unsorted timestamps")
     p_check.set_defaults(func=_cmd_ingest_check)
 

@@ -24,7 +24,9 @@ __all__ = [
     "CandidateModel",
     "ModelRegistry",
     "InvalidEnsembleError",
+    "affine_loss_mean",
     "deployed_risks",
+    "affine_risks",
     "cumulative_average_risk",
 ]
 
@@ -194,6 +196,40 @@ class ModelRegistry:
     def models(self) -> tuple[CandidateModel, ...]:
         return tuple(self._models)
 
+def _status_columns(statuses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a (k, t+1) status matrix and split it into the abstention
+    weights p0 (k,), the indices of the statuses with model mass, and their
+    model weights renormalised to sum to one, one column per such status
+    (shape (t, live))."""
+    w = np.asarray(statuses, dtype=float)
+    if w.ndim != 2 or w.shape[1] < 2:
+        raise ValueError("statuses must have shape (k, t + 1) with t >= 1")
+    if outside(w, 0.0, np.inf):
+        raise ValueError("status weights must be non-negative")
+    if outside(w.sum(axis=1), 1.0 - 1e-9, 1.0 + 1e-9):
+        raise ValueError("each status must sum to one")
+    mass = w[:, 1:].sum(axis=1)
+    live = np.flatnonzero(mass > 0.0)
+    # C order: a Fortran-order operand takes another BLAS path, whose
+    # float32 rounding differs by up to 1e-8 in the risks
+    cols = np.ascontiguousarray((w[live, 1:] / mass[live, None]).T)
+    return w[:, 0], live, cols
+
+
+def _mix(p0: np.ndarray, live: np.ndarray, losses: np.ndarray, delta: float) -> np.ndarray:
+    """``p0 * delta + (1 - p0) * loss`` for the live statuses, whose mean
+    ensemble losses are ``losses``; every other status costs exactly delta."""
+    out = np.full(len(p0), delta)
+    out[live] = p0[live] * delta + (1.0 - p0[live]) * losses
+    return out
+
+
+def affine_loss_mean(label_score_sums, rows: float, scale: float):
+    """Mean affine loss ``(1 - z*y) / scale`` over ``rows`` rows whose
+    label-weighted scores ``z*y`` sum to ``label_score_sums``."""
+    return (rows - label_score_sums) / scale / rows
+
+
 def deployed_risks(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     statuses: np.ndarray,
@@ -216,30 +252,16 @@ def deployed_risks(
     For an affine loss (``LossFunction.affine``) an ensemble's loss is the
     same mixture of its candidates' losses, so each block only adds its
     label-weighted score sums ``labels @ scores`` (float64, one per
-    candidate), and every status's loss sum is ``(rows - ysum @ cols) /
-    scale`` at the end, with ysum their total and cols the statuses'
+    candidate), and every status's mean loss is ``affine_loss_mean`` of
+    ``ysum @ cols`` at the end, with ysum their total and cols the statuses'
     renormalised model weights.  Each block must then hold scores in
     [-1, 1] and labels in {-1, +1}, or a ``ValueError`` is raised.  Any
     other loss scores every status's ensemble on each block (all statuses
     in one matrix product) and sums its losses.
     """
-    w = np.asarray(statuses, dtype=float)
-    if w.ndim != 2 or w.shape[1] < 2:
-        raise ValueError("statuses must have shape (k, t + 1) with t >= 1")
-    if outside(w, 0.0, np.inf):
-        raise ValueError("status weights must be non-negative")
-    if outside(w.sum(axis=1), 1.0 - 1e-9, 1.0 + 1e-9):
-        raise ValueError("each status must sum to one")
-    delta = cfg.abstain_cost
-    p0 = w[:, 0]
-    mass = w[:, 1:].sum(axis=1)
-    out = np.full(len(w), delta)
-    live = np.flatnonzero(mass > 0.0)
+    p0, live, cols = _status_columns(statuses)
     if not live.size:
-        return out
-    # C order: a Fortran-order operand takes another BLAS path, whose
-    # float32 rounding differs by up to 1e-8 in the risks
-    cols = np.ascontiguousarray((w[live, 1:] / mass[live, None]).T)
+        return _mix(p0, live, np.zeros(0), cfg.abstain_cost)
     affine = cfg.base.affine
     acc = np.zeros(len(cols) if affine else len(live))
     rows = 0
@@ -257,9 +279,26 @@ def deployed_risks(
             ens = scores @ cols.astype(scores.dtype, copy=False)
             acc += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
         rows += len(labels)
-    sums = (rows - acc @ cols) / cfg.base.scale if affine else acc
-    out[live] = p0[live] * delta + (1.0 - p0[live]) * (sums / rows)
-    return out
+    losses = affine_loss_mean(acc @ cols, rows, cfg.base.scale) if affine else acc / rows
+    return _mix(p0, live, losses, cfg.abstain_cost)
+
+
+def affine_risks(label_scores: np.ndarray, statuses: np.ndarray, cfg: AugmentedLossConfig) -> np.ndarray:
+    """``deployed_risks`` of each status under an affine loss, from each real
+    candidate's expected label-times-score ``E[y * z_j]`` (shape (t,), each
+    in [-1, 1]) over the whole distribution instead of a sample: the same
+    finish with one row standing for the population mean.  Raises
+    ``ValueError`` for a loss that is not affine."""
+    if not cfg.base.affine:
+        raise ValueError("expected label-times-scores determine the risk of an affine loss only")
+    p0, live, cols = _status_columns(statuses)
+    label_scores = np.asarray(label_scores, dtype=float)
+    if label_scores.shape != (len(cols),):
+        raise ValueError("statuses must have one entry per candidate plus abstain")
+    if outside(label_scores, -1.0, 1.0):
+        raise ValueError("expected label-times-scores must lie in [-1, 1]")
+    return _mix(p0, live, affine_loss_mean(label_scores @ cols, 1.0, cfg.base.scale),
+                cfg.abstain_cost)
 
 
 def cumulative_average_risk(per_step_risks: Sequence[float]) -> float:

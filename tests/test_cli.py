@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from modelgate.cli import (
     CONFIG_GRAMMAR,
     ConfigError,
+    RunConfig,
     _SCHEMA,
     bound_curves,
     ingest,
@@ -396,6 +397,20 @@ class TestMainExitCodes:
     def test_ingest_check_bad_file_is_exit_2(self, tmp_path, capsys):
         path = toy_csv(tmp_path, ["1,oops,1,1"])
         assert main(["ingest-check", str(path)]) == 2
+
+    def test_ingest_check_defaults_are_the_run_defaults(self, tmp_path, capsys, monkeypatch):
+        import modelgate.cli as cli
+
+        calls = []
+        real = cli.ingest
+        monkeypatch.setattr(cli, "ingest", lambda *a, **k: calls.append(a) or real(*a, **k))
+        path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0"])
+        assert main(["ingest-check", str(path)]) == 0
+        cfg = RunConfig(ScenarioKind.INGESTED, data_path=str(path))
+        assert calls == [(str(path), cfg.batch_by, cfg.data_batch_size, cfg.timestamp_col, cfg.label_col)]
+        with pytest.raises(SystemExit):
+            main(["ingest-check", str(path), "--batch-by", "week"])
+        assert "choose from 'count', 'month'" in capsys.readouterr().err
 
 
 def replay_csv(tmp_path, rows, bad_row=None, label=lambda y: y):

@@ -12,6 +12,8 @@ from modelgate.core import (
     LossFunction,
     ModelRegistry,
     MonitoringBatch,
+    affine_loss_mean,
+    affine_risks,
     cumulative_average_risk,
     deployed_risks,
 )
@@ -201,6 +203,44 @@ class TestDeployedRisk:
             mix = alpha * wa + (1 - alpha) * wb
             ra, rb, rmix = deployed_risks([(preds, labels)], [wa, wb, mix], cfg)
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
+
+
+class TestAffineRisks:
+    """``affine_risks``: the deployed risks from each candidate's expected
+    label-times-score, the finish ``deployed_risks`` applies to a sample."""
+
+    def sample(self, n=300, t=4, seed=2):
+        rng = np.random.default_rng(seed)
+        preds = rng.uniform(-1.0, 1.0, size=(n, t))
+        labels = np.where(rng.random(n) < 0.6, 1.0, -1.0)
+        statuses = np.vstack([rng.dirichlet(np.ones(t + 1), size=4), np.eye(1, t + 1)])
+        return preds, labels, statuses
+
+    @pytest.mark.parametrize("scale", [2.0, 3.5])
+    def test_sample_means_give_the_sample_risks(self, scale):
+        preds, labels, statuses = self.sample()
+        cfg = AugmentedLossConfig(LossFunction("clipped_hinge", scale=scale), 0.3)
+        got = affine_risks(labels @ preds / len(labels), statuses, cfg)
+        want = deployed_risks([(preds, labels)], statuses, cfg)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        assert got[-1] == 0.3  # pure abstention costs exactly delta
+
+    def test_one_formula_for_a_single_model(self):
+        # a pure status on candidate j costs affine_loss_mean of its mean
+        m = np.array([0.25, -0.5, 1.0])
+        got = affine_risks(m, np.hstack([np.zeros((3, 1)), np.eye(3)]), AugmentedLossConfig(HINGE, 0.3))
+        assert got.tolist() == [affine_loss_mean(v, 1.0, 2.0) for v in m] == [0.375, 0.75, 0.0]
+
+    def test_rejects_what_it_cannot_finish(self):
+        statuses = np.array([[0.5, 0.5]])
+        with pytest.raises(ValueError, match="affine"):
+            affine_risks([0.1], statuses, AugmentedLossConfig(LossFunction("zero_one"), 0.3))
+        cfg = AugmentedLossConfig(HINGE, 0.3)
+        for bad in ([0.1, 0.2], [1.5], [np.nan]):
+            with pytest.raises(ValueError):
+                affine_risks(bad, statuses, cfg)
+        with pytest.raises(ValueError):
+            affine_risks([0.1], [[0.5, 0.6]], cfg)
 
 
 class TestCumulativeAverage:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from modelgate.core import (
     CandidateModel,
     LossFunction,
     MonitoringBatch,
+    affine_loss_mean,
     deployed_risks,
 )
 from modelgate.sim import (
@@ -24,6 +27,7 @@ from modelgate.sim import (
     empirical_mmd,
     fit_logistic,
     generate_batch,
+    label_score_means,
     logistic_objective,
     policy_for_scenario,
     run_replicate,
@@ -503,3 +507,119 @@ class TestBlockwiseEvaluator:
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
         assert np.any(np.abs(got) == 1.0)
+
+
+def fine_trapezoid_means(beta, coefs, step=0.02, half_width=8.5):
+    """``label_score_means`` by the trapezoid rule at ``step`` in both
+    coordinates, the score's orthogonal part vectorised over a full grid."""
+    z = step * np.arange(-round(half_width / step), round(half_width / step) + 1)
+    wz = step * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    norm = np.linalg.norm(beta)
+    out = []
+    for w, b in zip(coefs[:-1].T, coefs[-1]):
+        a = beta @ w / norm
+        r = math.sqrt(max(w @ w - a * a, 0.0))
+        inner = np.tanh(0.5 * (a * z[:, None] + r * z[None, :] + b)) @ wz
+        out.append(inner @ (np.tanh(0.5 * norm * z) * wz))
+    return np.array(out)
+
+
+@pytest.fixture(scope="module")
+def adaptive_run():
+    """A production-sized adaptive replicate (developer fits and shifted
+    coefficients as the run path meets them) and the label-times-scores
+    it passed to ``affine_risks`` at each step."""
+    import modelgate.sim as sim
+
+    seen = []
+    real = sim.affine_risks
+
+    def recording(label_scores, statuses, cfg):
+        seen.append(np.array(label_scores))
+        return real(label_scores, statuses, cfg)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "affine_risks", recording)
+        sc = ScenarioConfig(kind=ScenarioKind.ADAPTIVE_SHIFTS, seed=11, horizon=20)
+        trace = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+    return trace, seen
+
+
+class TestQuadrature:
+    """``label_score_means``: each candidate's exact E[label * score]."""
+
+    def test_matches_fine_trapezoid_reference(self, adaptive_run):
+        tr, _ = adaptive_run
+        assert tr.shift_times
+        assert np.linalg.norm(tr.model_coefs[:-1], axis=0).max() > 6.0
+        for beta in np.unique(tr.coeff_history, axis=0):
+            got = label_score_means(beta, tr.model_coefs)
+            want = fine_trapezoid_means(beta, tr.model_coefs)
+            # a pure status's risk is (1 - m) / 2 under the default hinge
+            np.testing.assert_allclose(got / 2.0, want / 2.0, rtol=0.0, atol=1e-7)
+
+    def test_matches_float64_monte_carlo(self):
+        rng = np.random.default_rng(6)
+        beta = solve_signal_scale(0.1) * rng.standard_normal(10) / math.sqrt(10)
+        coefs = np.vstack([rng.normal(0.0, 2.0, size=(10, 4)), rng.normal(0.0, 1.0, size=4)])
+        coefs[:-1, 0] += beta
+        # the label is integrated analytically: E[y | x] = 2 sigma(beta.x) - 1
+        parts = []
+        for _ in range(10):
+            x = rng.standard_normal((100_000, 10))
+            parts.append(np.tanh(0.5 * x @ beta)[:, None] * np.tanh(0.5 * (x @ coefs[:-1] + coefs[-1])))
+        rows = np.vstack(parts)
+        mc, se = rows.mean(axis=0), rows.std(axis=0) / math.sqrt(len(rows))
+        assert np.all(np.abs(label_score_means(beta, coefs) - mc) <= 5.0 * se)
+
+    def test_degenerate_candidates(self):
+        rng = np.random.default_rng(7)
+        beta = 5.0 * rng.standard_normal(10) / math.sqrt(10)
+        coefs = np.column_stack([
+            np.append(0.8 * beta, 0.3),    # parallel to beta: r = 0
+            np.append(np.zeros(10), 1.2),  # intercept-only fallback: w = 0
+            np.append(-1.3 * beta + rng.standard_normal(10), -0.4),  # a < 0
+        ])
+        got = label_score_means(beta, coefs)
+        np.testing.assert_allclose(got, fine_trapezoid_means(beta, coefs), rtol=0.0, atol=2e-7)
+        assert abs(got[1]) < 1e-15  # the label has mean zero, the score is constant
+        assert got[2] < 0.0
+        # flipping a candidate flips its label-times-score
+        np.testing.assert_allclose(label_score_means(beta, -coefs), -got, rtol=0.0, atol=1e-15)
+        assert label_score_means(np.zeros(10), coefs).tolist() == [0.0, 0.0, 0.0]
+
+    def test_cache_equals_full_recompute_at_every_step(self, adaptive_run):
+        tr, seen = adaptive_run
+        assert len(seen) == tr.horizon and tr.shift_times
+        for t, cached in enumerate(seen, start=1):
+            full = label_score_means(tr.coeff_history[t], tr.model_coefs[:, :t])
+            assert np.array_equal(cached, full), t
+
+    def test_abstain_cost_is_the_first_models_exact_risk(self, adaptive_run):
+        tr, _ = adaptive_run
+        m = label_score_means(tr.coeff_history[0], tr.model_coefs[:, :1])[0]
+        assert tr.abstain_cost == affine_loss_mean(m, 1.0, HINGE.scale)
+        # the fail-safe row still costs exactly the abstain cost (6c)
+        assert np.all(tr.strategy_true_risk[:, 0] == tr.abstain_cost)
+
+
+class TestMonteCarloPath:
+    """Losses that are not affine still measure true risk on a sample."""
+
+    @pytest.mark.parametrize("loss", [LossFunction("zero_one"), LossFunction("clipped_hinge", scale=1.5)],
+                             ids=["zero_one", "clipped_hinge_scale1.5"])
+    def test_non_affine_replicate(self, loss):
+        sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=82)
+        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5, loss=loss), 0)
+        for risks in (tr.true_risk, tr.strategy_true_risk, tr.emp_risk):
+            assert np.all(np.isfinite(risks)) and np.all((risks >= 0) & (risks <= 1))
+        assert np.all(tr.strategy_true_risk[:, 0] == tr.abstain_cost)
+
+    def test_affine_trace_ignores_eval_size(self):
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        a, b = (run_replicate(small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, seed=83, eval_size=n), mc, 0)
+                for n in (100, 5000))
+        for name in ("true_risk", "emp_risk", "abstain_prob", "meta_weights", "meta_top",
+                     "strategy_true_risk", "strategy_abstain", "coeff_history", "model_coefs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert (a.abstain_cost, a.meta_rate, a.shift_times) == (b.abstain_cost, b.meta_rate, b.shift_times)
