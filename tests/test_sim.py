@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from modelgate.sim import (
     split_batch,
     verify_drift,
     _class_risks,
+    _logistic_terms,
     _probe_losses,
     _score_blocks,
     _scores,
@@ -93,19 +95,62 @@ class TestFitLogistic:
         risk = HINGE.of_array(model(X), y).mean()
         assert risk < 0.05
 
-    @pytest.mark.parametrize("n, draws", [(150, 100), (14_250, 3)])
-    def test_converges_to_gradient_tolerance(self, n, draws):
+    def test_kernel_matches_logaddexp_and_sigmoid(self):
+        # one exponential exp(-|m|) serves the loss and the probabilities;
+        # at |m| = 800 it underflows to 0, where exp(m) would overflow
+        margins = np.array([0.0, 1e-3, -1e-3, 30.0, -30.0, 40.0, -40.0, 800.0, -800.0])
+        coef = np.array([1.0, 0.0])
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+            warnings.simplefilter("error")
+            for m in margins:
+                for y in (0.0, 1.0):
+                    xd = np.array([[m, 1.0]])
+                    value, grad, p = _logistic_terms(coef, xd, np.array([y]), 0.0)
+                    want_p = sigmoid(np.array([m]))
+                    assert np.all(np.isfinite([value, *grad, *p]))
+                    np.testing.assert_allclose(value, np.logaddexp(0.0, m) - y * m, rtol=1e-15, atol=0.0)
+                    np.testing.assert_allclose(p, want_p, rtol=1e-15, atol=0.0)
+                    np.testing.assert_allclose(grad, (want_p - y) * xd[0], rtol=1e-15, atol=0.0)
+
+    @staticmethod
+    def refit_draws(n, draws):
         # the developer's refits: d = 10, l2 = 1e-3, one batch's training
-        # slice up to every batch of a long run.  The last Newton steps
-        # change the objective by less than its rounding error, so many
-        # draws are needed to show that they are still taken.
+        # slice up to every batch of a long run
         rng = np.random.default_rng(n)
         for _ in range(draws):
             X = rng.standard_normal((n, 10)) * rng.uniform(0.5, 3.0)
             y = np.where(rng.random(n) < sigmoid(X @ rng.standard_normal(10)), 1.0, -1.0)
+            yield X, y
+
+    @pytest.mark.parametrize("n, draws", [(150, 100), (14_250, 3)])
+    def test_converges_to_gradient_tolerance(self, n, draws):
+        # the last Newton steps change the objective by less than its
+        # rounding error, so many draws are needed to show that they are
+        # still taken
+        for X, y in self.refit_draws(n, draws):
             model = fit_logistic(X, y, FitConfig(l2=1e-3))
             _, grad = logistic_objective(model.coef, X, (y > 0).astype(float), 1e-3)
             assert np.max(np.abs(grad)) <= FIT_GRAD_TOL
+
+    @pytest.mark.parametrize("n, draws", [(150, 100), (14_250, 3)])
+    def test_warm_start_reaches_the_cold_optimum(self, n, draws):
+        # started, as in a replicate, at the fit on the older part of the
+        # window, one batch of the 150-row draw or most of the long one
+        cfg = FitConfig(l2=1e-3)
+        for X, y in self.refit_draws(n, draws):
+            older = fit_logistic(X[: n // 2], y[: n // 2], cfg)
+            warm = fit_logistic(X, y, cfg, start=older.coef)
+            cold = fit_logistic(X, y, cfg)
+            for model in (warm, cold):
+                _, grad = logistic_objective(model.coef, X, (y > 0).astype(float), 1e-3)
+                assert np.max(np.abs(grad)) <= FIT_GRAD_TOL
+            np.testing.assert_allclose(warm.coef, cold.coef, rtol=0.0, atol=1e-9)
+
+    def test_start_at_optimum_is_kept(self):
+        X, y = next(self.refit_draws(150, 1))
+        model = fit_logistic(X, y, FitConfig(l2=1e-3))
+        again = fit_logistic(X, y, FitConfig(l2=1e-3), start=model.coef)
+        assert np.array_equal(again.coef, model.coef)
 
     def test_separable_unpenalised_stops_at_cap(self):
         # with l2 = 0 the optimum is at infinity: the coefficients keep
@@ -202,6 +247,11 @@ class TestDeveloperPolicies:
         ref_labels = np.concatenate([history[0].labels, splits[1].train.labels])
         ref = fit_logistic(ref_feats, ref_labels, FitConfig(iterations=50))
         assert np.allclose(model.predictor.coef, ref.coef)
+        # the start reaches fit_logistic, which keeps a start at the optimum
+        warm = developer_propose(
+            DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50), start=ref.coef
+        )
+        assert np.array_equal(warm.predictor.coef, ref.coef)
 
 
 class TestGenerator:
@@ -277,7 +327,7 @@ class TestShiftProbe:
         ]
         scores = np.column_stack([m.predict(probe) for m in models[1:]])
         for loss in (HINGE, LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
-                     LossFunction("scaled_absolute", scale=2.0)):
+                     LossFunction("scaled_absolute", scale=2.0), LossFunction("clipped_hinge", scale=3.0)):
             diff, mean_minus = _probe_losses(models, probe, loss)
             loss_plus, loss_minus = loss.of_array(scores, 1.0), loss.of_array(scores, -1.0)
             for beta in rng.normal(0.0, 1.5, size=(5, dim)):
