@@ -111,8 +111,7 @@ class RunConfig:
             value = getattr(self, key.field)
             if value is None and _DEFAULTS[key.field] is None:
                 continue
-            if not (key.type.accepts(value) and (key.check is None or key.check.ok(value))):
-                raise ConfigError(f"{key.name}: {value!r} is invalid (want {key.spec})")
+            _require(key.name, value, key.type, key.check)
         if self.scenario is ScenarioKind.INGESTED and not self.data_path:
             raise ConfigError("data.path is required for the ingested scenario")
 
@@ -183,6 +182,16 @@ def _between(lo, hi) -> _Check:
     return _Check(f"in ({lo}, {hi})", lambda v: lo < v < hi)
 
 
+def _spec(type_: _Type, check: Optional[_Check]) -> str:
+    return f"{type_.name} {check.text}" if check else type_.name
+
+
+def _require(name: str, value, type_: _Type, check: Optional[_Check] = None) -> None:
+    """Raise ConfigError unless ``value`` is of ``type_`` and passes ``check``."""
+    if not (type_.accepts(value) and (check is None or check.ok(value))):
+        raise ConfigError(f"{name}: {value!r} is invalid (want {_spec(type_, check)})")
+
+
 def _choice(*names: str) -> _Type:
     return _Type(" | ".join(names), str.strip, lambda v: v in names, str, names)
 
@@ -232,7 +241,7 @@ class _Key(NamedTuple):
 
     @property
     def spec(self) -> str:
-        return f"{self.type.name} {self.check.text}" if self.check else self.type.name
+        return _spec(self.type, self.check)
 
 
 # Table order is manifest order.  A field without a default is a required
@@ -661,6 +670,17 @@ def _cmd_bounds(args) -> int:
         raise ConfigError(f"--deltas: {exc}") from exc
     if not deltas:
         raise ConfigError("--deltas must list at least one abstain cost")
+    # the same checks as the config keys these flags mirror
+    for delta in deltas:
+        _require("--deltas", delta, _FLOAT, _between(0, 1))  # as data.abstain_cost
+    for flag, value, type_, check in (
+        ("--rate-min", args.rate_min, _FLOAT, _above(0)),
+        ("--rate-max", args.rate_max, _FLOAT, _above(0)),
+        ("--points", args.points, _INT, _at_least(1)),
+        ("--strategies", args.strategies, _INT, _at_least(1)),
+        ("--horizon", args.horizon, _INT, _at_least(1)),
+    ):
+        _require(flag, value, type_, check)
     rows = bound_curves(deltas, args.rate_min, args.rate_max, args.points,
                         args.strategies, args.horizon)
     out = Path(args.out) if args.out else None

@@ -106,6 +106,13 @@ SHIFT_SAFETY = 0.85
 MIN_SHIFT_GAP = 2
 WARMUP_STEPS = 4
 MMD_PROBE = 20000
+# A budgeted shift moves to a multiple of 2**-SHIFT_GRID_BITS along its path
+# (the grid a 40-halving bisection reaches), found by ITP (``_last_feasible``):
+# truncation ITP_KAPPA1 * width**2 with the width in path units, and ITP_N0
+# probes of slack over bisection's worst case
+SHIFT_GRID_BITS = 40
+ITP_KAPPA1 = 0.1
+ITP_N0 = 1
 # rows scored per block when measuring deployed risk by Monte Carlo: a
 # block's (rows, t) score and loss temporaries stay in cache, where the
 # whole 100k-row evaluation sample's would not
@@ -549,13 +556,16 @@ def _probe_losses(models: Sequence[CandidateModel], probe: np.ndarray, loss: Los
     means of ``loss(-1)``, the two inputs of ``_class_risks``.  Every real
     candidate is a ``LogisticModel``, scored with one ``_scores`` call.  An
     affine loss ``(1 - z y) / scale`` gives both in closed form in the
-    scores z: ``diff = -2 z / scale`` and ``loss(-1) = (1 + z) / scale``."""
+    scores z: ``diff = -2 z / scale`` (scaled in place) and
+    ``loss(-1) = (1 + z) / scale``."""
     coefs = [m.predictor.coef for m in models if m.predictor is not None]
     if not coefs:
         return np.zeros((len(probe), 0)), np.zeros(0)
     scores = _scores(np.column_stack(coefs), probe)
     if loss.affine:
-        return scores * (-2.0 / loss.scale), (1.0 + scores.mean(axis=0)) / loss.scale
+        mean_minus = (1.0 + scores.mean(axis=0)) / loss.scale
+        scores *= -2.0 / loss.scale
+        return scores, mean_minus
     loss_minus = loss.of_array(scores, -1.0)
     return loss.of_array(scores, 1.0) - loss_minus, loss_minus.mean(axis=0)
 
@@ -569,7 +579,7 @@ class _WindowMMD:
         self.diff = diff
         self.mean_minus = mean_minus
         history_risks = {}
-        self.window_means = []
+        window_means = []
         for w in range(1, window + 1):
             lo = max(0, t_new - w)
             members = []
@@ -581,11 +591,61 @@ class _WindowMMD:
                 if key not in history_risks:
                     history_risks[key] = _class_risks(beta, probe, diff, mean_minus)
                 members.append(history_risks[key])
-            self.window_means.append(np.mean(members, axis=0))
+            window_means.append(np.mean(members, axis=0))
+        self.window_means = np.array(window_means)  # (window, t)
 
     def __call__(self, beta_new: np.ndarray) -> float:
         new = _class_risks(beta_new, self.probe, self.diff, self.mean_minus)
-        return max(float(np.max(np.abs(new - mean))) for mean in self.window_means)
+        return float(np.max(np.abs(new - self.window_means)))
+
+
+def _last_feasible(f, target: float, f_one: float) -> float:
+    """Largest multiple s of 2**-SHIFT_GRID_BITS in [0, 1) with
+    ``f(s) <= target``, or 0 if ``f(0)`` is not.
+
+    When the predicate is monotone along the path (feasible up to some
+    point, infeasible after it), this is bit for bit the point that
+    SHIFT_GRID_BITS halvings of [0, 1] reach, though it is found with far
+    fewer evaluations of ``f``.  The search is ITP (interpolate, truncate,
+    project: Oliveira & Takahashi, ACM TOMS 47(1), 2020) on the integer
+    grid.  The bracket [a, b] keeps ``f(a)`` feasible and ``f(b)`` not;
+    each probe is the regula falsi point, pulled toward the midpoint by
+    ITP_KAPPA1 * width**2 and kept within ITP's radius of it, so no search
+    takes more than SHIFT_GRID_BITS + ITP_N0 probes after ``f(0)``.
+    ``f_one`` is ``f(1)``, which callers already have; it serves only the
+    interpolation.  A NaN value counts as infeasible, as under ``<=``.
+    """
+    n = 1 << SHIFT_GRID_BITS
+    unit = 1.0 / n
+    fa = f(0.0)
+    if not fa <= target:
+        return 0.0
+    a, b, fb = 0, n, f_one
+    probes = 0
+    while b - a > 1:
+        width = b - a
+        mid = (a + b) / 2
+        # any probe within this radius of the midpoint leaves a bracket no
+        # wider than 2**(SHIFT_GRID_BITS + ITP_N0 - 1 - probes), which is 1
+        # after the last allowed probe
+        radius = 2.0 ** (SHIFT_GRID_BITS + ITP_N0 - 1 - probes) - width / 2
+        x = mid
+        ga, gb = fa - target, fb - target
+        if gb > 0:
+            xf = (a * gb - b * ga) / (gb - ga)
+            if math.isfinite(xf):
+                delta = ITP_KAPPA1 * width * width * unit
+                sigma = math.copysign(1.0, mid - xf)
+                xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+                x = xt if abs(xt - mid) <= radius else mid - sigma * radius
+        k = min(max(round(x), a + 1, math.ceil(mid - radius)), b - 1, math.floor(mid + radius))
+        fk = f(k * unit)
+        if fk <= target:
+            a, fa = k, fk
+        else:
+            b, fb = k, fk
+        probes += 1
+    return a * unit
 
 
 def _budgeted_move(
@@ -599,23 +659,22 @@ def _budgeted_move(
     cfg: ScenarioConfig,
 ) -> Optional[np.ndarray]:
     """Furthest point along ``path`` (a map [0, 1] -> coefficients) whose
-    windowed risk change stays at or below ``target``, by bisection."""
+    windowed risk change stays at or below ``target``: the whole path if it
+    fits, else the last feasible multiple of 2**-SHIFT_GRID_BITS found by
+    ``_last_feasible``, which is exact when the risk change grows
+    monotonically along the path."""
     probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
     diff, mean_minus = _probe_losses(models, probe, loss)
     if diff.shape[1] == 0:
         return None  # no models to measure against: stay put
     mmd = _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
 
-    if mmd(path(1.0)) <= target:
-        return path(1.0)
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = (lo + hi) / 2.0
-        if mmd(path(mid)) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return path(lo) if lo > 0 else None
+    end = path(1.0)
+    f_one = mmd(end)
+    if f_one <= target:
+        return end
+    s = _last_feasible(lambda s: mmd(path(s)), target, f_one)
+    return path(s) if s > 0 else None
 
 
 def _rotation_path(beta: np.ndarray, rng: np.random.Generator, max_angle: float = math.pi / 2):
@@ -656,10 +715,12 @@ def _flip_subset(
     """Sign-flip the largest coordinate subset that fits the budget.
 
     Full flips preserve the coefficient norm; when even one whole
-    coordinate overshoots, that coordinate is flipped partially instead.
-    Given a ``victim`` (the model whose approval triggered the shift),
-    coordinates it leans on hardest are flipped first, so the budget is
-    spent where it hurts that model most.
+    coordinate overshoots, that coordinate is flipped partially instead:
+    scaled by ``1 - 2 s`` with s the last feasible multiple of
+    2**-SHIFT_GRID_BITS that ``_last_feasible`` finds, exact when the risk
+    change grows monotonically in s.  Given a ``victim`` (the model whose
+    approval triggered the shift), coordinates it leans on hardest are
+    flipped first, so the budget is spent where it hurts that model most.
     """
     beta = gen.coefficients
     probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
@@ -678,13 +739,11 @@ def _flip_subset(
         out[order[:k]] = -out[order[:k]]
         return out
 
-    best = 0
-    for k in range(1, cfg.dim + 1):
-        if mmd(flipped(k)) <= target:
-            best = k
-        else:
-            break
-    if best > 0:
+    f_one = mmd(flipped(1))
+    if f_one <= target:
+        best = 1
+        while best < cfg.dim and mmd(flipped(best + 1)) <= target:
+            best += 1
         return flipped(best)
 
     coord = order[0]
@@ -694,14 +753,9 @@ def _flip_subset(
         out[coord] = (1.0 - 2.0 * s) * out[coord]
         return out
 
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = (lo + hi) / 2.0
-        if mmd(path(mid)) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return path(lo) if lo > 0 else None
+    # path(1.0) is flipped(1) bit for bit (-1.0 * x == -x), so f_one is f(1)
+    s = _last_feasible(lambda s: mmd(path(s)), target, f_one)
+    return path(s) if s > 0 else None
 
 
 def apply_shift(
@@ -725,7 +779,11 @@ def apply_shift(
     straight into the shifted distribution.  A warm-up and a minimum gap
     keep early steps stationary and rule out back-to-back moves.  Every
     move is budget-checked against the windows 1..``window``, the bound
-    table's lookback.
+    table's lookback, on a fresh MMD_PROBE-row probe.  A move that must
+    stop partway along its path stops at the last feasible multiple of
+    2**-SHIFT_GRID_BITS, located by an ITP search (``_last_feasible``):
+    the point 40 halvings of the path would reach whenever the risk change
+    grows monotonically along it.
     """
     beta = gen.coefficients
     shifted = None

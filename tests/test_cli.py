@@ -389,6 +389,19 @@ class TestMainExitCodes:
         assert lines[0] == "abstain_cost,rate,classical_bound,drift_aware_bound"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("flags", [
+        ["--deltas", "nan"], ["--deltas", "0.1,1.5"], ["--deltas", "0"],
+        ["--rate-max", "inf"], ["--rate-min", "-1"],
+        ["--points", "0"], ["--strategies", "0"], ["--horizon", "0"],
+    ], ids=" ".join)
+    def test_bad_bounds_flag_is_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "curves.csv"
+        assert main(["bounds", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {flags[0]}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == "" and not out.exists()
+
     def test_ingest_check_subcommand(self, tmp_path, capsys):
         path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0", "3,0.1,0.2,1", "4,0.3,0.4,0"])
         assert main(["ingest-check", str(path), "--batch-size", "2"]) == 0

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelgate.core import (
     AugmentedLossConfig,
@@ -37,6 +39,7 @@ from modelgate.sim import (
     split_batch,
     verify_drift,
     _class_risks,
+    _last_feasible,
     _logistic_terms,
     _probe_losses,
     _score_blocks,
@@ -339,6 +342,111 @@ class TestShiftProbe:
     def test_no_real_models(self):
         diff, mean_minus = _probe_losses([CandidateModel(0, None)], np.zeros((3, 2)), HINGE)
         assert diff.shape == (3, 0) and mean_minus.shape == (0,)
+
+
+GRID_UNIT = 2.0 ** -40
+
+
+def bisection_last_feasible(f, target):
+    """The oracle: the 40-halving bisection ``_last_feasible`` replaced."""
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = (lo + hi) / 2.0
+        if f(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def counted_search(f, target, f_one=None):
+    """``_last_feasible``'s answer and the number of times it called ``f``."""
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return f(s)
+
+    return _last_feasible(counting, target, f(1.0) if f_one is None else f_one), len(calls)
+
+
+# nondecreasing shapes; with target f(c) the predicate turns false just past
+# c (past c + 0.25 for flat_at_target, whose target c it equals on that span)
+MONOTONE_SHAPES = {
+    "smooth": lambda s, c: math.expm1(3.0 * s),
+    "step": lambda s, c: 0.0 if s <= c else 1.0,
+    "kink": lambda s, c: 0.1 * s + 5.0 * max(0.0, s - 0.5),
+    "flat_at_target": lambda s, c: min(s, c) + max(0.0, s - min(1.0, c + 0.25)),
+    "cubic": lambda s, c: (s - 0.3) ** 3,
+    "tanh": lambda s, c: math.tanh(1e6 * (s - c)),
+}
+
+crossings = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**40 - 1).map(lambda k: k * GRID_UNIT),  # exactly on a grid point
+    st.floats(1.0 - GRID_UNIT, 1.0),  # in the last grid unit before 1
+)
+
+
+class TestShiftSearch:
+    """``_last_feasible`` against the bisection it replaced."""
+
+    @given(shape=st.sampled_from(sorted(MONOTONE_SHAPES)), c=crossings,
+           infeasible_start=st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_bisection_on_monotone_predicates(self, shape, c, infeasible_start):
+        f = lambda s: MONOTONE_SHAPES[shape](s, c)  # noqa: E731
+        target = f(c) if shape != "flat_at_target" else c
+        if infeasible_start:
+            target = f(0.0) - 1.0
+        got, evaluations = counted_search(f, target)
+        assert got == bisection_last_feasible(f, target)
+        assert evaluations <= 42
+        if infeasible_start:
+            assert got == 0.0 and evaluations == 1
+
+    @pytest.mark.parametrize("c", [0.0, GRID_UNIT, 0.25 + 3 * GRID_UNIT, 0.75, 1.0 - GRID_UNIT])
+    @pytest.mark.parametrize("f_one", [1.0, math.nan, math.inf])
+    def test_nan_counts_as_infeasible(self, c, f_one):
+        f = lambda s: s if s <= c else math.nan  # noqa: E731
+        assert _last_feasible(f, 1.0, f_one) == bisection_last_feasible(f, 1.0) == c
+        assert _last_feasible(lambda s: math.nan, 1.0, f_one) == 0.0
+
+    def test_trace_equals_the_bisection_trace(self, monkeypatch):
+        import modelgate.sim as sim
+
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        cases = [(ScenarioKind.ADAPTIVE_SHIFTS, 2, 16), (ScenarioKind.ADAPTIVE_SHIFTS, 3, 16),
+                 (ScenarioKind.SMALL_FREQUENT_SHIFTS, 1, 12), (ScenarioKind.SMALL_FREQUENT_SHIFTS, 4, 12)]
+        for kind, seed, horizon in cases:
+            sc = small_scenario(kind, seed=seed, horizon=horizon)
+            fast = run_replicate(sc, mc, 0)
+            searches = []
+            with monkeypatch.context() as mp:
+                mp.setattr(sim, "_last_feasible",
+                           lambda f, target, f_one: searches.append(target) or bisection_last_feasible(f, target))
+                slow = run_replicate(sc, mc, 0)
+            assert searches, (kind, seed)
+            for name in (fl.name for fl in dataclasses.fields(fast)):
+                a, b = getattr(fast, name), getattr(slow, name)
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, (kind, seed, name)
+
+    def test_replicate_searches_are_short(self, monkeypatch):
+        import modelgate.sim as sim
+
+        counts = []
+
+        def counting(f, target, f_one):
+            out, calls = counted_search(f, target, f_one)
+            counts.append(calls + 1)  # and f(1), which the caller evaluated
+            return out
+
+        monkeypatch.setattr(sim, "_last_feasible", counting)
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        for seed in range(1, 5):
+            run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=seed, horizon=50), mc, 0)
+        assert len(counts) == 48  # a rotation every fourth step
+        assert np.mean(counts) <= 12 and max(counts) <= 43
 
 
 class TestEmpiricalMmd:
