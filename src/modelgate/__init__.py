@@ -14,7 +14,6 @@ from .core import (
     LossFunction,
     ModelRegistry,
     MonitoringBatch,
-    cumulative_average_risk,
     deployed_risks,
 )
 from .bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start

@@ -9,7 +9,6 @@ immutable and purely functional so replicates can run concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -26,8 +25,7 @@ __all__ = [
     "InvalidEnsembleError",
     "affine_loss_mean",
     "deployed_risks",
-    "affine_risks",
-    "cumulative_average_risk",
+    "mixture_risks",
 ]
 
 class InvalidEnsembleError(ValueError):
@@ -67,7 +65,7 @@ class MonitoringBatch:
         return self.features.shape[1]
 
 _MARGIN_KINDS = ("clipped_hinge", "zero_one")
-_KINDS = ("clipped_hinge", "zero_one", "scaled_absolute", "custom")
+_KINDS = ("clipped_hinge", "zero_one", "scaled_absolute")
 
 
 @dataclass(frozen=True)
@@ -80,20 +78,16 @@ class LossFunction:
                       affine in z, for scores z in [-1, 1] (see ``affine``).
       zero_one        1{z*y <= 0}; labels in {-1, +1}.
       scaled_absolute min(1, |z - y| / scale).
-      custom          user callable (z_array, y_array) -> array in [0, 1].
     """
 
     kind: str = "clipped_hinge"
     scale: float = 2.0
-    fn: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind in ("clipped_hinge", "scaled_absolute") and self.scale <= 0:
             raise ValueError("scale must be positive")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom loss requires fn")
 
     @property
     def affine(self) -> bool:
@@ -116,12 +110,7 @@ class LossFunction:
             return np.clip((1.0 - z * y) / self.scale, 0.0, 1.0)
         if self.kind == "zero_one":
             return (z * y <= 0).astype(float)
-        if self.kind == "scaled_absolute":
-            return np.minimum(1.0, np.abs(z - y) / self.scale)
-        out = np.asarray(self.fn(z, y), dtype=float)
-        if np.any(out < 0) or np.any(out > 1):
-            raise ValueError("custom loss returned values outside [0, 1]")
-        return out
+        return np.minimum(1.0, np.abs(z - y) / self.scale)
 
     def __call__(self, z: float, y: float) -> float:
         return float(self.of_array(np.asarray(z, dtype=float), np.asarray(y, dtype=float)))
@@ -196,11 +185,9 @@ class ModelRegistry:
     def models(self) -> tuple[CandidateModel, ...]:
         return tuple(self._models)
 
-def _status_columns(statuses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Check a (k, t+1) status matrix and split it into the abstention
-    weights p0 (k,), the indices of the statuses with model mass, and their
-    model weights renormalised to sum to one, one column per such status
-    (shape (t, live))."""
+def _check_statuses(statuses) -> np.ndarray:
+    """A (k, t+1) status matrix as float64, each row a probability vector
+    over {abstain, model 1, ..., model t}; raises ``ValueError`` otherwise."""
     w = np.asarray(statuses, dtype=float)
     if w.ndim != 2 or w.shape[1] < 2:
         raise ValueError("statuses must have shape (k, t + 1) with t >= 1")
@@ -208,6 +195,15 @@ def _status_columns(statuses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("status weights must be non-negative")
     if outside(w.sum(axis=1), 1.0 - 1e-9, 1.0 + 1e-9):
         raise ValueError("each status must sum to one")
+    return w
+
+
+def _status_columns(statuses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Check a (k, t+1) status matrix and split it into the abstention
+    weights p0 (k,), the indices of the statuses with model mass, and their
+    model weights renormalised to sum to one, one column per such status
+    (shape (t, live))."""
+    w = _check_statuses(statuses)
     mass = w[:, 1:].sum(axis=1)
     live = np.flatnonzero(mass > 0.0)
     # C order: a Fortran-order operand takes another BLAS path, whose
@@ -216,18 +212,33 @@ def _status_columns(statuses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return w[:, 0], live, cols
 
 
-def _mix(p0: np.ndarray, live: np.ndarray, losses: np.ndarray, delta: float) -> np.ndarray:
-    """``p0 * delta + (1 - p0) * loss`` for the live statuses, whose mean
-    ensemble losses are ``losses``; every other status costs exactly delta."""
-    out = np.full(len(p0), delta)
-    out[live] = p0[live] * delta + (1.0 - p0[live]) * losses
-    return out
+def affine_loss_mean(label_scores, scale: float):
+    """Mean affine loss ``(1 - z*y) / scale`` of rows whose label-weighted
+    scores ``z*y`` average ``label_scores``."""
+    return (1.0 - label_scores) / scale
 
 
-def affine_loss_mean(label_score_sums, rows: float, scale: float):
-    """Mean affine loss ``(1 - z*y) / scale`` over ``rows`` rows whose
-    label-weighted scores ``z*y`` sum to ``label_score_sums``."""
-    return (rows - label_score_sums) / scale / rows
+def mixture_risks(statuses: np.ndarray, risk_row: np.ndarray) -> np.ndarray:
+    """Expected augmented loss of each deployed status under an affine loss
+    (``LossFunction.affine``): ``statuses @ risk_row``.
+
+    Row k of ``statuses`` (shape (k, t+1)) is a probability vector over
+    {abstain, model 1, ..., model t}; ``risk_row`` (shape (t+1,)) holds the
+    abstain cost, then each real candidate's risk on the same data, all in
+    [0, 1].  An affine loss of the ensemble is the same mixture of its
+    candidates' losses, so a status with abstention weight p0 and model
+    weights w costs ``p0 * abstain_cost + sum_j w_j R_j``; pure abstention
+    costs exactly the abstain cost.  Raises ``ValueError`` for a status
+    that is not a probability vector or a row of the wrong length or
+    outside [0, 1] (nan included).
+    """
+    w = _check_statuses(statuses)
+    row = np.asarray(risk_row, dtype=float)
+    if row.shape != (w.shape[1],):
+        raise ValueError("risk_row must have one entry per candidate plus abstain")
+    if outside(row, 0.0, 1.0):
+        raise ValueError("risks must lie in [0, 1]")
+    return w @ row
 
 
 def deployed_risks(
@@ -235,7 +246,8 @@ def deployed_risks(
     statuses: np.ndarray,
     cfg: AugmentedLossConfig,
 ) -> np.ndarray:
-    """Expected augmented loss of each deployed status on one sample.
+    """Expected augmented loss of each deployed status on one sample, for
+    any loss.
 
     Row k of ``statuses`` (shape (k, t+1)) is a probability vector over
     {abstain, model 1, ..., model t}.  ``blocks`` yields ``(scores,
@@ -244,69 +256,24 @@ def deployed_risks(
     A status deploys ``p0 * abstain_cost + (1 - p0) * loss(ensemble)``,
     where p0 is its abstention weight and the ensemble averages the
     candidates' scores under the model weights renormalised to sum to one;
-    the abstention coin is integrated out analytically.  The abstention
-    mix is applied once, to the sample mean, so a status with no model mass
-    costs exactly the abstain cost.  When no status has model mass the
-    blocks are not drawn.
-
-    For an affine loss (``LossFunction.affine``) an ensemble's loss is the
-    same mixture of its candidates' losses, so each block only adds its
-    label-weighted score sums ``labels @ scores`` (float64, one per
-    candidate), and every status's mean loss is ``affine_loss_mean`` of
-    ``ysum @ cols`` at the end, with ysum their total and cols the statuses'
-    renormalised model weights.  Each block must then hold scores in
-    [-1, 1] and labels in {-1, +1}, or a ``ValueError`` is raised.  Any
-    other loss scores every status's ensemble on each block (all statuses
-    in one matrix product) and sums its losses.
+    the abstention coin is integrated out analytically.  Each block scores
+    every status's ensemble in one matrix product and sums its losses.  The
+    abstention mix is applied once, to the sample mean, so a status with no
+    model mass costs exactly the abstain cost.  When no status has model
+    mass the blocks are not drawn.
     """
     p0, live, cols = _status_columns(statuses)
+    delta = cfg.abstain_cost
+    out = np.full(len(p0), delta)
     if not live.size:
-        return _mix(p0, live, np.zeros(0), cfg.abstain_cost)
-    affine = cfg.base.affine
-    acc = np.zeros(len(cols) if affine else len(live))
+        return out
+    acc = np.zeros(len(live))
     rows = 0
     for scores, labels in blocks:
         if scores.shape[1] != len(cols):
             raise ValueError("statuses must have one entry per candidate plus abstain")
-        if affine:
-            # min and max are nan when any score is
-            if not (scores.min() >= -1.0 and scores.max() <= 1.0):
-                raise ValueError("an affine loss needs scores in [-1, 1]")
-            if np.any(np.abs(labels) != 1.0):
-                raise ValueError("an affine loss needs labels in {-1, +1}")
-            acc += np.asarray(labels, dtype=float) @ scores.astype(float)
-        else:
-            ens = scores @ cols.astype(scores.dtype, copy=False)
-            acc += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
+        ens = scores @ cols.astype(scores.dtype, copy=False)
+        acc += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
         rows += len(labels)
-    losses = affine_loss_mean(acc @ cols, rows, cfg.base.scale) if affine else acc / rows
-    return _mix(p0, live, losses, cfg.abstain_cost)
-
-
-def affine_risks(label_scores: np.ndarray, statuses: np.ndarray, cfg: AugmentedLossConfig) -> np.ndarray:
-    """``deployed_risks`` of each status under an affine loss, from each real
-    candidate's expected label-times-score ``E[y * z_j]`` (shape (t,), each
-    in [-1, 1]) over the whole distribution instead of a sample: the same
-    finish with one row standing for the population mean.  Raises
-    ``ValueError`` for a loss that is not affine."""
-    if not cfg.base.affine:
-        raise ValueError("expected label-times-scores determine the risk of an affine loss only")
-    p0, live, cols = _status_columns(statuses)
-    label_scores = np.asarray(label_scores, dtype=float)
-    if label_scores.shape != (len(cols),):
-        raise ValueError("statuses must have one entry per candidate plus abstain")
-    if outside(label_scores, -1.0, 1.0):
-        raise ValueError("expected label-times-scores must lie in [-1, 1]")
-    return _mix(p0, live, affine_loss_mean(label_scores @ cols, 1.0, cfg.base.scale),
-                cfg.abstain_cost)
-
-
-def cumulative_average_risk(per_step_risks: Sequence[float]) -> float:
-    """Arithmetic mean with compensated summation, reproducible to 1e-12."""
-    risks = list(per_step_risks)
-    if not risks:
-        raise ValueError("need at least one per-step risk")
-    for r in risks:
-        if not 0.0 <= r <= 1.0:
-            raise ValueError("risks must lie in [0, 1]")
-    return math.fsum(risks) / len(risks)
+    out[live] = p0[live] * delta + (1.0 - p0[live]) * (acc / rows)
+    return out

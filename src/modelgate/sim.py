@@ -30,9 +30,8 @@ from .core import (
     ModelRegistry,
     MonitoringBatch,
     affine_loss_mean,
-    affine_risks,
-    cumulative_average_risk,
     deployed_risks,
+    mixture_risks,
 )
 from .meta import (
     RiskBoundInputs,
@@ -530,13 +529,20 @@ class GeneratorState:
         return self.coeff_history[-1]
 
 
+def _draw(rng: np.random.Generator, beta: np.ndarray, rows: int, dtype=float):
+    """``(x, y)``: ``rows`` standard-normal feature rows in ``dtype`` and
+    their labels in {-1, +1} (same dtype) under the logistic law of
+    ``beta``, drawn features first."""
+    x = rng.standard_normal((rows, len(beta)), dtype=dtype)
+    p = sigmoid(x @ beta.astype(dtype, copy=False))
+    y = np.where(rng.random(rows) < p, dtype(1.0), dtype(-1.0))
+    return x, y
+
+
 def generate_batch(gen: GeneratorState, cfg: ScenarioConfig, time_index: int) -> MonitoringBatch:
     """Draw IID observations from the distribution realized at ``time_index``."""
     beta = gen.coeff_history[min(time_index, len(gen.coeff_history) - 1)]
-    x = gen.rng.standard_normal((cfg.batch_size, cfg.dim))
-    p = sigmoid(x @ beta)
-    y = np.where(gen.rng.random(cfg.batch_size) < p, 1.0, -1.0)
-    return MonitoringBatch(time_index, x, y)
+    return MonitoringBatch(time_index, *_draw(gen.rng, beta, cfg.batch_size))
 
 
 def _class_risks(beta: np.ndarray, probe: np.ndarray, diff: np.ndarray, mean_minus: np.ndarray) -> np.ndarray:
@@ -597,6 +603,24 @@ class _WindowMMD:
     def __call__(self, beta_new: np.ndarray) -> float:
         new = _class_risks(beta_new, self.probe, self.diff, self.mean_minus)
         return float(np.max(np.abs(new - self.window_means)))
+
+
+def _window_mmd(
+    gen: GeneratorState,
+    t_new: int,
+    window: int,
+    models: Sequence[CandidateModel],
+    loss: LossFunction,
+    cfg: ScenarioConfig,
+) -> Optional[_WindowMMD]:
+    """The windowed discrepancy measured on a fresh MMD_PROBE-row probe, or
+    None (after the probe is drawn) when there is no real candidate to
+    measure it with."""
+    probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
+    diff, mean_minus = _probe_losses(models, probe, loss)
+    if diff.shape[1] == 0:
+        return None
+    return _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
 
 
 def _last_feasible(f, target: float, f_one: float) -> float:
@@ -663,12 +687,9 @@ def _budgeted_move(
     fits, else the last feasible multiple of 2**-SHIFT_GRID_BITS found by
     ``_last_feasible``, which is exact when the risk change grows
     monotonically along the path."""
-    probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    diff, mean_minus = _probe_losses(models, probe, loss)
-    if diff.shape[1] == 0:
+    mmd = _window_mmd(gen, t_new, window, models, loss, cfg)
+    if mmd is None:
         return None  # no models to measure against: stay put
-    mmd = _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
-
     end = path(1.0)
     f_one = mmd(end)
     if f_one <= target:
@@ -723,11 +744,10 @@ def _flip_subset(
     flipped first, so the budget is spent where it hurts that model most.
     """
     beta = gen.coefficients
-    probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    diff, mean_minus = _probe_losses(models, probe, loss)
-    if diff.shape[1] == 0:
+    # the probe is drawn before the coordinate order, which may use the rng
+    mmd = _window_mmd(gen, t_new, window, models, loss, cfg)
+    if mmd is None:
         return None
-    mmd = _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
     if victim is not None and isinstance(victim.predictor, LogisticModel):
         alignment = victim.predictor.coef[: cfg.dim] * beta
         order = np.argsort(-alignment)
@@ -939,9 +959,6 @@ class ReplicateTrace:
         steps = np.arange(1, self.horizon + 1)[:, None]
         return np.cumsum(self.strategy_true_risk, axis=0) / steps
 
-    def final_cum_risk(self) -> float:
-        return cumulative_average_risk(self.true_risk.tolist())
-
 
 def _scores(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Every candidate's score ``2 * sigmoid(x @ w + b) - 1`` on the rows of
@@ -992,6 +1009,12 @@ def run_replicate(
     measure both on fresh Monte Carlo samples of ``scenario.eval_size``
     rows.  For ingested streams (``batches`` given) the batch itself is the
     only evidence and the true risk column equals the empirical one.
+
+    Under an affine loss every deployed risk is ``core.mixture_risks`` of
+    one risk row per step: the batch's loss-ledger row for the empirical
+    risks, and the abstain cost followed by each candidate's exact risk for
+    the true ones.  Other losses score each status's ensemble with
+    ``core.deployed_risks``.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, replicate]))
     ingested = batches is not None
@@ -1012,9 +1035,8 @@ def run_replicate(
         b0 = rng.standard_normal(dim)
         beta0 = scale * b0 / np.linalg.norm(b0)
         gen = GeneratorState(coeff_history=[beta0], rng=rng)
-        x0 = rng.standard_normal((scenario.initial_batches * scenario.batch_size, dim))
-        y0 = np.where(rng.random(len(x0)) < sigmoid(x0 @ beta0), 1.0, -1.0)
-        initial = MonitoringBatch(0, x0, y0)
+        rows0 = scenario.initial_batches * scenario.batch_size
+        initial = MonitoringBatch(0, *_draw(rng, beta0, rows0))
 
     split0 = split_batch(initial, meta_cfg.bound.validation_fraction, rng)
     first = fit_logistic(split0.train.features, split0.train.labels, scenario.initial_fit)
@@ -1032,10 +1054,9 @@ def run_replicate(
     elif ingested:
         delta = float(np.mean(loss.of_array(first(batches[1].features), batches[1].labels)))
     elif exact:
-        delta = float(affine_loss_mean(label_scores[0], 1.0, loss.scale))
+        delta = float(affine_loss_mean(label_scores[0], loss.scale))
     else:
-        x_cal = rng.standard_normal((scenario.eval_size, dim))
-        y_cal = np.where(rng.random(scenario.eval_size) < sigmoid(x_cal @ beta0), 1.0, -1.0)
+        x_cal, y_cal = _draw(rng, beta0, scenario.eval_size)
         delta = float(np.mean(loss.of_array(first(x_cal), y_cal)))
         del x_cal, y_cal
     delta = min(max(delta, 1e-6), 1.0 - 1e-6)
@@ -1132,26 +1153,29 @@ def run_replicate(
                 label_scores = label_score_means(beta_t, coefs)
             elif t >= 2:
                 label_scores = np.append(label_scores, label_score_means(beta_t, coefs[:, -1:]))
-            eval_risks = affine_risks(label_scores, deployed, loss_cfg)
+            true_row = np.concatenate(([delta], affine_loss_mean(label_scores, loss.scale)))
+            eval_risks = mixture_risks(deployed, true_row)
             batch = generate_batch(gen, scenario, t)
         else:
             # float32 is plenty for a Monte Carlo risk estimate and halves
             # the cost of the widest arrays in the loop
-            beta_t = gen.coeff_history[t]
-            eval_feats = rng.standard_normal((scenario.eval_size, dim), dtype=np.float32)
-            probs = sigmoid(eval_feats @ beta_t.astype(np.float32))
-            eval_labels = np.where(
-                rng.random(scenario.eval_size) < probs, np.float32(1.0), np.float32(-1.0)
+            eval_feats, eval_labels = _draw(
+                rng, gen.coeff_history[t], scenario.eval_size, np.float32
             )
             eval_risks = deployed_risks(
                 _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
                 deployed,
                 loss_cfg,
             )
-            del eval_feats, eval_labels, probs
+            del eval_feats, eval_labels
             batch = generate_batch(gen, scenario, t)
         batch_preds = _scores(coefs, batch.features)
-        batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss_cfg)
+        ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
+        blosses = ledger.row(t, delta)
+        if loss.affine:
+            batch_risks = mixture_risks(deployed, blosses)
+        else:
+            batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss_cfg)
         if ingested:
             # the batch is the evaluation sample: its risks are the true ones
             eval_risks = batch_risks
@@ -1164,8 +1188,6 @@ def run_replicate(
 
         history.append(batch)
         splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))
-        ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
-        blosses = ledger.row(t, delta)
         trace.emp_risk[t - 1] = batch_risks[-1]
         strat_risks = batch_risks[:-1]
 

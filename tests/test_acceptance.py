@@ -161,7 +161,7 @@ def test_criterion_5_average_risk_controlled(experiments):
     worst_ratio, worst_case = 0.0, None
     for kind in ALL_SCENARIOS:
         for tr in experiments[kind]:
-            ratio = tr.final_cum_risk() / (1.6 * tr.abstain_cost)
+            ratio = tr.cum_avg_true()[-1] / (1.6 * tr.abstain_cost)
             if ratio > worst_ratio:
                 worst_ratio, worst_case = ratio, (kind.value, tr.replicate)
     elapsed = experiments["elapsed"]
@@ -176,9 +176,9 @@ def test_criterion_5_average_risk_controlled(experiments):
 def test_criterion_6a_good_models_adopted(experiments):
     traces = experiments[ScenarioKind.IID_GOOD_MODELS]
     mean_abst = float(np.mean([tr.abstain_prob[-1] for tr in traces]))
-    mean_final = float(np.mean([tr.final_cum_risk() for tr in traces]))
+    mean_final = float(np.mean([tr.cum_avg_true()[-1] for tr in traces]))
     mean_delta = float(np.mean([tr.abstain_cost for tr in traces]))
-    below = sum(tr.final_cum_risk() < tr.abstain_cost for tr in traces)
+    below = sum(tr.cum_avg_true()[-1] < tr.abstain_cost for tr in traces)
     report(
         "6a",
         mean_abst < 0.2 and mean_final < mean_delta,
@@ -190,7 +190,7 @@ def test_criterion_6a_good_models_adopted(experiments):
 def test_criterion_6b_meta_beats_the_tester_under_attack(experiments):
     traces = experiments[ScenarioKind.ADAPTIVE_SHIFTS]
     wins = sum(
-        tr.final_cum_risk() <= tr.strategy_cum_avg_true()[-1, TTEST_ROW] for tr in traces
+        tr.cum_avg_true()[-1] <= tr.strategy_cum_avg_true()[-1, TTEST_ROW] for tr in traces
     )
     report("6b", wins >= 12, f"meta-forecaster <= repeated tester in {wins}/{REPLICATES} replicates (needs >= 12)")
 

@@ -1,8 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from modelgate.bounds import LossLedger
 from modelgate.core import (
@@ -13,9 +12,8 @@ from modelgate.core import (
     ModelRegistry,
     MonitoringBatch,
     affine_loss_mean,
-    affine_risks,
-    cumulative_average_risk,
     deployed_risks,
+    mixture_risks,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
@@ -25,14 +23,14 @@ def constant_model(model_id, value, birth_time=1):
     return CandidateModel(model_id, lambda x, v=value: np.full(len(x), v), birth_time)
 
 
-def ledger_row(preds, labels, delta):
+def ledger_row(preds, labels, delta, loss=HINGE):
     """A batch's loss vector as the run loop reads it: abstain cost, then
     the mean loss of each candidate (one column of ``preds`` each).  With s
     candidates it is batch s, the first batch they all score."""
     preds = np.asarray(preds, dtype=float).reshape(len(labels), -1)
     s = preds.shape[1]
     ledger = LossLedger(s)
-    ledger.record(s, HINGE.of_array(preds, np.asarray(labels, dtype=float)[:, None]))
+    ledger.record(s, loss.of_array(preds, np.asarray(labels, dtype=float)[:, None]))
     return ledger.row(s, delta)
 
 
@@ -87,14 +85,8 @@ class TestAugmentedLoss:
     def test_affine_only_where_never_clipped(self):
         assert HINGE.affine and LossFunction("clipped_hinge", scale=3.0).affine
         for loss in (LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
-                     LossFunction("scaled_absolute", scale=2.0),
-                     LossFunction("custom", fn=lambda z, y: np.zeros_like(z))):
+                     LossFunction("scaled_absolute", scale=2.0)):
             assert not loss.affine
-
-    def test_custom_loss_range_checked(self):
-        bad = LossFunction("custom", fn=lambda z, y: np.abs(z - y))
-        with pytest.raises(ValueError):
-            bad.of_array(np.array([5.0]), np.array([0.0]))
 
 
 class TestEmpiricalRisk:
@@ -171,17 +163,6 @@ class TestDeployedRisk:
         expected = 0.4 * 0.31 + 0.6 * model_risk
         assert risk_of([0.4, 0.6], self.preds, self.labels, 0.31) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("score, label", [
-        (1.5, 1.0), (-1.0001, 1.0), (np.nan, 1.0), (0.5, 0.5),
-    ], ids=["above_one", "below_minus_one", "nan_score", "label_half"])
-    def test_affine_path_checks_its_precondition(self, score, label):
-        # the affine sums hold only for scores in [-1, 1] and labels +-1;
-        # a block outside raises instead of being clipped
-        preds = np.array([[0.2], [score]])
-        labels = np.array([1.0, label])
-        with pytest.raises(ValueError):
-            deployed_risks([(preds, labels)], [[0.5, 0.5]], AugmentedLossConfig(HINGE, 0.3))
-
     def test_clipping_hinge_takes_the_general_path(self):
         # scale 1.5 is not affine: a score above one is clipped, not refused
         clipped = LossFunction("clipped_hinge", scale=1.5)
@@ -205,59 +186,54 @@ class TestDeployedRisk:
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
 
 
-class TestAffineRisks:
-    """``affine_risks``: the deployed risks from each candidate's expected
-    label-times-score, the finish ``deployed_risks`` applies to a sample."""
+@st.composite
+def affine_sample(draw):
+    """Scores in [-1, 1] of t candidates on n rows, labels in {-1, +1}, and
+    k statuses, some of them pure abstention or with no abstention."""
+    t, n, k = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    scores = draw(hnp.arrays(float, (n, t), elements=st.floats(-1.0, 1.0)))
+    labels = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 1.0])))
+    weights = st.sampled_from([0.0, 0.25, 1.0]) | st.floats(0.0, 1.0)
+    raw = draw(hnp.arrays(float, (k, t + 1), elements=weights))
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    return scores, labels, raw / raw.sum(axis=1, keepdims=True)
 
-    def sample(self, n=300, t=4, seed=2):
-        rng = np.random.default_rng(seed)
-        preds = rng.uniform(-1.0, 1.0, size=(n, t))
-        labels = np.where(rng.random(n) < 0.6, 1.0, -1.0)
-        statuses = np.vstack([rng.dirichlet(np.ones(t + 1), size=4), np.eye(1, t + 1)])
-        return preds, labels, statuses
+
+class TestAffineRisks:
+    """``mixture_risks``: under an affine loss each status's risk is its dot
+    product with the risk row of abstain cost and candidate risks."""
 
     @pytest.mark.parametrize("scale", [2.0, 3.5])
-    def test_sample_means_give_the_sample_risks(self, scale):
-        preds, labels, statuses = self.sample()
-        cfg = AugmentedLossConfig(LossFunction("clipped_hinge", scale=scale), 0.3)
-        got = affine_risks(labels @ preds / len(labels), statuses, cfg)
-        want = deployed_risks([(preds, labels)], statuses, cfg)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
-        assert got[-1] == 0.3  # pure abstention costs exactly delta
+    @given(sample=affine_sample())
+    @settings(max_examples=200, deadline=None)
+    def test_sample_means_give_the_sample_risks(self, scale, sample):
+        # the ledger row holds each candidate's sample mean loss
+        scores, labels, statuses = sample
+        loss = LossFunction("clipped_hinge", scale=scale)
+        got = mixture_risks(statuses, ledger_row(scores, labels, 0.3, loss))
+        want = deployed_risks([(scores, labels)], statuses, AugmentedLossConfig(loss, 0.3))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_pure_abstention_costs_exactly_delta(self):
+        rng = np.random.default_rng(2)
+        preds = rng.uniform(-1.0, 1.0, size=(300, 4))
+        labels = np.where(rng.random(300) < 0.6, 1.0, -1.0)
+        statuses = np.vstack([rng.dirichlet(np.ones(5), size=3), np.eye(1, 5)])
+        for delta in np.linspace(0.05, 0.95, 19):
+            assert mixture_risks(statuses, ledger_row(preds, labels, delta))[-1] == delta
 
     def test_one_formula_for_a_single_model(self):
-        # a pure status on candidate j costs affine_loss_mean of its mean
+        # a pure status on candidate j costs its entry of the row:
+        # affine_loss_mean of its label-times-score
         m = np.array([0.25, -0.5, 1.0])
-        got = affine_risks(m, np.hstack([np.zeros((3, 1)), np.eye(3)]), AugmentedLossConfig(HINGE, 0.3))
-        assert got.tolist() == [affine_loss_mean(v, 1.0, 2.0) for v in m] == [0.375, 0.75, 0.0]
+        row = np.concatenate(([0.3], affine_loss_mean(m, 2.0)))
+        got = mixture_risks(np.hstack([np.zeros((3, 1)), np.eye(3)]), row)
+        assert got.tolist() == [0.375, 0.75, 0.0]
 
     def test_rejects_what_it_cannot_finish(self):
-        statuses = np.array([[0.5, 0.5]])
-        with pytest.raises(ValueError, match="affine"):
-            affine_risks([0.1], statuses, AugmentedLossConfig(LossFunction("zero_one"), 0.3))
-        cfg = AugmentedLossConfig(HINGE, 0.3)
-        for bad in ([0.1, 0.2], [1.5], [np.nan]):
+        for bad in ([0.3, np.nan], [0.3, 1.5], [0.3, -0.1], [0.3, 0.2, 0.2], [0.3]):
             with pytest.raises(ValueError):
-                affine_risks(bad, statuses, cfg)
-        with pytest.raises(ValueError):
-            affine_risks([0.1], [[0.5, 0.6]], cfg)
-
-
-class TestCumulativeAverage:
-    def test_constant_and_simple(self):
-        assert cumulative_average_risk([0.15, 0.15, 0.15]) == pytest.approx(0.15)
-        assert cumulative_average_risk([0.0, 1.0]) == 0.5
-
-    def test_matches_compensated_summation(self):
-        rng = np.random.default_rng(3)
-        risks = rng.random(1000).tolist()
-        assert cumulative_average_risk(risks) == pytest.approx(
-            math.fsum(risks) / len(risks), abs=1e-15
-        )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cumulative_average_risk([])
+                mixture_risks([[0.5, 0.5]], bad)
 
 
 class TestTypes:
@@ -267,7 +243,7 @@ class TestTypes:
             registry.add(constant_model(5, 0.0))
 
     def test_status_validation(self):
-        # deployed_risks checks the statuses it is given
+        # both risk evaluators check the statuses they are given
         cfg = AugmentedLossConfig(HINGE, 0.25)
         block = (constant_preds([0.5], 3), np.array([1.0, -1.0, 1.0]))
         for statuses in (
@@ -276,7 +252,10 @@ class TestTypes:
             [[0.5, 0.5], [np.nan, 1.0]],  # nan in a later row
             [[0.5, 0.25, 0.25]],          # one candidate scored, two weighted
             [0.5, 0.5],                   # not a (k, t + 1) matrix
+            [[1.0]],                      # no candidate
         ):
+            with pytest.raises(ValueError):
+                mixture_risks(statuses, [0.25, 0.25])
             with pytest.raises(ValueError):
                 deployed_risks([block], statuses, cfg)
 

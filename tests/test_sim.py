@@ -546,7 +546,8 @@ class TestRunReplicate:
         mc = MetaConfig(rate_mode="fixed", rate=1.5)
         tr = run_replicate(sc, mc, 0)
         assert np.all(tr.true_risk >= 0) and np.all(tr.true_risk <= 1)
-        assert tr.cum_avg_true()[-1] == pytest.approx(tr.final_cum_risk(), abs=1e-12)
+        mean = math.fsum(tr.true_risk) / tr.horizon
+        assert tr.cum_avg_true()[-1] == pytest.approx(mean, abs=1e-12)
 
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
@@ -580,16 +581,13 @@ class TestAdversarialDrift:
 def whole_matrix_risks(coefs, x, y, statuses, cfg):
     """Deployed risks from the (n, t) score matrix of the whole sample: every
     candidate's 2 sigmoid - 1 score, every live status's ensemble score in
-    one product, and the sample mean of its loss, mixed with the abstain
-    cost.  For an affine loss the ensemble and the clip formula are float64,
-    since the affine path is float64 arithmetic on the scores; other losses
-    round the ensemble to the scores' dtype, as the general path does."""
+    one product in the scores' dtype, and the sample mean of its loss,
+    mixed with the abstain cost."""
     preds = 2.0 * sigmoid(x @ coefs[:-1] + coefs[-1]) - 1.0
     mass = statuses[:, 1:].sum(axis=1)
     live = [k for k in range(len(statuses)) if mass[k] > 0.0]
     cols = np.column_stack([statuses[k, 1:] / mass[k] for k in live])
-    dtype = np.float64 if cfg.base.affine else preds.dtype
-    ens = preds.astype(dtype) @ cols.astype(dtype)
+    ens = preds @ cols.astype(preds.dtype)
     ens = cfg.base.of_array(ens, y[:, None]).mean(axis=0)
     out = np.full(len(statuses), cfg.abstain_cost)
     for i, k in enumerate(live):
@@ -622,8 +620,6 @@ class TestBlockwiseEvaluator:
     ], ids=["clipped_hinge", "clipped_hinge_scale3", "clipped_hinge_scale1.5", "zero_one",
             "scaled_absolute"])
     def test_matches_whole_matrix_reference(self, n, loss):
-        # clipped_hinge at scale 2 and 3 takes the affine path; at scale 1.5
-        # it clips, so it takes the general path with the other losses
         coefs, x, y, statuses = self.sample(n)
         cfg = AugmentedLossConfig(loss, 0.3)
         c32 = coefs.astype(np.float32)
@@ -686,18 +682,20 @@ def fine_trapezoid_means(beta, coefs, step=0.02, half_width=8.5):
 def adaptive_run():
     """A production-sized adaptive replicate (developer fits and shifted
     coefficients as the run path meets them) and the label-times-scores
-    it passed to ``affine_risks`` at each step."""
+    it turned into each step's true-risk row (the vector arguments of
+    ``affine_loss_mean``; the abstain cost is its one scalar call)."""
     import modelgate.sim as sim
 
     seen = []
-    real = sim.affine_risks
+    real = sim.affine_loss_mean
 
-    def recording(label_scores, statuses, cfg):
-        seen.append(np.array(label_scores))
-        return real(label_scores, statuses, cfg)
+    def recording(label_scores, scale):
+        if np.ndim(label_scores) == 1:
+            seen.append(np.array(label_scores))
+        return real(label_scores, scale)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "affine_risks", recording)
+        mp.setattr(sim, "affine_loss_mean", recording)
         sc = ScenarioConfig(kind=ScenarioKind.ADAPTIVE_SHIFTS, seed=11, horizon=20)
         trace = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
     return trace, seen
@@ -756,7 +754,7 @@ class TestQuadrature:
     def test_abstain_cost_is_the_first_models_exact_risk(self, adaptive_run):
         tr, _ = adaptive_run
         m = label_score_means(tr.coeff_history[0], tr.model_coefs[:, :1])[0]
-        assert tr.abstain_cost == affine_loss_mean(m, 1.0, HINGE.scale)
+        assert tr.abstain_cost == affine_loss_mean(m, HINGE.scale)
         # the fail-safe row still costs exactly the abstain cost (6c)
         assert np.all(tr.strategy_true_risk[:, 0] == tr.abstain_cost)
 
