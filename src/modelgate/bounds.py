@@ -110,8 +110,8 @@ class LossLedger:
 
     Row s holds batch s, recorded once at the step it arrives, for the
     candidates 1..s alive then; column 0 stays unused because abstention
-    has a known cost.  The bound table reads windowed means back from the
-    sums, so no candidate is ever scored on a batch twice.
+    has a known cost.  The bound table pools a trailing slice of rows, so
+    no candidate is ever scored on a batch twice.
     """
 
     def __init__(self, horizon: int):
@@ -131,13 +131,6 @@ class LossLedger:
         out[0] = abstain_cost
         out[1:] = self.sums[s, 1 : s + 1] / self.counts[s]
         return out
-
-    def pooled(self, lo: int, hi: int, j: int) -> tuple[float, int]:
-        """Mean loss of candidate j over batches lo..hi-1, and its row count."""
-        count = int(self.counts[lo:hi].sum())
-        if count == 0:
-            raise ValueError(f"candidate {j} has an empty evaluation window")
-        return float(self.sums[lo:hi, j].sum()) / count, count
 
 
 def build_bound_table(
@@ -170,10 +163,19 @@ def build_bound_table(
     bounds[0] = loss_cfg.abstain_cost
     starts[0] = max(0, t - cfg.window)
 
-    for j in range(1, t):
-        tau = window_start(t, j, cfg.window)
-        bounds[j] = hoeffding_ucb(*ledger.pooled(tau, t, j), level)
-        starts[j] = tau
+    # candidate j pools batches max(j, lo)..t-1 (``window_start``): one
+    # slice of the ledger, masked where s < j.  A masked cell adds 0.0 and
+    # each column adds its batches one by one in batch order.
+    lo = max(1, t - cfg.window)
+    older = np.arange(1, t)
+    pooled = np.arange(lo, t)[:, None] >= older
+    counts = (ledger.counts[lo:t, None] * pooled).sum(axis=0)
+    if not counts.all():
+        raise ValueError(f"candidate {older[counts == 0][0]} has an empty evaluation window")
+    sums = np.where(pooled, ledger.sums[lo:t, 1:t], 0.0).sum(axis=0)
+    # hoeffding_ucb elementwise: np.sqrt rounds correctly, like math.sqrt
+    bounds[1:t] = sums / counts + np.sqrt(math.log(1.0 / level) / (2.0 * counts))
+    starts[1:t] = np.maximum(older, lo)
 
     _, validation = newest_split
     val_losses = loss_cfg.base.of_array(registry[t].predict(validation.features), validation.labels)

@@ -25,7 +25,7 @@ from datetime import date
 from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .sim import (
     GRID12,
     FitConfig,
     MetaConfig,
+    ReplicateTrace,
     ScenarioConfig,
     ScenarioKind,
     holdout_size,
@@ -529,6 +530,32 @@ def _check_split(what: str, size: int, fraction: Optional[float] = None) -> None
         raise ConfigError(f"{what} ({size} rows): {exc}") from exc
 
 
+def _write_csv(path: Path, header: list[str], blocks: Iterable[list[str]]) -> None:
+    """Write ``header`` and then each block of joined lines in one call.
+
+    The bytes are what ``csv.writer`` writes for the same cells, "\r\n"
+    line ends included: every cell is a number or a plain column name, none
+    of which it would quote.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lines in blocks:
+            fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _step_lines(tr: ReplicateTrace) -> list[str]:
+    """One trace's ``steps.csv`` lines: nine leading cells, then its
+    weight, per-strategy cumulative-risk and abstention columns."""
+    wide = np.hstack([tr.meta_weights, tr.strategy_cum_avg_true(), tr.strategy_abstain]).tolist()
+    tail = f"{_fmt(tr.abstain_cost)},{_fmt(tr.meta_rate)}"
+    cum = tr.cum_avg_true()
+    return [
+        f"{tr.replicate},{t + 1},{_fmt(tr.true_risk[t])},{_fmt(cum[t])},{_fmt(tr.emp_risk[t])},"
+        f"{_fmt(tr.abstain_prob[t])},{int(tr.meta_top[t])},{tail},{','.join(map(repr, wide[t]))}"
+        for t in range(tr.horizon)
+    ]
+
+
 def _replicate_worker(args):
     cfg, rep, batches = args
     return run_replicate(
@@ -568,39 +595,26 @@ def run(cfg: RunConfig) -> dict:
         + [f"strat{j}_cum_risk" for j in range(m)]
         + [f"strat{j}_abstain" for j in range(m)]
     )
-    with open(steps_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for tr in traces:
-            cum = tr.cum_avg_true()
-            scum = tr.strategy_cum_avg_true()
-            for t in range(tr.horizon):
-                row = [
-                    tr.replicate, t + 1, _fmt(tr.true_risk[t]), _fmt(cum[t]),
-                    _fmt(tr.emp_risk[t]), _fmt(tr.abstain_prob[t]),
-                    int(tr.meta_top[t]), _fmt(tr.abstain_cost), _fmt(tr.meta_rate),
-                ]
-                row += [_fmt(v) for v in tr.meta_weights[t]]
-                row += [_fmt(v) for v in scum[t]]
-                row += [_fmt(v) for v in tr.strategy_abstain[t]]
-                writer.writerow(row)
+    _write_csv(steps_path, header, map(_step_lines, traces))
 
     horizon = traces[0].horizon
     cum_all = np.stack([tr.cum_avg_true() for tr in traces])
     abst_all = np.stack([tr.abstain_prob for tr in traces])
     summary_path = out_dir / "summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mean_cum_risk", "stderr_cum_risk", "mean_abstain", "stderr_abstain"])
-        denom = math.sqrt(len(traces)) if len(traces) > 1 else 1.0
-        for t in range(horizon):
-            writer.writerow([
-                t + 1,
-                _fmt(cum_all[:, t].mean()),
-                _fmt(cum_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
-                _fmt(abst_all[:, t].mean()),
-                _fmt(abst_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
-            ])
+    denom = math.sqrt(len(traces)) if len(traces) > 1 else 1.0
+    summary = [
+        ",".join([
+            str(t + 1),
+            _fmt(cum_all[:, t].mean()),
+            _fmt(cum_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
+            _fmt(abst_all[:, t].mean()),
+            _fmt(abst_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
+        ])
+        for t in range(horizon)
+    ]
+    _write_csv(summary_path,
+               ["t", "mean_cum_risk", "stderr_cum_risk", "mean_abstain", "stderr_abstain"],
+               [summary])
 
     rates = [tr.meta_rate for tr in traces]
     costs = [tr.abstain_cost for tr in traces]

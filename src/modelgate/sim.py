@@ -1108,12 +1108,16 @@ def run_replicate(
     splits: list[Split] = []
     ledger = LossLedger(horizon)
     shift_times: list[int] = []
+    # every candidate is a LogisticModel: column t - 1 holds candidate t
+    coef_mat = np.zeros((dim + 1, horizon))
+    coef_mat[:, 0] = first.coef
 
     for t in range(1, horizon + 1):
         if t >= 2:
             # warm-started at the newest candidate, the initial model at t = 2
-            newest_coef = registry[registry.latest_id].predictor.coef
-            registry.add(developer_propose(policy, history, splits, t, scenario.fit, start=newest_coef))
+            registry.add(developer_propose(policy, history, splits, t, scenario.fit,
+                                           start=coef_mat[:, t - 2]))
+            coef_mat[:, t - 1] = registry[t].predictor.coef
         newest = split0 if t == 1 else splits[t - 2]
         table = build_bound_table(
             t, registry, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
@@ -1143,8 +1147,7 @@ def run_replicate(
         combined = combine(statuses, weights)
         deployed = np.vstack([statuses, combined])
 
-        # every candidate is a LogisticModel: one (dim + 1, t) matrix per step
-        coefs = np.column_stack([m.predictor.coef for m in registry.models[1:]])
+        coefs = coef_mat[:, :t]
         if ingested:
             batch = batches[t]
         elif exact:
@@ -1200,7 +1203,7 @@ def run_replicate(
         np.stack(gen.coeff_history[: horizon + 1]) if not ingested else np.zeros((0, dim))
     )
     trace.shift_times = tuple(shift_times)
-    trace.model_coefs = coefs
+    trace.model_coefs = coef_mat.copy()
     return trace
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelgate.bounds import (
     BoundConfig,
@@ -184,15 +186,29 @@ class TestBuildBoundTable:
         assert table.bounds.tolist() == expected.bounds.tolist()
 
     def test_pooled_mean_weights_every_row_equally(self):
-        # batches of 10 and 30 rows: the pooled mean is per observation
-        ledger = LossLedger(2)
+        # batches of 10 and 30 rows: candidate 1's pooled mean is per observation
+        registry = constant_registry(3)
+        val = MonitoringBatch(0, *_all_plus(np.random.default_rng(8), 10))
+        ledger = LossLedger(3)
         ledger.record(1, np.full((10, 1), 0.1))
         ledger.record(2, np.full((30, 2), 0.5))
-        mean, count = ledger.pooled(1, 3, 1)
-        assert count == 40
-        assert mean == pytest.approx((10 * 0.1 + 30 * 0.5) / 40, abs=1e-15)
-        with pytest.raises(ValueError):
-            LossLedger(2).pooled(1, 3, 1)  # nothing recorded yet
+        table = build_bound_table(3, registry, ledger, (val, val), self.cfg, self.loss_cfg)
+        expected = (10 * 0.1 + 30 * 0.5) / 40 + math.sqrt(math.log(30.0) / 80.0)
+        assert table.bounds[1] == pytest.approx(expected, abs=1e-15)
+        with pytest.raises(ValueError, match="empty evaluation window"):
+            # nothing recorded yet
+            build_bound_table(3, registry, LossLedger(3), (val, val), self.cfg, self.loss_cfg)
+
+    def test_empty_batch_in_the_window_raises(self):
+        # batch 3 has no rows, and candidate 3 pools batch 3 alone at t = 4
+        registry = constant_registry(4)
+        val = MonitoringBatch(0, *_all_plus(np.random.default_rng(9), 10))
+        ledger = LossLedger(4)
+        ledger.record(1, np.full((5, 1), 0.2))
+        ledger.record(2, np.full((5, 2), 0.2))
+        ledger.record(3, np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="candidate 3 has an empty evaluation window"):
+            build_bound_table(4, registry, ledger, (val, val), self.cfg, self.loss_cfg)
 
     def test_feasible_mask_keeps_abstain(self):
         table = RiskBoundTable(2, np.array([0.3, 0.9, 0.25]), np.array([0, 1, 1]))
@@ -213,3 +229,48 @@ class TestBuildBoundTable:
 
 def _all_plus(rng, n, d=2):
     return rng.standard_normal((n, d)), np.ones(n)
+
+
+def constant_registry(t):
+    registry = ModelRegistry()
+    for j in range(1, t + 1):
+        registry.add(constant_model(j, 0.5))
+    return registry
+
+
+def loop_bounds(t, ledger, window, level):
+    """Candidates 1..t-1's bounds one at a time, as the table once computed
+    them: each column's pooled sum and count, then ``hoeffding_ucb``."""
+    out = []
+    for j in range(1, t):
+        tau = window_start(t, j, window)
+        count = int(ledger.counts[tau:t].sum())
+        out.append(hoeffding_ucb(float(ledger.sums[tau:t, j].sum()) / count, count, level))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=st.integers(1, 40), window=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(t=1, window=1, seed=0)
+@example(t=5, window=12, seed=1)
+@example(t=40, window=7, seed=2)
+@example(t=40, window=12, seed=3)
+def test_table_matches_the_candidate_loop(t, window, seed):
+    # unequal batch sizes, random losses in [0, 1]
+    rng = np.random.default_rng(seed)
+    ledger = LossLedger(t)
+    for s in range(1, t):
+        ledger.record(s, rng.random((int(rng.integers(1, 60)), s)))
+    val = MonitoringBatch(0, *_all_plus(rng, 10))
+    cfg = BoundConfig(alpha=0.1, window=window)
+    table = build_bound_table(t, constant_registry(t), ledger, (val, val), cfg,
+                              AugmentedLossConfig(HINGE, 0.3))
+    want = loop_bounds(t, ledger, window, cfg.alpha / t)
+    got = table.bounds[1:t].tolist()
+    assert table.window_starts[1:t].tolist() == [window_start(t, j, window) for j in range(1, t)]
+    if window <= 7:
+        # at most 7 batches: a 1-D sum adds them in order, as the table does
+        assert got == want
+    else:
+        # numpy sums a longer 1-D slice pairwise
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import io
+import math
 import re
 
 import numpy as np
@@ -19,7 +21,7 @@ from modelgate.cli import (
     run,
     save_manifest,
 )
-from modelgate.sim import GRID4, GRID12, ScenarioKind
+from modelgate.sim import GRID4, GRID12, ReplicateTrace, ScenarioKind
 
 SMALL_CONFIG = """\
 [run]
@@ -270,6 +272,107 @@ class TestRun:
             for row in csv.DictReader(fh):
                 w = [float(row[f"w{j}"]) for j in range(3)]
                 assert sum(w) == pytest.approx(1.0, abs=1e-9)
+
+
+def _fmt(x) -> str:
+    return repr(float(x))
+
+
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue().encode()
+
+
+def reference_steps(traces, m) -> bytes:
+    """steps.csv as ``csv.writer`` writes it, every float as ``repr(float(x))``."""
+    rows = [["replicate", "t", "true_risk", "cum_avg_risk", "emp_risk", "abstain_prob",
+             "meta_top", "abstain_cost", "meta_rate"]
+            + [f"w{j}" for j in range(m)]
+            + [f"strat{j}_cum_risk" for j in range(m)]
+            + [f"strat{j}_abstain" for j in range(m)]]
+    for tr in traces:
+        cum = tr.cum_avg_true()
+        scum = tr.strategy_cum_avg_true()
+        for t in range(tr.horizon):
+            rows.append(
+                [tr.replicate, t + 1, _fmt(tr.true_risk[t]), _fmt(cum[t]), _fmt(tr.emp_risk[t]),
+                 _fmt(tr.abstain_prob[t]), int(tr.meta_top[t]), _fmt(tr.abstain_cost),
+                 _fmt(tr.meta_rate)]
+                + [_fmt(v) for v in tr.meta_weights[t]]
+                + [_fmt(v) for v in scum[t]]
+                + [_fmt(v) for v in tr.strategy_abstain[t]]
+            )
+    return _csv_bytes(rows)
+
+
+def reference_summary(traces) -> bytes:
+    """summary.csv as ``csv.writer`` writes it, every float as ``repr(float(x))``."""
+    cum_all = np.stack([tr.cum_avg_true() for tr in traces])
+    abst_all = np.stack([tr.abstain_prob for tr in traces])
+    n = len(traces)
+    denom = math.sqrt(n) if n > 1 else 1.0
+    rows = [["t", "mean_cum_risk", "stderr_cum_risk", "mean_abstain", "stderr_abstain"]]
+    for t in range(traces[0].horizon):
+        rows.append([
+            t + 1,
+            _fmt(cum_all[:, t].mean()),
+            _fmt(cum_all[:, t].std(ddof=1) / denom if n > 1 else 0.0),
+            _fmt(abst_all[:, t].mean()),
+            _fmt(abst_all[:, t].std(ddof=1) / denom if n > 1 else 0.0),
+        ])
+    return _csv_bytes(rows)
+
+
+class TestCsvBytes:
+    """The run writes the bytes ``csv.writer`` would for the same cells."""
+
+    def test_run_with_twelve_strategies(self, tmp_path):
+        text = ("[run]\nscenario = iid_random_models\nhorizon = 6\nbatch_size = 40\n"
+                "eval_size = 1500\nreplicates = 2\nseed = 31\n\n[meta]\nrate_mode = fixed\n")
+        cfg = load_config(write_config(tmp_path, text))
+        result = run(dataclasses.replace(cfg, out=str(tmp_path / "out")))
+        assert len(cfg.rows) == 12
+        assert result["steps"].read_bytes() == reference_steps(result["traces"], 12)
+        assert result["summary"].read_bytes() == reference_summary(result["traces"])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), replicates=st.integers(1, 3), horizon=st.integers(1, 5),
+           m=st.integers(1, 4))
+    def test_any_trace(self, tmp_path, monkeypatch, data, replicates, horizon, m):
+        import modelgate.cli as cli
+
+        special = st.sampled_from([5e-324, 1e300, 0.1 + 0.2, 0.0, -0.0, 1.0, 3.0, 1e16, -2.5e-8])
+        integral = st.integers(-10**6, 10**6).map(float)
+        # summed and squared in summary.csv: kept clear of overflow
+        small = st.one_of(special.filter(lambda x: abs(x) < 1e300), integral,
+                          st.floats(-1e100, 1e100))
+        wide = st.one_of(special, integral, st.floats(-1e300, 1e300))
+
+        def column(cells, shape):
+            return np.array(data.draw(st.lists(cells, min_size=int(np.prod(shape)),
+                                               max_size=int(np.prod(shape))))).reshape(shape)
+
+        traces = [
+            ReplicateTrace(
+                replicate=r, abstain_cost=data.draw(wide), meta_rate=data.draw(wide),
+                true_risk=column(small, horizon), emp_risk=column(wide, horizon),
+                abstain_prob=column(small, horizon), meta_weights=column(wide, (horizon, m)),
+                meta_top=np.array(data.draw(st.lists(st.integers(0, 10**6), min_size=horizon,
+                                                     max_size=horizon))),
+                strategy_true_risk=column(wide, (horizon, m)),
+                strategy_abstain=column(wide, (horizon, m)),
+                coeff_history=np.zeros((0, 2)), shift_times=(), model_coefs=np.zeros((3, 0)),
+            )
+            for r in range(replicates)
+        ]
+        monkeypatch.setattr(cli, "run_replicate", lambda sc, mc, r, **kw: traces[r])
+        cfg = RunConfig(scenario=ScenarioKind.IID_GOOD_MODELS, horizon=horizon,
+                        replicates=replicates, rows=GRID12[:m], out=str(tmp_path / "any"))
+        result = run(cfg)
+        assert result["steps"].read_bytes() == reference_steps(traces, m)
+        assert result["summary"].read_bytes() == reference_summary(traces)
 
 
 class TestBoundCurves:

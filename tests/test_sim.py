@@ -549,6 +549,26 @@ class TestRunReplicate:
         mean = math.fsum(tr.true_risk) / tr.horizon
         assert tr.cum_avg_true()[-1] == pytest.approx(mean, abs=1e-12)
 
+    def test_model_coefs_hold_every_candidate(self, monkeypatch):
+        from modelgate.core import ModelRegistry
+
+        added = []
+        add = ModelRegistry.add
+
+        def recording_add(self, model):
+            added.append(model.predictor.coef.copy())
+            add(self, model)
+
+        monkeypatch.setattr(ModelRegistry, "add", recording_add)
+        sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=82, horizon=7)
+        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        assert tr.model_coefs.shape == (sc.dim + 1, sc.horizon)
+        # its own array, not a view of the run loop's buffer
+        assert tr.model_coefs.flags.owndata and tr.model_coefs.base is None
+        assert len(added) == sc.horizon
+        for t, coef in enumerate(added, start=1):
+            assert tr.model_coefs[:, t - 1].tolist() == coef.tolist()
+
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
         mc = MetaConfig(rate_mode="fixed", rate=1.5)
