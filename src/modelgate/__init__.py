@@ -10,10 +10,9 @@ rate is certified by an average-risk guarantee.
 from .core import (
     AugmentedLossConfig,
     CandidateModel,
-    InvalidEnsembleError,
     LossFunction,
-    ModelRegistry,
     MonitoringBatch,
+    candidate_scores,
     deployed_risks,
 )
 from .bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
@@ -48,7 +47,6 @@ from .sim import (
     DeveloperPolicy,
     DriftReport,
     FitConfig,
-    LogisticModel,
     MetaConfig,
     ReplicateTrace,
     ScenarioConfig,

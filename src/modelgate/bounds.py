@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AugmentedLossConfig, ModelRegistry, MonitoringBatch
+from .core import AugmentedLossConfig, CandidateModel, MonitoringBatch
 
 __all__ = [
     "BoundConfig",
@@ -135,7 +136,7 @@ class LossLedger:
 
 def build_bound_table(
     t: int,
-    registry: ModelRegistry,
+    candidates: Sequence[Optional[CandidateModel]],
     ledger: LossLedger,
     newest_split: tuple[MonitoringBatch, MonitoringBatch],
     cfg: BoundConfig,
@@ -143,19 +144,20 @@ def build_bound_table(
 ) -> RiskBoundTable:
     """Construct the bound table for decision time t.
 
-    ``ledger`` holds the loss sums of monitoring batches 1..t-1
-    (prospective for every candidate older than the newest).  ``newest_split`` is the
-    (train, validation) partition of the latest available batch; only its
-    validation part is prospective for the newest candidate, which is the
-    only one scored here.  Each bound is a Hoeffding UCB at level alpha/t,
-    so simultaneous coverage holds at level alpha by the union bound.
-    Batches are pooled with equal weight per observation, matching a
-    uniform mixture when batch sizes are equal.
+    ``candidates`` holds t + 1 entries, index 0 standing for abstention;
+    only the newest, ``candidates[t]``, is scored here.  ``ledger`` holds
+    the loss sums of monitoring batches 1..t-1 (prospective for every
+    candidate older than the newest).  ``newest_split`` is the (train,
+    validation) partition of the latest available batch; only its
+    validation part is prospective for the newest candidate.  Each bound
+    is a Hoeffding UCB at level alpha/t, so simultaneous coverage holds at
+    level alpha by the union bound.  Batches are pooled with equal weight
+    per observation, matching a uniform mixture when batch sizes are equal.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if registry.latest_id != t:
-        raise ValueError(f"registry must hold candidates 1..{t}")
+    if len(candidates) != t + 1:
+        raise ValueError(f"candidates must hold abstention and candidates 1..{t}")
     level = cfg.alpha / t
 
     bounds = np.empty(t + 1)
@@ -178,7 +180,7 @@ def build_bound_table(
     starts[1:t] = np.maximum(older, lo)
 
     _, validation = newest_split
-    val_losses = loss_cfg.base.of_array(registry[t].predict(validation.features), validation.labels)
+    val_losses = loss_cfg.base.of_array(candidates[t].predict(validation.features), validation.labels)
     bounds[t] = hoeffding_ucb(val_losses.mean(), val_losses.size, level)
     starts[t] = window_start(t, t, cfg.window)
     return RiskBoundTable(t, bounds, starts)

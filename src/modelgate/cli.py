@@ -322,16 +322,19 @@ CONFIG_GRAMMAR = _grammar()
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse and validate a run configuration; unknown sections and keys are rejected."""
+    """Parse and validate a UTF-8 run configuration; unknown sections and
+    keys are rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
     known = {(key.section, key.key) for key in _SCHEMA}
     for section in parser.sections():
@@ -368,7 +371,7 @@ def save_manifest(cfg: RunConfig, path: Path, extra_comments: Sequence[str] = ()
         ]))
     lines = ["# run manifest; load this file to reproduce the run exactly"]
     lines += [f"# {c}" for c in extra_comments]
-    path.write_text("\n".join(lines + ["\n\n".join(blocks)]) + "\n")
+    path.write_text("\n".join(lines + ["\n\n".join(blocks)]) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,7 @@ def ingest(
     label_col: str = _DEFAULTS["label_col"],
     strict_sorted: bool = False,
 ) -> IngestedStream:
-    """Read a header CSV of (timestamp, features..., label) into batches.
+    """Read a UTF-8 header CSV of (timestamp, features..., label) into batches.
 
     Every feature and label must be a finite number; the first that is not
     is reported as ``file:line``.  Rows are sorted by timestamp (an error
@@ -422,7 +425,7 @@ def ingest(
     """
     path = Path(path)
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise ConfigError(f"{path} has no header row")
@@ -446,7 +449,7 @@ def ingest(
                     raise ConfigError(f"{path}:{i}: non-finite value in column {bad[0]!r}")
                 feats.append([values[c] for c in feature_names])
                 labels.append(values[label_col])
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     if not stamps:
         raise ConfigError(f"{path} contains no data rows")

@@ -10,7 +10,7 @@ immutable and purely functional so replicates can run concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,16 +21,11 @@ __all__ = [
     "LossFunction",
     "AugmentedLossConfig",
     "CandidateModel",
-    "ModelRegistry",
-    "InvalidEnsembleError",
+    "candidate_scores",
     "affine_loss_mean",
     "deployed_risks",
     "mixture_risks",
 ]
-
-class InvalidEnsembleError(ValueError):
-    """Raised when the abstain-only model is asked for a prediction."""
-
 
 @dataclass(frozen=True)
 class MonitoringBatch:
@@ -128,62 +123,39 @@ class AugmentedLossConfig:
             raise ValueError("abstain_cost must lie in (0, 1)")
 
 
+def candidate_scores(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every candidate's score ``2 * sigmoid(x @ w + b) - 1`` on the rows of
+    ``x``, one column (w, b) of ``coefs`` (shape (d + 1, t), intercept
+    last) each: shape (n, t), in the dtype of ``x``.
+
+    The one scorer of candidate models.  ``2 sigma - 1`` is applied in
+    place on the margins, so only one (n, t) array is allocated.
+    """
+    out = x @ coefs[:-1]
+    out += coefs[-1]
+    np.negative(out, out=out)
+    # exp may overflow to inf for very negative margins; 1/(1+inf) is the
+    # correct 0
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    out *= 2.0
+    out -= 1.0
+    return out
+
+
 @dataclass(frozen=True)
 class CandidateModel:
-    """A locked candidate predictor.
+    """A locked candidate: one fitted logistic coefficient vector (d + 1,),
+    intercept last."""
 
-    ``model_id`` 0 is reserved for the abstain-only model, which has no
-    predictor.  ``predictor`` maps a feature matrix (n, d) to scores (n,)
-    inside the convex hull of the outcome set.
-    """
-
-    model_id: int
-    predictor: Optional[Callable[[np.ndarray], np.ndarray]]
-    birth_time: int = 0
-
-    def __post_init__(self):
-        if self.model_id < 0:
-            raise ValueError("model_id must be >= 0")
-        if self.model_id == 0 and self.predictor is not None:
-            raise ValueError("model 0 always abstains and takes no predictor")
-        if self.model_id > 0 and self.predictor is None:
-            raise ValueError("a real candidate needs a predictor")
+    coef: np.ndarray
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        if self.predictor is None:
-            raise InvalidEnsembleError("the abstain-only model cannot predict")
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self.predictor(x), dtype=float).reshape(len(x))
+        """The candidate's scores on the rows of ``x``, shape (n,)."""
+        return candidate_scores(self.coef[:, None], x)[:, 0]
 
-
-class ModelRegistry:
-    """Ordered pool of candidate models with contiguous ids 0..t."""
-
-    def __init__(self, models: Optional[Sequence[CandidateModel]] = None):
-        self._models: list[CandidateModel] = [CandidateModel(0, None)]
-        for m in models or ():
-            self.add(m)
-
-    def add(self, model: CandidateModel) -> None:
-        if model.model_id != len(self._models):
-            raise ValueError(
-                f"expected model id {len(self._models)}, got {model.model_id}"
-            )
-        self._models.append(model)
-
-    def __len__(self) -> int:
-        return len(self._models)
-
-    def __getitem__(self, model_id: int) -> CandidateModel:
-        return self._models[model_id]
-
-    @property
-    def latest_id(self) -> int:
-        return len(self._models) - 1
-
-    @property
-    def models(self) -> tuple[CandidateModel, ...]:
-        return tuple(self._models)
 
 def _check_statuses(statuses) -> np.ndarray:
     """A (k, t+1) status matrix as float64, each row a probability vector

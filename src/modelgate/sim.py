@@ -27,9 +27,9 @@ from .core import (
     AugmentedLossConfig,
     CandidateModel,
     LossFunction,
-    ModelRegistry,
     MonitoringBatch,
     affine_loss_mean,
+    candidate_scores,
     deployed_risks,
     mixture_risks,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "MetaConfig",
     "DeveloperPolicy",
     "GeneratorState",
-    "LogisticModel",
     "ReplicateTrace",
     "DriftReport",
     "GRID4",
@@ -293,18 +292,6 @@ def solve_signal_scale(target_risk: float) -> float:
     return (lo + hi) / 2.0
 
 
-class LogisticModel:
-    """Linear-logistic scorer mapping features to a signed score in (-1, 1)."""
-
-    def __init__(self, coef: np.ndarray):
-        self.coef = np.asarray(coef, dtype=float)  # last entry is the intercept
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        margin = x @ self.coef[:-1] + self.coef[-1]
-        return 2.0 * sigmoid(margin) - 1.0
-
-
 def _logistic_terms(
     coef: np.ndarray, xd: np.ndarray, y01: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -355,9 +342,10 @@ def fit_logistic(
     labels: np.ndarray,
     cfg: FitConfig,
     start: Optional[np.ndarray] = None,
-) -> LogisticModel:
+) -> np.ndarray:
     """Minimise ``logistic_objective`` by damped Newton (IRLS) from ``start``
-    (coefficients with the intercept last), or from zero when it is None.
+    (coefficients with the intercept last), or from zero when it is None,
+    and return the fitted coefficients (d + 1,), intercept last.
 
     Each iteration solves the (d+1) x (d+1) Newton system and backtracks on
     the objective until the Armijo condition holds; the Hessian weights
@@ -384,7 +372,7 @@ def fit_logistic(
         rate = (y01.sum() + 1.0) / (n + 2.0)
         coef = np.zeros(d + 1)
         coef[-1] = math.log(rate / (1.0 - rate))
-        return LogisticModel(coef)
+        return coef
     xd = _design(features)
     penalty = np.diag(np.append(np.full(d, cfg.l2), 0.0))
     coef = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
@@ -411,7 +399,7 @@ def fit_logistic(
         coef, value, grad, p = trial, trial_value, trial_grad, trial_p
     if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(grad))):
         raise ValueError("logistic fit produced non-finite coefficients or gradient")
-    return LogisticModel(coef)
+    return coef
 
 
 @dataclass(frozen=True)
@@ -488,11 +476,12 @@ def developer_propose(
     t: int,
     cfg: FitConfig,
     start: Optional[np.ndarray] = None,
-) -> CandidateModel:
-    """Refit on the policy's window; the newest batch contributes only its
-    training slice (its validation slice stays prospective for the bound).
-    ``start`` warm-starts the fit (see ``fit_logistic``); it changes the
-    candidate only within the fit's stopping tolerance."""
+) -> np.ndarray:
+    """Refit on the policy's window and return the candidate's coefficients;
+    the newest batch contributes only its training slice (its validation
+    slice stays prospective for the bound).  ``start`` warm-starts the fit
+    (see ``fit_logistic``); it changes the candidate only within the fit's
+    stopping tolerance."""
     if len(history) < 1:
         raise ValueError("developer needs at least one monitoring batch")
     window = policy.window(t)
@@ -504,8 +493,7 @@ def developer_propose(
             part = history[idx - 1]
         feats.append(part.features)
         labels.append(part.labels)
-    model = fit_logistic(np.vstack(feats), np.concatenate(labels), cfg, start=start)
-    return CandidateModel(t, model, birth_time=t)
+    return fit_logistic(np.vstack(feats), np.concatenate(labels), cfg, start=start)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +544,14 @@ def _class_risks(beta: np.ndarray, probe: np.ndarray, diff: np.ndarray, mean_min
     return mean_minus + p @ diff / len(probe)
 
 
-def _probe_losses(models: Sequence[CandidateModel], probe: np.ndarray, loss: LossFunction):
-    """``(diff, mean_minus)`` for the real candidates on the probe rows:
-    ``loss(+1) - loss(-1)`` per row and model, shape (n, t), and the column
-    means of ``loss(-1)``, the two inputs of ``_class_risks``.  Every real
-    candidate is a ``LogisticModel``, scored with one ``_scores`` call.  An
-    affine loss ``(1 - z y) / scale`` gives both in closed form in the
-    scores z: ``diff = -2 z / scale`` (scaled in place) and
-    ``loss(-1) = (1 + z) / scale``."""
-    coefs = [m.predictor.coef for m in models if m.predictor is not None]
-    if not coefs:
-        return np.zeros((len(probe), 0)), np.zeros(0)
-    scores = _scores(np.column_stack(coefs), probe)
+def _probe_losses(coefs: np.ndarray, probe: np.ndarray, loss: LossFunction):
+    """``(diff, mean_minus)`` for the candidate columns ``coefs`` on the
+    probe rows: ``loss(+1) - loss(-1)`` per row and candidate, shape (n, t),
+    and the column means of ``loss(-1)``, the two inputs of
+    ``_class_risks``.  An affine loss ``(1 - z y) / scale`` gives both in
+    closed form in the scores z: ``diff = -2 z / scale`` (scaled in place)
+    and ``loss(-1) = (1 + z) / scale``."""
+    scores = candidate_scores(coefs, probe)
     if loss.affine:
         mean_minus = (1.0 + scores.mean(axis=0)) / loss.scale
         scores *= -2.0 / loss.scale
@@ -609,17 +593,14 @@ def _window_mmd(
     gen: GeneratorState,
     t_new: int,
     window: int,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss: LossFunction,
     cfg: ScenarioConfig,
-) -> Optional[_WindowMMD]:
-    """The windowed discrepancy measured on a fresh MMD_PROBE-row probe, or
-    None (after the probe is drawn) when there is no real candidate to
-    measure it with."""
+) -> _WindowMMD:
+    """The windowed discrepancy over the candidate columns ``coefs``,
+    measured on a fresh MMD_PROBE-row probe."""
     probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    diff, mean_minus = _probe_losses(models, probe, loss)
-    if diff.shape[1] == 0:
-        return None
+    diff, mean_minus = _probe_losses(coefs, probe, loss)
     return _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
 
 
@@ -678,7 +659,7 @@ def _budgeted_move(
     target: float,
     t_new: int,
     window: int,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss: LossFunction,
     cfg: ScenarioConfig,
 ) -> Optional[np.ndarray]:
@@ -687,9 +668,7 @@ def _budgeted_move(
     fits, else the last feasible multiple of 2**-SHIFT_GRID_BITS found by
     ``_last_feasible``, which is exact when the risk change grows
     monotonically along the path."""
-    mmd = _window_mmd(gen, t_new, window, models, loss, cfg)
-    if mmd is None:
-        return None  # no models to measure against: stay put
+    mmd = _window_mmd(gen, t_new, window, coefs, loss, cfg)
     end = path(1.0)
     f_one = mmd(end)
     if f_one <= target:
@@ -728,10 +707,10 @@ def _flip_subset(
     target: float,
     t_new: int,
     window: int,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss: LossFunction,
     cfg: ScenarioConfig,
-    victim: Optional[CandidateModel] = None,
+    victim: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
     """Sign-flip the largest coordinate subset that fits the budget.
 
@@ -739,18 +718,16 @@ def _flip_subset(
     coordinate overshoots, that coordinate is flipped partially instead:
     scaled by ``1 - 2 s`` with s the last feasible multiple of
     2**-SHIFT_GRID_BITS that ``_last_feasible`` finds, exact when the risk
-    change grows monotonically in s.  Given a ``victim`` (the model whose
-    approval triggered the shift), coordinates it leans on hardest are
-    flipped first, so the budget is spent where it hurts that model most.
+    change grows monotonically in s.  Given a ``victim`` (the coefficient
+    column of the candidate whose approval triggered the shift),
+    coordinates it leans on hardest are flipped first, so the budget is
+    spent where it hurts that candidate most.
     """
     beta = gen.coefficients
     # the probe is drawn before the coordinate order, which may use the rng
-    mmd = _window_mmd(gen, t_new, window, models, loss, cfg)
-    if mmd is None:
-        return None
-    if victim is not None and isinstance(victim.predictor, LogisticModel):
-        alignment = victim.predictor.coef[: cfg.dim] * beta
-        order = np.argsort(-alignment)
+    mmd = _window_mmd(gen, t_new, window, coefs, loss, cfg)
+    if victim is not None:
+        order = np.argsort(-(victim[: cfg.dim] * beta))
     else:
         order = gen.rng.permutation(cfg.dim)
 
@@ -783,7 +760,7 @@ def apply_shift(
     cfg: ScenarioConfig,
     t_new: int,
     feedback: bool,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss: LossFunction,
     window: int,
 ) -> None:
@@ -799,29 +776,31 @@ def apply_shift(
     straight into the shifted distribution.  A warm-up and a minimum gap
     keep early steps stationary and rule out back-to-back moves.  Every
     move is budget-checked against the windows 1..``window``, the bound
-    table's lookback, on a fresh MMD_PROBE-row probe.  A move that must
+    table's lookback, over the candidate columns ``coefs`` (shape
+    (dim + 1, k), k >= 1; ``ValueError`` otherwise), on a fresh
+    MMD_PROBE-row probe.  A move that must
     stop partway along its path stops at the last feasible multiple of
     2**-SHIFT_GRID_BITS, located by an ITP search (``_last_feasible``):
     the point 40 halvings of the path would reach whenever the risk change
     grows monotonically along it.
     """
+    if coefs.shape[1] == 0:
+        raise ValueError("a shift is measured against at least one candidate column")
     beta = gen.coefficients
     shifted = None
     if cfg.kind is ScenarioKind.SMALL_FREQUENT_SHIFTS and t_new % 4 == 0:
         # small relative to the budget: trackable by short-window refits
         target = gen.rng.uniform(0.1, 0.35) * SHIFT_SAFETY * gen.budget
         path = _rotation_path(beta, gen.rng)
-        shifted = _budgeted_move(gen, path, target, t_new, window, models, loss, cfg)
+        shifted = _budgeted_move(gen, path, target, t_new, window, coefs, loss, cfg)
     elif cfg.kind is ScenarioKind.ADAPTIVE_SHIFTS:
         if feedback:
             gen.pending_shift = True
         allowed = t_new > WARMUP_STEPS and t_new - gen.last_shift_time >= MIN_SHIFT_GAP
         if gen.pending_shift and allowed:
             target = SHIFT_SAFETY * gen.budget
-            victim = None
-            if 0 < gen.shadow_top < len(models):
-                victim = models[gen.shadow_top]
-            shifted = _flip_subset(gen, target, t_new, window, models, loss, cfg, victim)
+            victim = coefs[:, gen.shadow_top - 1] if gen.shadow_top > 0 else None
+            shifted = _flip_subset(gen, target, t_new, window, coefs, loss, cfg, victim)
             gen.pending_shift = False
     if shifted is not None and not np.array_equal(shifted, beta):
         gen.coeff_history.append(shifted)
@@ -834,23 +813,22 @@ def apply_shift(
 def empirical_mmd(
     sample_a: MonitoringBatch,
     sample_b: MonitoringBatch,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss_cfg: AugmentedLossConfig,
 ) -> float:
-    """Largest absolute risk difference over the model class between two samples.
+    """Largest absolute risk difference between two samples over the
+    candidate columns ``coefs`` (shape (d + 1, k), k >= 1).
 
-    A finite-class lower bound on the population discrepancy: models that
-    always abstain contribute nothing and are skipped.
+    A finite-class lower bound on the population discrepancy; abstention
+    costs the same on both samples and contributes nothing.
     """
-    real = [m for m in models if m.predictor is not None]
-    if not real:
-        raise ValueError("need at least one predicting model")
-    worst = 0.0
-    for m in real:
-        la = loss_cfg.base.of_array(m.predict(sample_a.features), sample_a.labels)
-        lb = loss_cfg.base.of_array(m.predict(sample_b.features), sample_b.labels)
-        worst = max(worst, abs(float(la.mean()) - float(lb.mean())))
-    return worst
+    if coefs.shape[1] == 0:
+        raise ValueError("need at least one candidate column")
+    risks = [
+        loss_cfg.base.of_array(candidate_scores(coefs, s.features), s.labels[:, None]).mean(axis=0)
+        for s in (sample_a, sample_b)
+    ]
+    return float(np.max(np.abs(risks[0] - risks[1])))
 
 
 @dataclass(frozen=True)
@@ -872,7 +850,7 @@ def verify_drift(
     coeff_history: Sequence[np.ndarray],
     budget: float,
     window: int,
-    models: Sequence[CandidateModel],
+    coefs: np.ndarray,
     loss_cfg: AugmentedLossConfig,
     n_check: int = 20000,
     tolerance: float = 0.02,
@@ -882,33 +860,29 @@ def verify_drift(
 
     For each time t and lookback w, draws ``n_check`` labelled samples from
     the realized distribution at t and the same number (split equally) from
-    the pooled window, and compares their finite-class discrepancy against
-    budget + tolerance.  The tolerance is the pre-registered allowance for
-    sampling noise at the default ``n_check``.
+    the pooled window, and compares their discrepancy over the candidate
+    columns ``coefs`` (``empirical_mmd``) against budget + tolerance.
+    The tolerance is the pre-registered allowance for sampling noise at
+    the default ``n_check``.
     """
     rng = np.random.default_rng(seed)
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
     violations = []
 
-    def draw(beta: np.ndarray, count: int, time_index: int) -> MonitoringBatch:
-        x = rng.standard_normal((count, len(beta)))
-        y = np.where(rng.random(count) < sigmoid(x @ beta), 1.0, -1.0)
-        return MonitoringBatch(time_index, x, y)
-
     for t in range(1, horizon + 1):
-        current = draw(coeff_history[t], n_check, t)
+        current = MonitoringBatch(t, *_draw(rng, coeff_history[t], n_check))
         for w in range(1, window + 1):
             lo = max(0, t - w)
             members = list(range(lo, t))
             per = max(1, n_check // len(members))
-            pooled = [draw(coeff_history[s], per, s) for s in members]
+            pooled = [_draw(rng, coeff_history[s], per) for s in members]
             mixed = MonitoringBatch(
                 t,
-                np.vstack([b.features for b in pooled]),
-                np.concatenate([b.labels for b in pooled]),
+                np.vstack([x for x, _ in pooled]),
+                np.concatenate([y for _, y in pooled]),
             )
-            val = empirical_mmd(current, mixed, models, loss_cfg)
+            val = empirical_mmd(current, mixed, coefs, loss_cfg)
             values[t - 1, w - 1] = val
             if val > budget + tolerance:
                 violations.append((t, w, val))
@@ -960,35 +934,12 @@ class ReplicateTrace:
         return np.cumsum(self.strategy_true_risk, axis=0) / steps
 
 
-def _scores(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Every candidate's score ``2 * sigmoid(x @ w + b) - 1`` on the rows of
-    ``x``, shape (n, t), in the dtype of ``x``.
-
-    ``2 sigma - 1`` is applied in place on the margins with the same
-    elementwise operations, in the same order, as ``LogisticModel``, so
-    each score is bitwise what ``sigmoid`` gives; only one (n, t) array is
-    allocated.
-    """
-    out = x @ coefs[:-1]
-    out += coefs[-1]
-    np.negative(out, out=out)
-    # exp may overflow to inf for very negative margins; 1/(1+inf) is the
-    # correct 0, as in sigmoid
-    with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    out *= 2.0
-    out -= 1.0
-    return out
-
-
 def _score_blocks(coefs: np.ndarray, x: np.ndarray, labels: np.ndarray):
     """``(scores, labels)`` for consecutive blocks of EVAL_BLOCK_ROWS rows,
     the input ``core.deployed_risks`` sums over."""
     for lo in range(0, len(labels), EVAL_BLOCK_ROWS):
         hi = lo + EVAL_BLOCK_ROWS
-        yield _scores(coefs, x[lo:hi]), labels[lo:hi]
+        yield candidate_scores(coefs, x[lo:hi]), labels[lo:hi]
 
 
 def run_replicate(
@@ -1039,9 +990,11 @@ def run_replicate(
         initial = MonitoringBatch(0, *_draw(rng, beta0, rows0))
 
     split0 = split_batch(initial, meta_cfg.bound.validation_fraction, rng)
-    first = fit_logistic(split0.train.features, split0.train.labels, scenario.initial_fit)
-    registry = ModelRegistry()
-    registry.add(CandidateModel(1, first, birth_time=1))
+    first = CandidateModel(
+        fit_logistic(split0.train.features, split0.train.labels, scenario.initial_fit)
+    )
+    # index 0 stands for abstention, index t for candidate t
+    candidates = [None, first]
     if exact:
         # every candidate's E[label * score] under the current distribution
         label_scores = label_score_means(beta0, first.coef[:, None])
@@ -1052,12 +1005,12 @@ def run_replicate(
     if fixed_abstain_cost is not None:
         delta = fixed_abstain_cost
     elif ingested:
-        delta = float(np.mean(loss.of_array(first(batches[1].features), batches[1].labels)))
+        delta = float(np.mean(loss.of_array(first.predict(batches[1].features), batches[1].labels)))
     elif exact:
         delta = float(affine_loss_mean(label_scores[0], loss.scale))
     else:
         x_cal, y_cal = _draw(rng, beta0, scenario.eval_size)
-        delta = float(np.mean(loss.of_array(first(x_cal), y_cal)))
+        delta = float(np.mean(loss.of_array(first.predict(x_cal), y_cal)))
         del x_cal, y_cal
     delta = min(max(delta, 1e-6), 1.0 - 1e-6)
     loss_cfg = AugmentedLossConfig(loss, delta)
@@ -1108,19 +1061,20 @@ def run_replicate(
     splits: list[Split] = []
     ledger = LossLedger(horizon)
     shift_times: list[int] = []
-    # every candidate is a LogisticModel: column t - 1 holds candidate t
+    # column t - 1 holds candidate t
     coef_mat = np.zeros((dim + 1, horizon))
     coef_mat[:, 0] = first.coef
 
     for t in range(1, horizon + 1):
         if t >= 2:
             # warm-started at the newest candidate, the initial model at t = 2
-            registry.add(developer_propose(policy, history, splits, t, scenario.fit,
-                                           start=coef_mat[:, t - 2]))
-            coef_mat[:, t - 1] = registry[t].predictor.coef
+            coef_mat[:, t - 1] = developer_propose(policy, history, splits, t, scenario.fit,
+                                                   start=coef_mat[:, t - 2])
+            candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
+        coefs = coef_mat[:, :t]
         newest = split0 if t == 1 else splits[t - 2]
         table = build_bound_table(
-            t, registry, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
+            t, candidates, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
         )
 
         # the distribution for step t is realized now, before any data from
@@ -1136,8 +1090,7 @@ def run_replicate(
         shifted = False
         if not ingested:
             before = gen.shift_count
-            apply_shift(gen, scenario, t, shadow_changed, registry.models, loss,
-                        meta_cfg.bound.window)
+            apply_shift(gen, scenario, t, shadow_changed, coefs, loss, meta_cfg.bound.window)
             shifted = gen.shift_count > before
             if shifted:
                 shift_times.append(t)
@@ -1147,7 +1100,6 @@ def run_replicate(
         combined = combine(statuses, weights)
         deployed = np.vstack([statuses, combined])
 
-        coefs = coef_mat[:, :t]
         if ingested:
             batch = batches[t]
         elif exact:
@@ -1172,7 +1124,7 @@ def run_replicate(
             )
             del eval_feats, eval_labels
             batch = generate_batch(gen, scenario, t)
-        batch_preds = _scores(coefs, batch.features)
+        batch_preds = candidate_scores(coefs, batch.features)
         ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
         blosses = ledger.row(t, delta)
         if loss.affine:

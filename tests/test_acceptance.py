@@ -15,17 +15,10 @@ import pytest
 
 from modelgate.bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table
 from modelgate.cli import load_config, run
-from modelgate.core import (
-    AugmentedLossConfig,
-    CandidateModel,
-    LossFunction,
-    ModelRegistry,
-    MonitoringBatch,
-)
+from modelgate.core import AugmentedLossConfig, CandidateModel, LossFunction, MonitoringBatch
 from modelgate.meta import RiskBoundInputs, classical_ewaf_bound, max_learning_rate
 from modelgate.sim import (
     FitConfig,
-    LogisticModel,
     MetaConfig,
     ScenarioConfig,
     ScenarioKind,
@@ -217,10 +210,11 @@ def test_criterion_7_simultaneous_coverage():
         y = np.where(rng.random(count) < sigmoid(x @ beta), 1.0, -1.0)
         return x, y
 
-    models = []
+    candidates = [None]  # index 0 stands for abstention
     for size in (60, 120, 200, 150):
         x, y = draw(size)
-        models.append(fit_logistic(x, y, FitConfig(iterations=200)))
+        candidates.append(CandidateModel(fit_logistic(x, y, FitConfig(iterations=200))))
+    models = [c.predict for c in candidates[1:]]
 
     # true risks under the (stationary) stream, via a large common sample
     x_ref = rng.standard_normal((400_000, d))
@@ -262,9 +256,6 @@ def test_criterion_7_simultaneous_coverage():
     elapsed = time.time() - started
 
     # the vectorised UCBs must agree with the production table builder
-    registry = ModelRegistry()
-    for j, model in enumerate(models, start=1):
-        registry.add(CandidateModel(j, model, birth_time=j))
     x, y = draw(3 * n)
     history = [MonitoringBatch(s, x[(s - 1) * n : s * n], y[(s - 1) * n : s * n]) for s in (1, 2, 3)]
     val = MonitoringBatch(3, history[2].features[:n_val], history[2].labels[:n_val])
@@ -274,7 +265,7 @@ def test_criterion_7_simultaneous_coverage():
         preds = np.column_stack([model(b.features) for model in models[:s]])
         ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, registry, ledger, (train, val), BoundConfig(alpha=alpha, window=window),
+        4, candidates, ledger, (train, val), BoundConfig(alpha=alpha, window=window),
         AugmentedLossConfig(HINGE, 0.25),
     )
     for j in range(1, 4):
@@ -296,13 +287,9 @@ def test_criterion_8_drift_certification(experiments):
     for tr in experiments[ScenarioKind.SMALL_FREQUENT_SHIFTS]:
         n_models = tr.model_coefs.shape[1]
         picks = sorted(set(np.linspace(0, n_models - 1, 12, dtype=int).tolist()))
-        models = [
-            CandidateModel(k + 1, LogisticModel(tr.model_coefs[:, j]), birth_time=j + 1)
-            for k, j in enumerate(picks)
-        ]
         loss_cfg = AugmentedLossConfig(HINGE, tr.abstain_cost)
         rep = verify_drift(
-            tr.coeff_history, budget=tr.abstain_cost, window=3, models=models,
+            tr.coeff_history, budget=tr.abstain_cost, window=3, coefs=tr.model_coefs[:, picks],
             loss_cfg=loss_cfg, n_check=20000, tolerance=0.02, seed=SEED + tr.replicate,
         )
         worst = max(worst, rep.max_value)

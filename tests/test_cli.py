@@ -622,6 +622,44 @@ class TestMalformedReplay:
         assert cfg.replicates == 2 and len(calls) == 1
 
 
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a config error naming the file, not a traceback."""
+
+    def config_with_latin1(self, tmp_path):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes(SMALL_CONFIG.format(out=tmp_path / "out").encode() + b"# caf\xe9\n")
+        return path
+
+    def csv_with_ff(self, tmp_path):
+        path = replay_csv(tmp_path, 300)
+        path.write_bytes(path.read_bytes().replace(b"\n5,", b"\n5,\xff", 1))
+        return path
+
+    def assert_one_line(self, capsys, path):
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: cannot read")
+        assert str(path) in lines[0]
+
+    def test_run_on_a_latin1_config(self, tmp_path, capsys):
+        path = self.config_with_latin1(tmp_path)
+        assert main(["run", str(path)]) == 2
+        self.assert_one_line(capsys, path)
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_check_on_byte_ff(self, tmp_path, capsys):
+        path = self.csv_with_ff(tmp_path)
+        assert main(["ingest-check", str(path)]) == 2
+        self.assert_one_line(capsys, path)
+
+    def test_run_replaying_byte_ff(self, tmp_path, capsys):
+        data = self.csv_with_ff(tmp_path)
+        assert main(["run", str(replay_config(tmp_path, data))]) == 2
+        self.assert_one_line(capsys, data)
+        assert not (tmp_path / "rout").exists()
+
+
 class TestIngestedRun:
     def test_ingested_scenario_end_to_end(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -7,20 +7,15 @@ from modelgate.bounds import LossLedger
 from modelgate.core import (
     AugmentedLossConfig,
     CandidateModel,
-    InvalidEnsembleError,
     LossFunction,
-    ModelRegistry,
     MonitoringBatch,
     affine_loss_mean,
+    candidate_scores,
     deployed_risks,
     mixture_risks,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
-
-
-def constant_model(model_id, value, birth_time=1):
-    return CandidateModel(model_id, lambda x, v=value: np.full(len(x), v), birth_time)
 
 
 def ledger_row(preds, labels, delta, loss=HINGE):
@@ -129,11 +124,6 @@ class TestEnsemble:
             got = risk_of([0.0, split, 1.0 - split], preds, self.labels, 0.25)
             assert got == pytest.approx(0.35)
 
-    def test_zero_mass_raises(self):
-        # the abstain-only model has no predictor to put in an ensemble
-        with pytest.raises(InvalidEnsembleError):
-            CandidateModel(0, None).predict(np.zeros((3, 1)))
-
     @given(scale=st.floats(0.05, 2.0))
     @settings(max_examples=50, deadline=None)
     def test_rescaling_invariance(self, scale):
@@ -236,12 +226,40 @@ class TestAffineRisks:
                 mixture_risks([[0.5, 0.5]], bad)
 
 
-class TestTypes:
-    def test_registry_requires_contiguous_ids(self):
-        registry = ModelRegistry()
-        with pytest.raises(ValueError):
-            registry.add(constant_model(5, 0.0))
+def logistic_scores(coef, x):
+    """The oracle: ``2 * sigmoid(x @ w + b) - 1`` for one coefficient vector
+    (w, b), written out as a formula."""
+    margin = x @ coef[:-1] + coef[-1]
+    with np.errstate(over="ignore"):
+        return 2.0 * (1.0 / (1.0 + np.exp(-margin))) - 1.0
 
+
+class TestCandidateScores:
+    """``candidate_scores`` is the one scorer; a candidate's ``predict`` is
+    its one-column call."""
+
+    @given(n=st.integers(1, 300), d=st.integers(1, 12), t=st.integers(1, 10),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_predict_is_the_logistic_formula(self, n, d, t, seed):
+        rng = np.random.default_rng(seed)
+        coefs = rng.normal(0.0, 1.0, size=(d + 1, t))
+        x = rng.standard_normal((n, d))
+        # far rows: the scores saturate at -1 or +1 and exp overflows
+        far = 200.0 * x
+        multi = candidate_scores(coefs, x)
+        assert multi.shape == (n, t)
+        for j in range(t):
+            model = CandidateModel(coefs[:, j].copy())
+            want = logistic_scores(model.coef, x)
+            # one column takes the same matrix-vector product as the formula
+            assert np.array_equal(model.predict(x), want)
+            assert np.array_equal(model.predict(far), logistic_scores(model.coef, far))
+            # many columns take a matrix-matrix product, equal to the last bits
+            np.testing.assert_allclose(multi[:, j], want, rtol=0.0, atol=4e-15)
+
+
+class TestTypes:
     def test_status_validation(self):
         # both risk evaluators check the statuses they are given
         cfg = AugmentedLossConfig(HINGE, 0.25)

@@ -12,6 +12,7 @@ from modelgate.core import (
     LossFunction,
     MonitoringBatch,
     affine_loss_mean,
+    candidate_scores,
     deployed_risks,
 )
 from modelgate.sim import (
@@ -20,7 +21,6 @@ from modelgate.sim import (
     DeveloperPolicy,
     FitConfig,
     GeneratorState,
-    LogisticModel,
     MetaConfig,
     ScenarioConfig,
     ScenarioKind,
@@ -43,7 +43,6 @@ from modelgate.sim import (
     _logistic_terms,
     _probe_losses,
     _score_blocks,
-    _scores,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
@@ -58,8 +57,9 @@ def small_scenario(kind, seed=5, **kw):
     return ScenarioConfig(kind=kind, seed=seed, **args)
 
 
-def model_from_coef(model_id, coef):
-    return CandidateModel(model_id, LogisticModel(np.asarray(coef, dtype=float)), birth_time=model_id)
+def column(coef):
+    """One candidate's coefficients as a (d + 1, 1) candidate matrix."""
+    return np.asarray(coef, dtype=float)[:, None]
 
 
 class TestSignalScale:
@@ -94,8 +94,8 @@ class TestFitLogistic:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((60, 2))
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
-        model = fit_logistic(X, y, FitConfig(iterations=2500, l2=1e-4))
-        risk = HINGE.of_array(model(X), y).mean()
+        coef = fit_logistic(X, y, FitConfig(iterations=2500, l2=1e-4))
+        risk = HINGE.of_array(CandidateModel(coef).predict(X), y).mean()
         assert risk < 0.05
 
     def test_kernel_matches_logaddexp_and_sigmoid(self):
@@ -131,8 +131,8 @@ class TestFitLogistic:
         # rounding error, so many draws are needed to show that they are
         # still taken
         for X, y in self.refit_draws(n, draws):
-            model = fit_logistic(X, y, FitConfig(l2=1e-3))
-            _, grad = logistic_objective(model.coef, X, (y > 0).astype(float), 1e-3)
+            coef = fit_logistic(X, y, FitConfig(l2=1e-3))
+            _, grad = logistic_objective(coef, X, (y > 0).astype(float), 1e-3)
             assert np.max(np.abs(grad)) <= FIT_GRAD_TOL
 
     @pytest.mark.parametrize("n, draws", [(150, 100), (14_250, 3)])
@@ -142,18 +142,18 @@ class TestFitLogistic:
         cfg = FitConfig(l2=1e-3)
         for X, y in self.refit_draws(n, draws):
             older = fit_logistic(X[: n // 2], y[: n // 2], cfg)
-            warm = fit_logistic(X, y, cfg, start=older.coef)
+            warm = fit_logistic(X, y, cfg, start=older)
             cold = fit_logistic(X, y, cfg)
-            for model in (warm, cold):
-                _, grad = logistic_objective(model.coef, X, (y > 0).astype(float), 1e-3)
+            for coef in (warm, cold):
+                _, grad = logistic_objective(coef, X, (y > 0).astype(float), 1e-3)
                 assert np.max(np.abs(grad)) <= FIT_GRAD_TOL
-            np.testing.assert_allclose(warm.coef, cold.coef, rtol=0.0, atol=1e-9)
+            np.testing.assert_allclose(warm, cold, rtol=0.0, atol=1e-9)
 
     def test_start_at_optimum_is_kept(self):
         X, y = next(self.refit_draws(150, 1))
-        model = fit_logistic(X, y, FitConfig(l2=1e-3))
-        again = fit_logistic(X, y, FitConfig(l2=1e-3), start=model.coef)
-        assert np.array_equal(again.coef, model.coef)
+        coef = fit_logistic(X, y, FitConfig(l2=1e-3))
+        again = fit_logistic(X, y, FitConfig(l2=1e-3), start=coef)
+        assert np.array_equal(again, coef)
 
     def test_separable_unpenalised_stops_at_cap(self):
         # with l2 = 0 the optimum is at infinity: the coefficients keep
@@ -163,10 +163,10 @@ class TestFitLogistic:
         y = np.where(X[:, 0] > 0, 1.0, -1.0)
         short = fit_logistic(X, y, FitConfig(iterations=5, l2=0.0))
         long = fit_logistic(X, y, FitConfig(iterations=50, l2=0.0))
-        _, grad = logistic_objective(short.coef, X, (y > 0).astype(float), 0.0)
+        _, grad = logistic_objective(short, X, (y > 0).astype(float), 0.0)
         assert np.max(np.abs(grad)) > FIT_GRAD_TOL
-        assert np.all(np.isfinite(long.coef))
-        assert np.linalg.norm(long.coef) > np.linalg.norm(short.coef)
+        assert np.all(np.isfinite(long))
+        assert np.linalg.norm(long) > np.linalg.norm(short)
 
     def test_duplication_invariance(self):
         rng = np.random.default_rng(2)
@@ -175,21 +175,21 @@ class TestFitLogistic:
         cfg = FitConfig(iterations=150)
         a = fit_logistic(X, y, cfg)
         b = fit_logistic(np.vstack([X, X]), np.concatenate([y, y]), cfg)
-        assert np.allclose(a.coef, b.coef, atol=1e-12)
+        assert np.allclose(a, b, atol=1e-12)
 
     def test_single_class_falls_back_to_intercept(self):
         X = np.random.default_rng(3).standard_normal((10, 3))
         # the smoothed class rate (10 + 1) / (10 + 2) and its complement
         for sign in (1.0, -1.0):
-            model = fit_logistic(X, sign * np.ones(10), FitConfig())
-            assert np.array_equal(model.coef[:-1], np.zeros(3))
-            assert model.coef[-1] == pytest.approx(sign * np.log(11.0), rel=1e-14)
+            coef = fit_logistic(X, sign * np.ones(10), FitConfig())
+            assert np.array_equal(coef[:-1], np.zeros(3))
+            assert coef[-1] == pytest.approx(sign * np.log(11.0), rel=1e-14)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 3))
         y = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        assert np.array_equal(fit_logistic(X, y, FitConfig()).coef, fit_logistic(X, y, FitConfig()).coef)
+        assert np.array_equal(fit_logistic(X, y, FitConfig()), fit_logistic(X, y, FitConfig()))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_fit_raises(self, bad):
@@ -245,16 +245,16 @@ class TestDeveloperPolicies:
             history.append(b)
             splits.append(split_batch(b, 0.5, rng))
             gen.coeff_history.append(gen.coefficients)
-        model = developer_propose(DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50))
+        coef = developer_propose(DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50))
         ref_feats = np.vstack([history[0].features, splits[1].train.features])
         ref_labels = np.concatenate([history[0].labels, splits[1].train.labels])
         ref = fit_logistic(ref_feats, ref_labels, FitConfig(iterations=50))
-        assert np.allclose(model.predictor.coef, ref.coef)
+        assert np.allclose(coef, ref)
         # the start reaches fit_logistic, which keeps a start at the optimum
         warm = developer_propose(
-            DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50), start=ref.coef
+            DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50), start=ref
         )
-        assert np.array_equal(warm.predictor.coef, ref.coef)
+        assert np.array_equal(warm, ref)
 
 
 class TestGenerator:
@@ -275,8 +275,8 @@ class TestGenerator:
         beta = np.array([1.5, -0.5, 0.25, 0, 0, 0, 0, 0, 0, 0.7])
         gen = GeneratorState([beta], np.random.default_rng(11))
         batch = generate_batch(gen, cfg, 0)
-        model = model_from_coef(1, np.concatenate([beta, [0.0]]))
-        emp = HINGE.of_array(model.predictor(batch.features), batch.labels).mean()
+        model = CandidateModel(np.concatenate([beta, [0.0]]))
+        emp = HINGE.of_array(model.predict(batch.features), batch.labels).mean()
         rng = np.random.default_rng(12)
         X = rng.standard_normal((10**6, cfg.dim))
         p = sigmoid(X @ beta)
@@ -289,9 +289,9 @@ class TestGenerator:
         for kind in (ScenarioKind.IID_GOOD_MODELS, ScenarioKind.IID_RANDOM_MODELS):
             cfg = small_scenario(kind)
             gen = GeneratorState([np.ones(cfg.dim)], np.random.default_rng(13), budget=0.3)
-            models = [CandidateModel(0, None), model_from_coef(1, np.ones(cfg.dim + 1))]
+            coefs = np.ones((cfg.dim + 1, 1))
             for t in range(1, 9):
-                apply_shift(gen, cfg, t, False, models, HINGE, 3)
+                apply_shift(gen, cfg, t, False, coefs, HINGE, 3)
             assert gen.shift_count == 0
             assert all(np.array_equal(c, gen.coeff_history[0]) for c in gen.coeff_history)
 
@@ -299,11 +299,11 @@ class TestGenerator:
         cfg = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, horizon=13)
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(14), budget=0.27)
-        models = [CandidateModel(0, None), model_from_coef(1, np.concatenate([beta, [0.0]]))]
+        coefs = column(np.concatenate([beta, [0.0]]))
         shifted_at = []
         for t in range(1, 14):
             before = gen.shift_count
-            apply_shift(gen, cfg, t, False, models, HINGE, 3)
+            apply_shift(gen, cfg, t, False, coefs, HINGE, 3)
             if gen.shift_count > before:
                 shifted_at.append(t)
         assert shifted_at == [4, 8, 12]
@@ -312,8 +312,7 @@ class TestGenerator:
         cfg = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS)
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(15), budget=0.27)
-        models = [CandidateModel(0, None), model_from_coef(1, np.concatenate([beta, [0.0]]))]
-        apply_shift(gen, cfg, 4, False, models, HINGE, 3)
+        apply_shift(gen, cfg, 4, False, column(np.concatenate([beta, [0.0]])), HINGE, 3)
         assert gen.shift_count == 1
         assert np.linalg.norm(gen.coefficients) == pytest.approx(np.linalg.norm(beta), rel=1e-9)
 
@@ -325,13 +324,11 @@ class TestShiftProbe:
         rng = np.random.default_rng(21)
         n, dim = 5000, 4
         probe = rng.standard_normal((n, dim))
-        models = [CandidateModel(0, None)] + [
-            model_from_coef(j, rng.normal(0.0, 1.0, dim + 1)) for j in range(1, 7)
-        ]
-        scores = np.column_stack([m.predict(probe) for m in models[1:]])
+        coefs = rng.normal(0.0, 1.0, size=(dim + 1, 6))
+        scores = np.column_stack([CandidateModel(c).predict(probe) for c in coefs.T])
         for loss in (HINGE, LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
                      LossFunction("scaled_absolute", scale=2.0), LossFunction("clipped_hinge", scale=3.0)):
-            diff, mean_minus = _probe_losses(models, probe, loss)
+            diff, mean_minus = _probe_losses(coefs, probe, loss)
             loss_plus, loss_minus = loss.of_array(scores, 1.0), loss.of_array(scores, -1.0)
             for beta in rng.normal(0.0, 1.5, size=(5, dim)):
                 p = sigmoid(probe @ beta)
@@ -339,9 +336,35 @@ class TestShiftProbe:
                 got = _class_risks(beta, probe, diff, mean_minus)
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    def test_no_real_models(self):
-        diff, mean_minus = _probe_losses([CandidateModel(0, None)], np.zeros((3, 2)), HINGE)
-        assert diff.shape == (3, 0) and mean_minus.shape == (0,)
+    def test_zero_columns_rejected(self):
+        # a shift is measured against the live candidates, and there is always one
+        for kind in (ScenarioKind.SMALL_FREQUENT_SHIFTS, ScenarioKind.IID_GOOD_MODELS):
+            cfg = small_scenario(kind)
+            gen = GeneratorState([np.ones(cfg.dim)], np.random.default_rng(22), budget=0.3)
+            with pytest.raises(ValueError, match="at least one candidate column"):
+                apply_shift(gen, cfg, 4, False, np.zeros((cfg.dim + 1, 0)), HINGE, 3)
+            assert len(gen.coeff_history) == 1
+
+    @pytest.mark.parametrize("lean", [7, 3, 0])
+    def test_victim_column_flips_its_most_aligned_coordinate_first(self, lean):
+        # the victim leans on coordinate ``lean``, then on the highest index:
+        # a small budget flips ``lean`` partway, a larger one flips it whole
+        # and then the next most aligned coordinate
+        cfg = small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, horizon=12)
+        beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
+        victim = np.append(0.01 * np.arange(cfg.dim), 0.0)
+        victim[lean] = 3.0
+        coefs = np.column_stack([np.append(beta, 0.0), victim])
+        for budget, flipped in ((0.05, [lean]), (0.27, sorted({lean, cfg.dim - 1}))):
+            gen = GeneratorState([beta], np.random.default_rng(23), budget=budget, shadow_top=2)
+            apply_shift(gen, cfg, 6, True, coefs, HINGE, 3)
+            changed = np.flatnonzero(gen.coefficients != beta)
+            assert gen.shift_count == 1 and changed.tolist() == flipped
+            ratio = gen.coefficients[changed] / beta[changed]
+            if budget == 0.05:
+                assert 0.0 < ratio[0] < 1.0  # a partial flip
+            else:
+                assert ratio.tolist() == [-1.0] * len(flipped)
 
 
 GRID_UNIT = 2.0 ** -40
@@ -453,24 +476,23 @@ class TestEmpiricalMmd:
     def test_identical_samples_give_zero(self):
         rng = np.random.default_rng(16)
         b = MonitoringBatch(1, rng.standard_normal((50, 3)), np.where(rng.random(50) < 0.5, 1.0, -1.0))
-        models = [model_from_coef(1, [1.0, 0, 0, 0])]
-        assert empirical_mmd(b, b, models, LOSS_CFG) == 0.0
+        assert empirical_mmd(b, b, column([1.0, 0, 0, 0]), LOSS_CFG) == 0.0
 
     def test_single_model_gives_exact_risk_difference(self):
         rng = np.random.default_rng(17)
         a = MonitoringBatch(1, rng.standard_normal((40, 2)), np.ones(40))
         b = MonitoringBatch(1, rng.standard_normal((40, 2)), -np.ones(40))
-        model = model_from_coef(1, [1.0, 0.0, 0.0])
-        la = HINGE.of_array(model.predictor(a.features), a.labels).mean()
-        lb = HINGE.of_array(model.predictor(b.features), b.labels).mean()
-        assert empirical_mmd(a, b, [model], LOSS_CFG) == pytest.approx(abs(la - lb))
+        model = CandidateModel(np.array([1.0, 0.0, 0.0]))
+        la = HINGE.of_array(model.predict(a.features), a.labels).mean()
+        lb = HINGE.of_array(model.predict(b.features), b.labels).mean()
+        assert empirical_mmd(a, b, column(model.coef), LOSS_CFG) == pytest.approx(abs(la - lb))
 
     def test_known_shift_matches_monte_carlo(self):
         # mean-shifted label law: compare against a one-million-sample oracle
         d = 4
         beta1 = np.array([2.0, 0.0, 0.0, 0.0])
         beta2 = np.array([0.5, 0.0, 0.0, 0.0])
-        model = model_from_coef(1, [1.0, 0, 0, 0, 0])
+        model = CandidateModel(np.array([1.0, 0, 0, 0, 0]))
         rng = np.random.default_rng(18)
 
         def draw(beta, n, seed):
@@ -481,7 +503,7 @@ class TestEmpiricalMmd:
 
         big = 10**6
         Xo = rng.standard_normal((big, d))
-        z = model.predictor(Xo)
+        z = model.predict(Xo)
         diff = 0.0
         for sign, beta in ((1, beta1), (-1, beta2)):
             p = sigmoid(Xo @ beta)
@@ -490,16 +512,68 @@ class TestEmpiricalMmd:
             diff += sign * np.mean(p * lp + (1 - p) * lm)
         truth = abs(diff)
         n = 30000
-        got = empirical_mmd(draw(beta1, n, 1), draw(beta2, n, 2), [model], LOSS_CFG)
+        got = empirical_mmd(draw(beta1, n, 1), draw(beta2, n, 2), column(model.coef), LOSS_CFG)
         assert abs(got - truth) < 3 * 0.5 * np.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("loss", [HINGE, LossFunction("zero_one"),
+                                      LossFunction("clipped_hinge", scale=1.5)])
+    def test_matches_the_per_model_loop(self, loss):
+        rng = np.random.default_rng(19)
+        cfg = AugmentedLossConfig(loss, 0.25)
+        for k in (1, 2, 7, 30):
+            coefs = rng.normal(0.0, 1.5, size=(5, k))
+            a, b = (MonitoringBatch(1, rng.standard_normal((n, 4)),
+                                    np.where(rng.random(n) < 0.5, 1.0, -1.0)) for n in (500, 700))
+            got = empirical_mmd(a, b, coefs, cfg)
+            assert got == pytest.approx(per_model_mmd(a, b, coefs, cfg), rel=0.0, abs=1e-14)
+
+    def test_zero_columns_rejected(self):
+        b = MonitoringBatch(1, np.zeros((3, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="at least one candidate column"):
+            empirical_mmd(b, b, np.zeros((3, 0)), LOSS_CFG)
+
+
+def per_model_mmd(sample_a, sample_b, coefs, loss_cfg):
+    """The oracle: ``empirical_mmd`` as a loop over the candidates, each
+    scored on its own by ``predict``."""
+    worst = 0.0
+    for coef in coefs.T:
+        model = CandidateModel(coef.copy())
+        la = loss_cfg.base.of_array(model.predict(sample_a.features), sample_a.labels)
+        lb = loss_cfg.base.of_array(model.predict(sample_b.features), sample_b.labels)
+        worst = max(worst, abs(float(la.mean()) - float(lb.mean())))
+    return worst
+
+
+def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed):
+    """The oracle: ``verify_drift``'s (T, window) discrepancies with its own
+    sampler and ``per_model_mmd``."""
+    rng = np.random.default_rng(seed)
+
+    def draw(beta, count):
+        x = rng.standard_normal((count, len(beta)))
+        y = np.where(rng.random(count) < sigmoid(x @ beta), 1.0, -1.0)
+        return MonitoringBatch(0, x, y)
+
+    horizon = len(coeff_history) - 1
+    values = np.zeros((horizon, window))
+    for t in range(1, horizon + 1):
+        current = draw(coeff_history[t], n_check)
+        for w in range(1, window + 1):
+            members = range(max(0, t - w), t)
+            pooled = [draw(coeff_history[s], max(1, n_check // len(members))) for s in members]
+            mixed = MonitoringBatch(0, np.vstack([b.features for b in pooled]),
+                                    np.concatenate([b.labels for b in pooled]))
+            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss_cfg)
+    return values
 
 
 class TestVerifyDrift:
     def test_iid_history_is_quiet(self):
         beta = solve_signal_scale(0.1) * np.eye(1, 6, 0).ravel()
         history = [beta] * 6
-        models = [model_from_coef(1, np.concatenate([beta, [0.0]]))]
-        report = verify_drift(history, budget=0.25, window=3, models=models,
+        coefs = column(np.concatenate([beta, [0.0]]))
+        report = verify_drift(history, budget=0.25, window=3, coefs=coefs,
                               loss_cfg=LOSS_CFG, n_check=4000, seed=1)
         assert report.ok
         assert report.max_value < 0.03
@@ -508,11 +582,25 @@ class TestVerifyDrift:
         scale = solve_signal_scale(0.1)
         beta = scale * np.eye(1, 6, 0).ravel()
         history = [beta, beta, -beta, -beta]  # full flip: risk gap far above budget
-        models = [model_from_coef(1, np.concatenate([beta, [0.0]]))]
-        report = verify_drift(history, budget=0.1, window=3, models=models,
+        coefs = column(np.concatenate([beta, [0.0]]))
+        report = verify_drift(history, budget=0.1, window=3, coefs=coefs,
                               loss_cfg=LOSS_CFG, n_check=4000, seed=2)
         assert not report.ok
         assert any(t == 2 for t, _, _ in report.violations)
+
+    def test_shifting_trace_matches_the_per_model_loop(self):
+        # a budget below most windows' discrepancy, so there are violations to compare
+        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12),
+                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        assert tr.shift_times
+        loss_cfg = AugmentedLossConfig(HINGE, tr.abstain_cost)
+        want = per_model_drift_values(tr.coeff_history, 3, tr.model_coefs, loss_cfg, 3000, 5)
+        budget = float(np.median(want))
+        report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
+                              loss_cfg=loss_cfg, n_check=3000, tolerance=0.0, seed=5)
+        np.testing.assert_allclose(report.values, want, rtol=0.0, atol=1e-14)
+        flagged = [(t, w) for t, w, _ in report.violations]
+        assert flagged and flagged == [(t + 1, w + 1) for t, w in zip(*np.nonzero(want > budget))]
 
 
 class TestRunReplicate:
@@ -550,34 +638,34 @@ class TestRunReplicate:
         assert tr.cum_avg_true()[-1] == pytest.approx(mean, abs=1e-12)
 
     def test_model_coefs_hold_every_candidate(self, monkeypatch):
-        from modelgate.core import ModelRegistry
+        # the bound table scores the newest candidate t on its validation
+        # rows at step t; rescoring column t - 1 of model_coefs reproduces it
+        scored = []
+        predict = CandidateModel.predict
 
-        added = []
-        add = ModelRegistry.add
+        def recording_predict(self, x):
+            out = predict(self, x)
+            scored.append((x.copy(), out.copy()))
+            return out
 
-        def recording_add(self, model):
-            added.append(model.predictor.coef.copy())
-            add(self, model)
-
-        monkeypatch.setattr(ModelRegistry, "add", recording_add)
+        monkeypatch.setattr(CandidateModel, "predict", recording_predict)
         sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=82, horizon=7)
         tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        monkeypatch.undo()
         assert tr.model_coefs.shape == (sc.dim + 1, sc.horizon)
         # its own array, not a view of the run loop's buffer
         assert tr.model_coefs.flags.owndata and tr.model_coefs.base is None
-        assert len(added) == sc.horizon
-        for t, coef in enumerate(added, start=1):
-            assert tr.model_coefs[:, t - 1].tolist() == coef.tolist()
+        assert len(scored) == sc.horizon
+        for t, (x, out) in enumerate(scored, start=1):
+            assert np.array_equal(CandidateModel(tr.model_coefs[:, t - 1]).predict(x), out)
+            assert np.array_equal(candidate_scores(tr.model_coefs[:, t - 1 : t], x)[:, 0], out)
 
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
         mc = MetaConfig(rate_mode="fixed", rate=1.5)
         tr = run_replicate(sc, mc, 0)
-        models = [CandidateModel(0, None)] + [
-            model_from_coef(j + 1, tr.model_coefs[:, j]) for j in range(tr.model_coefs.shape[1])
-        ]
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
-                              models=models, loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
+                              coefs=tr.model_coefs, loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
                               n_check=4000, seed=3)
         assert report.ok
 
@@ -590,9 +678,8 @@ class TestAdversarialDrift:
         tr = run_replicate(sc, mc, 0)
         n_models = tr.model_coefs.shape[1]
         picks = sorted(set(np.linspace(0, n_models - 1, 8, dtype=int).tolist()))
-        models = [model_from_coef(j + 1, tr.model_coefs[:, j]) for j in picks]
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
-                              models=models, loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
+                              coefs=tr.model_coefs[:, picks], loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
                               n_check=8000, tolerance=0.025, seed=4)
         assert tr.shift_times, "the adversary should have fired at least once"
         assert report.ok, report.violations
@@ -649,7 +736,7 @@ class TestBlockwiseEvaluator:
 
     def test_sample_saturates_scores(self):
         coefs, x, _, _ = self.sample(EVAL_BLOCK_ROWS)
-        scores = _scores(coefs.astype(np.float32), x)
+        scores = candidate_scores(coefs.astype(np.float32), x)
         assert np.any(scores == 1.0) and np.any(scores == -1.0)
 
     def test_zero_model_mass_costs_exactly_delta(self):
@@ -677,7 +764,7 @@ class TestBlockwiseEvaluator:
         x = (x * np.where(np.arange(3000) % 7 == 0, 200.0, 1.0)[:, None]).astype(dtype)
         c = coefs.astype(dtype)
         want = 2.0 * sigmoid(x @ c[:-1] + c[-1]) - 1.0
-        got = _scores(c, x)
+        got = candidate_scores(c, x)
         assert got.dtype == want.dtype == dtype
         assert np.array_equal(got, want)
         assert np.any(np.abs(got) == 1.0)
