@@ -19,7 +19,6 @@ import csv
 import math
 import sys
 import textwrap
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from datetime import date
 from itertools import groupby
@@ -584,6 +583,9 @@ def run(cfg: RunConfig) -> dict:
     # the pool forks every worker at the first submit, so spawn no idle ones
     workers = min(cfg.threads, cfg.replicates)
     if workers > 1:
+        # imported here so a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_replicate_worker, jobs))
     else:

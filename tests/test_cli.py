@@ -721,8 +721,28 @@ class TestProcessIsolation:
             outs.append((out_dir / "steps.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        import subprocess
+        import sys
+
+        config = write_config(tmp_path)
+        script = (
+            "import sys, dataclasses\n"
+            "import modelgate.cli as cli\n"
+            "cfg = cli.load_config(sys.argv[1])\n"
+            "cli.run(dataclasses.replace(cfg, threads=1, out=sys.argv[2]))\n"
+            "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config), str(tmp_path / "serial")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "serial" / "steps.csv").is_file()
+        assert proc.stdout.strip() == "[]"
+
     def test_pool_has_at_most_one_worker_per_replicate(self, tmp_path, monkeypatch):
-        import modelgate.cli as cli
+        import concurrent.futures
 
         sizes = []
 
@@ -739,7 +759,8 @@ class TestProcessIsolation:
             def map(self, fn, jobs):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        # run imports the pool from here, and only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = load_config(write_config(tmp_path))
         run(dataclasses.replace(cfg, threads=64))
         run(dataclasses.replace(cfg, threads=64, replicates=1))

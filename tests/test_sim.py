@@ -62,7 +62,62 @@ def column(coef):
     return np.asarray(coef, dtype=float)[:, None]
 
 
+def per_call_hinge_risk(signal_scale):
+    """The former ``bayes_hinge_risk``: a fresh 64-node rule on every call."""
+    x, w = np.polynomial.hermite_e.hermegauss(64)
+    with np.errstate(over="ignore"):
+        vals = 1.0 / (2.0 * np.cosh(signal_scale * x / 2.0) ** 2)
+    return float(np.sum(w * vals) / math.sqrt(2.0 * math.pi))
+
+
+def bisect_200_steps(target_risk):
+    """The former ``solve_signal_scale``: 200 bisection steps on [0, 60]."""
+    lo, hi = 0.0, 60.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        if per_call_hinge_risk(mid) > target_risk:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
+
+
 class TestSignalScale:
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 60.0))
+    def test_rule_matches_a_fresh_rule_per_call(self, scale):
+        assert bayes_hinge_risk(scale) == per_call_hinge_risk(scale)
+
+    def test_rule_is_silent_where_cosh_overflows(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 < bayes_hinge_risk(60.0) == per_call_hinge_risk(60.0) < 1e-5
+
+    # 0.10 is the default; 1e-6 lies below the rule's value at norm 60, and
+    # the largest float below 0.5 needs a norm near 0
+    @pytest.mark.parametrize("target", [0.10, 0.08, 0.12, 0.2, 0.3, 1e-6, 0.49999999999999994])
+    def test_solver_matches_the_200_step_bisection(self, target):
+        assert solve_signal_scale(target) == bisect_200_steps(target)
+
+    def test_default_scale_is_pinned(self):
+        assert solve_signal_scale(0.10) == 7.487997936534283
+
+    @pytest.mark.parametrize("target", [0.10, 1e-6, 0.49999999999999994])
+    def test_solver_stops_when_the_bracket_cannot_shrink(self, target, monkeypatch):
+        import modelgate.sim as sim
+
+        calls = []
+
+        def counting(scale):
+            calls.append(scale)
+            return per_call_hinge_risk(scale)
+
+        monkeypatch.setattr(sim, "bayes_hinge_risk", counting)
+        scale = solve_signal_scale.__wrapped__(target)
+        # each step halves the bracket, which spans 60 / ulp(scale) floats
+        # near the answer, so the rule is evaluated far fewer than 200 times
+        assert len(calls) == len(set(calls)) <= math.log2(60.0 / math.ulp(scale)) + 1
+
     def test_risk_decreasing_in_scale(self):
         risks = [bayes_hinge_risk(s) for s in (0.0, 1.0, 3.0, 8.0)]
         assert risks[0] == pytest.approx(0.5, abs=1e-9)
