@@ -49,6 +49,7 @@ __all__ = [
     "ScenarioConfig",
     "MetaConfig",
     "DeveloperPolicy",
+    "TrainingRows",
     "GeneratorState",
     "ReplicateTrace",
     "DriftReport",
@@ -486,31 +487,63 @@ def split_batch(batch: MonitoringBatch, validation_fraction: float, rng: np.rand
     return Split(train=mk(train_idx), validation=mk(val_idx))
 
 
+class TrainingRows:
+    """The developer's training data: monitoring batches 1, 2, ... in one
+    preallocated array of rows and one of labels, in batch order and each
+    batch in its own row order.  The newest batch holds only its training
+    split (its validation split stays prospective for the bound); when the
+    next batch is added it is widened to the full batch, and the new
+    batch's training split follows it.  So every developer window is one
+    contiguous view, equal in value to stacking its batches."""
+
+    def __init__(self, capacity: int, dim: int):
+        self.features = np.empty((capacity, dim))
+        self.labels = np.empty(capacity)
+        self._starts = [0]  # first row of batch s at index s - 1
+        self._end = 0
+        self._newest: Optional[MonitoringBatch] = None
+
+    @property
+    def batches(self) -> int:
+        return len(self._starts) if self._newest is not None else 0
+
+    def _put(self, lo: int, part: MonitoringBatch) -> int:
+        hi = lo + part.size
+        self.features[lo:hi] = part.features
+        self.labels[lo:hi] = part.labels
+        return hi
+
+    def add(self, batch: MonitoringBatch, train: MonitoringBatch) -> None:
+        """Append ``batch``, of which only ``train`` is visible until the next
+        batch is added."""
+        if self._newest is not None:
+            self._starts.append(self._put(self._starts[-1], self._newest))
+        self._end = self._put(self._starts[-1], train)
+        self._newest = batch
+
+    def window(self, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and labels of batches ``first`` through the newest."""
+        lo = self._starts[first - 1]
+        return self.features[lo : self._end], self.labels[lo : self._end]
+
+
 def developer_propose(
     policy: DeveloperPolicy,
-    history: Sequence[MonitoringBatch],
-    splits: Sequence[Split],
+    rows: TrainingRows,
+    coefs: np.ndarray,
     t: int,
     cfg: FitConfig,
-    start: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Refit on the policy's window and return the candidate's coefficients;
-    the newest batch contributes only its training slice (its validation
-    slice stays prospective for the bound).  ``start`` warm-starts the fit
-    (see ``fit_logistic``); it changes the candidate only within the fit's
+    """Refit on the policy's window of ``rows``, which must hold batches
+    1..t-1, and return candidate t's coefficients; the newest batch
+    contributes only its training split.  ``coefs`` holds candidates 1..t-1
+    as columns; the fit is warm-started at the newest of them (see
+    ``fit_logistic``), which changes the candidate only within the fit's
     stopping tolerance."""
-    if len(history) < 1:
-        raise ValueError("developer needs at least one monitoring batch")
-    window = policy.window(t)
-    feats, labels = [], []
-    for idx in window:
-        if idx == t - 1:
-            part = splits[idx - 1].train
-        else:
-            part = history[idx - 1]
-        feats.append(part.features)
-        labels.append(part.labels)
-    return fit_logistic(np.vstack(feats), np.concatenate(labels), cfg, start=start)
+    if rows.batches != t - 1:
+        raise ValueError(f"the developer at t = {t} needs batches 1..{t - 1}")
+    features, labels = rows.window(policy.window(t).start)
+    return fit_logistic(features, labels, cfg, start=coefs[:, t - 2])
 
 
 # ---------------------------------------------------------------------------
@@ -1074,8 +1107,10 @@ def run_replicate(
         model_coefs=np.zeros((dim + 1, 0)),
     )
 
-    history: list[MonitoringBatch] = []
-    splits: list[Split] = []
+    capacity = sum(b.size for b in batches[1:]) if ingested else horizon * scenario.batch_size
+    train_rows = TrainingRows(capacity, dim)
+    # the newest batch's split: the bound table at the next step validates on it
+    newest = split0
     ledger = LossLedger(horizon)
     shift_times: list[int] = []
     # column t - 1 holds candidate t
@@ -1084,12 +1119,11 @@ def run_replicate(
 
     for t in range(1, horizon + 1):
         if t >= 2:
-            # warm-started at the newest candidate, the initial model at t = 2
-            coef_mat[:, t - 1] = developer_propose(policy, history, splits, t, scenario.fit,
-                                                   start=coef_mat[:, t - 2])
+            coef_mat[:, t - 1] = developer_propose(
+                policy, train_rows, coef_mat[:, : t - 1], t, scenario.fit
+            )
             candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
         coefs = coef_mat[:, :t]
-        newest = split0 if t == 1 else splits[t - 2]
         table = build_bound_table(
             t, candidates, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
         )
@@ -1158,8 +1192,8 @@ def run_replicate(
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
         trace.strategy_abstain[t - 1] = statuses[:, 0]
 
-        history.append(batch)
-        splits.append(split_batch(batch, meta_cfg.bound.validation_fraction, rng))
+        newest = split_batch(batch, meta_cfg.bound.validation_fraction, rng)
+        train_rows.add(batch, newest.train)
         trace.emp_risk[t - 1] = batch_risks[-1]
         strat_risks = batch_risks[:-1]
 

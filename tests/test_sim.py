@@ -24,6 +24,7 @@ from modelgate.sim import (
     MetaConfig,
     ScenarioConfig,
     ScenarioKind,
+    TrainingRows,
     apply_shift,
     bayes_hinge_risk,
     developer_propose,
@@ -294,22 +295,160 @@ class TestDeveloperPolicies:
         rng = np.random.default_rng(5)
         cfg = ScenarioConfig(kind=ScenarioKind.IID_GOOD_MODELS, **SMALL)
         gen = GeneratorState(coeff_history=[np.zeros(cfg.dim)], rng=rng)
+        rows = TrainingRows(2 * cfg.batch_size, cfg.dim)
         history, splits = [], []
         for t in (1, 2):
             b = generate_batch(gen, cfg, t)
             history.append(b)
             splits.append(split_batch(b, 0.5, rng))
+            rows.add(b, splits[-1].train)
             gen.coeff_history.append(gen.coefficients)
-        coef = developer_propose(DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50))
+        zero = np.zeros(cfg.dim + 1)
+        coef = developer_propose(
+            DeveloperPolicy("all_data"), rows, np.column_stack([zero, zero]), 3, FitConfig(iterations=50)
+        )
         ref_feats = np.vstack([history[0].features, splits[1].train.features])
         ref_labels = np.concatenate([history[0].labels, splits[1].train.labels])
         ref = fit_logistic(ref_feats, ref_labels, FitConfig(iterations=50))
         assert np.allclose(coef, ref)
-        # the start reaches fit_logistic, which keeps a start at the optimum
+        # the newest candidate reaches fit_logistic as the start, and a
+        # start at the optimum is kept
         warm = developer_propose(
-            DeveloperPolicy("all_data"), history, splits, 3, FitConfig(iterations=50), start=ref
+            DeveloperPolicy("all_data"), rows, np.column_stack([zero, ref]), 3, FitConfig(iterations=50)
         )
         assert np.array_equal(warm, ref)
+
+
+def stacked_window(policy, history, splits, t):
+    """The oracle for ``TrainingRows``: the developer's window at step t
+    stacked batch by batch from ``history`` (batch s at index s - 1), the
+    newest batch t - 1 by its training split only."""
+    parts = [splits[s - 1].train if s == t - 1 else history[s - 1] for s in policy.window(t)]
+    return np.vstack([p.features for p in parts]), np.concatenate([p.labels for p in parts])
+
+
+def bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def recording_fits(monkeypatch):
+    """Copies of ``(features, labels, start)`` of every ``sim.fit_logistic``
+    call made while ``monkeypatch`` is active."""
+    import modelgate.sim as sim
+
+    calls = []
+    real = sim.fit_logistic
+
+    def recording(features, labels, cfg, start=None):
+        calls.append((features.copy(), labels.copy(), None if start is None else np.array(start)))
+        return real(features, labels, cfg, start=start)
+
+    monkeypatch.setattr(sim, "fit_logistic", recording)
+    return calls
+
+
+def stacking_run(monkeypatch, scenario, meta_cfg, **kw):
+    """``run_replicate`` with every refit on ``stacked_window`` of the
+    batches the run split, warm-started at the newest candidate."""
+    import modelgate.sim as sim
+
+    history, splits = [], []
+    real_split = sim.split_batch
+
+    def recording_split(batch, fraction, rng):
+        out = real_split(batch, fraction, rng)
+        history.append(batch)
+        splits.append(out)
+        return out
+
+    def stacking_propose(policy, rows, coefs, t, cfg):
+        # the first split is the initial batch's, which no window holds
+        features, labels = stacked_window(policy, history[1:], splits[1:], t)
+        return sim.fit_logistic(features, labels, cfg, start=coefs[:, t - 2])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(sim, "split_batch", recording_split)
+        mp.setattr(sim, "developer_propose", stacking_propose)
+        return run_replicate(scenario, meta_cfg, 0, **kw)
+
+
+def replay_batches(sizes, dim=3, seed=21):
+    """Ingested-style batches 0, 1, ... of the given sizes under one logistic law."""
+    rng = np.random.default_rng(seed)
+    beta = rng.standard_normal(dim)
+    out = []
+    for k, n in enumerate(sizes):
+        x = rng.standard_normal((n, dim))
+        y = np.where(rng.random(n) < sigmoid(x @ beta), 1.0, -1.0)
+        out.append(MonitoringBatch(k, x, y))
+    return out
+
+
+POLICIES = [
+    DeveloperPolicy("last_k", k=4),
+    DeveloperPolicy("cycling"),
+    DeveloperPolicy("all_data"),
+    DeveloperPolicy("mostly_last2"),
+]
+UNEQUAL = [37, 52, 41, 90, 13, 66, 40, 28, 75, 51, 19, 83]
+
+
+class TestTrainingRows:
+    @pytest.mark.parametrize("sizes", [[40] * 12, UNEQUAL], ids=["equal", "unequal"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
+    def test_each_fit_gets_the_stacked_window(self, policy, sizes, monkeypatch):
+        rng = np.random.default_rng(17)
+        history = replay_batches([10] + sizes)[1:]
+        splits = [split_batch(b, 0.3, rng) for b in history]
+        rows = TrainingRows(sum(sizes), history[0].dim)
+        coefs = rng.standard_normal((history[0].dim + 1, len(sizes)))
+        calls = recording_fits(monkeypatch)
+        for t in range(2, 14):
+            rows.add(history[t - 2], splits[t - 2].train)
+            developer_propose(policy, rows, coefs[:, : t - 1], t, FitConfig())
+            features, labels = stacked_window(policy, history, splits, t)
+            assert bitwise_equal(calls[-1][0], features)
+            assert bitwise_equal(calls[-1][1], labels)
+        assert len(calls) == 12
+
+    def test_developer_needs_every_earlier_batch(self):
+        history = replay_batches([40, 40, 40])
+        rows = TrainingRows(120, 3)
+        coefs = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="needs batches 1..2"):
+            developer_propose(DeveloperPolicy("all_data"), rows, coefs, 3, FitConfig())
+        for b in history[:2]:
+            rows.add(b, b)
+        with pytest.raises(ValueError, match="needs batches 1..3"):
+            developer_propose(DeveloperPolicy("all_data"), rows, coefs, 4, FitConfig())
+
+    @pytest.mark.parametrize(
+        "kind",
+        [ScenarioKind.ADAPTIVE_SHIFTS, ScenarioKind.SMALL_FREQUENT_SHIFTS, ScenarioKind.IID_GOOD_MODELS],
+    )
+    def test_trace_equals_the_stacking_run(self, kind, monkeypatch):
+        sc = small_scenario(kind, seed=84, horizon=13)
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        assert_traces_bitwise_equal(run_replicate(sc, mc, 0), stacking_run(monkeypatch, sc, mc))
+
+    def test_replay_trace_equals_the_stacking_run(self, monkeypatch):
+        batches = replay_batches([60] + UNEQUAL + [45])
+        sc = ScenarioConfig(kind=ScenarioKind.INGESTED, dim=3)
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        assert_traces_bitwise_equal(
+            run_replicate(sc, mc, 0, batches=batches),
+            stacking_run(monkeypatch, sc, mc, batches=batches),
+        )
+
+
+def assert_traces_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert bitwise_equal(x, y), f.name
+        else:
+            assert x == y, f.name
 
 
 class TestGenerator:
