@@ -148,8 +148,9 @@ class FitConfig:
     is free).  ``iterations`` caps the Newton iterations of
     ``fit_logistic``, which stops earlier, once the largest gradient entry
     is at most ``FIT_GRAD_TOL``; on the simulated and ingested streams that
-    takes about 7-8 from zero and 3-6 when warm-started at the previous
-    candidate (3-4 when the training window only grows).
+    takes about 7-8 from zero, 5-6 when warm-started at a candidate fitted
+    on another window and 3-4 when that candidate's rows are a prefix of
+    the window's.
     """
 
     iterations: int = 50
@@ -373,7 +374,10 @@ def fit_logistic(
     stops once that entry is at most ``FIT_GRAD_TOL``, after
     ``cfg.iterations`` iterations, or when no step makes progress.  The
     tolerance is tight enough that the optimum reached does not depend on
-    the start to within 1e-9, so a warm start only saves iterations.
+    the start to within 1e-9, so a warm start only saves iterations, the
+    most when the start was fitted on a prefix of the same rows.
+    ``features`` and ``labels`` may be views into a larger array, such as
+    a ``TrainingRows`` window; the fit keeps no reference to them.
     Labels may be {-1, +1} or {0, 1}.  Single-class training data falls
     back to an intercept-only model at the smoothed class rate.  Raises
     ValueError when the coefficients or their gradient are non-finite, and
@@ -536,14 +540,23 @@ def developer_propose(
 ) -> np.ndarray:
     """Refit on the policy's window of ``rows``, which must hold batches
     1..t-1, and return candidate t's coefficients; the newest batch
-    contributes only its training split.  ``coefs`` holds candidates 1..t-1
-    as columns; the fit is warm-started at the newest of them (see
-    ``fit_logistic``), which changes the candidate only within the fit's
-    stopping tolerance."""
+    contributes only its training split.
+
+    ``coefs`` holds candidates 1..t-1 as columns.  The fit is warm-started
+    at the newest candidate whose window began at the same batch, since
+    its rows are a prefix of this window's, or else at the newest
+    candidate (see ``fit_logistic``).  Only ``mostly_last2``'s all-data
+    refits find an older one: each starts from the previous all-data
+    candidate, four steps back.  The start moves the candidate only within
+    the fit's stopping tolerance."""
     if rows.batches != t - 1:
         raise ValueError(f"the developer at t = {t} needs batches 1..{t - 1}")
-    features, labels = rows.window(policy.window(t).start)
-    return fit_logistic(features, labels, cfg, start=coefs[:, t - 2])
+    first = policy.window(t).start
+    features, labels = rows.window(first)
+    # a candidate whose window began at batch `first` was fitted on a prefix
+    # of these rows; candidate s's window ends at batch s - 1 >= first
+    same = (s for s in range(t - 1, first, -1) if policy.window(s).start == first)
+    return fit_logistic(features, labels, cfg, start=coefs[:, next(same, t - 1) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1016,6 +1029,10 @@ def run_replicate(
     risks, and the abstain cost followed by each candidate's exact risk for
     the true ones.  Other losses score each status's ensemble with
     ``core.deployed_risks``.
+
+    The developer's training rows are one ``TrainingRows`` array sized for
+    the run (horizon x batch_size rows, or the replay batches' total),
+    filled once per batch; each refit fits a view of it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, replicate]))
     ingested = batches is not None

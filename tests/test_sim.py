@@ -394,7 +394,7 @@ POLICIES = [
 UNEQUAL = [37, 52, 41, 90, 13, 66, 40, 28, 75, 51, 19, 83]
 
 
-class TestTrainingRows:
+class TestRefitPath:
     @pytest.mark.parametrize("sizes", [[40] * 12, UNEQUAL], ids=["equal", "unequal"])
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.kind)
     def test_each_fit_gets_the_stacked_window(self, policy, sizes, monkeypatch):
@@ -431,6 +431,26 @@ class TestTrainingRows:
         sc = small_scenario(kind, seed=84, horizon=13)
         mc = MetaConfig(rate_mode="fixed", rate=1.5)
         assert_traces_bitwise_equal(run_replicate(sc, mc, 0), stacking_run(monkeypatch, sc, mc))
+
+    def test_random_models_stay_within_the_fit_tolerance(self, monkeypatch):
+        # only mostly_last2 changes starts, so only the fit's tolerance moves it
+        sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=84, horizon=13)
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        a, b = run_replicate(sc, mc, 0), stacking_run(monkeypatch, sc, mc)
+        assert np.max(np.abs(a.model_coefs - b.model_coefs)) <= 1e-9
+
+    def test_all_data_refits_start_from_the_last_all_data_candidate(self, monkeypatch):
+        calls = recording_fits(monkeypatch)
+        sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=83, horizon=14)
+        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        # the first call fits the initial model from zero; then one per step
+        assert calls[0][2] is None and len(calls) == sc.horizon
+        # mostly_last2 refits on every batch at t = 4, 8, 12; at t = 4 the
+        # newest candidate's window also began at batch 1
+        source = {8: 4, 12: 8}
+        for t, (_, _, start) in enumerate(calls[1:], start=2):
+            assert bitwise_equal(start, tr.model_coefs[:, source.get(t, t - 1) - 1])
+        assert not np.array_equal(tr.model_coefs[:, 3], tr.model_coefs[:, 6])
 
     def test_replay_trace_equals_the_stacking_run(self, monkeypatch):
         batches = replay_batches([60] + UNEQUAL + [45])
