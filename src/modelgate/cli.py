@@ -34,6 +34,7 @@ from .meta import InfeasibleRateError, RiskBoundInputs, classical_ewaf_bound, ri
 from .sim import (
     GRID4,
     GRID12,
+    MIN_BAYES_RISK,
     FitConfig,
     MetaConfig,
     ReplicateTrace,
@@ -182,6 +183,10 @@ def _between(lo, hi) -> _Check:
     return _Check(f"in ({lo}, {hi})", lambda v: lo < v < hi)
 
 
+def _half_open(lo, hi) -> _Check:
+    return _Check(f"in [{lo}, {hi})", lambda v: lo <= v < hi)
+
+
 def _spec(type_: _Type, check: Optional[_Check]) -> str:
     return f"{type_.name} {check.text}" if check else type_.name
 
@@ -253,7 +258,8 @@ _SCHEMA = (
          "a run rejects a size that does not split at bounds.validation_fraction "
          "into two nonempty parts (so at least 2)"),
     _Key("run", "dim", "dim", _INT, _at_least(1)),
-    _Key("run", "bayes_risk", "bayes_risk", _FLOAT, _between(0, 0.5), "best-in-class hinge risk"),
+    _Key("run", "bayes_risk", "bayes_risk", _FLOAT, _half_open(MIN_BAYES_RISK, 0.5),
+         "best-in-class hinge risk; the least is its value at coefficient norm 60"),
     _Key("run", "initial_batches", "initial_batches", _INT, _at_least(1),
          "pre-deployment data volume"),
     _Key("run", "drift", "drift", _FLOAT, _at_least(0), "unset: the realized abstain cost"),

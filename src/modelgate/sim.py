@@ -258,6 +258,11 @@ _NODES, _WEIGHTS = _trapezoid_nodes()
 # the rule of bayes_hinge_risk, built once: each build is an eigenvalue
 # solve that costs about a hundred times as much as evaluating the rule
 _HERMITE_X, _HERMITE_W = np.polynomial.hermite_e.hermegauss(64)
+#: The bracket ``solve_signal_scale`` searches is norms [0, MAX_SIGNAL_SCALE];
+#: MIN_BAYES_RISK, the rule's value at its top (about 4.9e-6), is the
+#: smallest target it reaches.
+MAX_SIGNAL_SCALE = 60.0
+MIN_BAYES_RISK = bayes_hinge_risk(MAX_SIGNAL_SCALE)
 
 
 def label_score_means(beta: np.ndarray, coefs: np.ndarray) -> np.ndarray:
@@ -291,15 +296,20 @@ def label_score_means(beta: np.ndarray, coefs: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def solve_signal_scale(target_risk: float) -> float:
-    """Coefficient norm in [0, 60] at which ``bayes_hinge_risk`` hits the
-    target: the quadrature's value, not the exact best-in-class risk.
+    """Coefficient norm in [0, MAX_SIGNAL_SCALE] at which
+    ``bayes_hinge_risk`` hits the target: the quadrature's value, not the
+    exact best-in-class risk.  A target below MIN_BAYES_RISK, which no norm
+    in the bracket reaches, raises ValueError.
 
     Bisection stops once the midpoint rounds onto an end, where the
     bracket can no longer shrink.
     """
-    if not 0.0 < target_risk < 0.5:
-        raise ValueError("target risk must lie in (0, 0.5)")
-    lo, hi = 0.0, 60.0
+    if not MIN_BAYES_RISK <= target_risk < 0.5:
+        raise ValueError(
+            f"target risk must lie in [{MIN_BAYES_RISK!r}, 0.5): a smaller one needs"
+            f" a coefficient norm above {MAX_SIGNAL_SCALE!r}"
+        )
+    lo, hi = 0.0, MAX_SIGNAL_SCALE
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:

@@ -21,7 +21,7 @@ from modelgate.cli import (
     run,
     save_manifest,
 )
-from modelgate.sim import GRID4, GRID12, ReplicateTrace, ScenarioKind
+from modelgate.sim import GRID4, GRID12, MIN_BAYES_RISK, ReplicateTrace, ScenarioKind
 
 SMALL_CONFIG = """\
 [run]
@@ -143,6 +143,19 @@ class TestLoadConfig:
         assert err.startswith(f"config error: {key.name}: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    # below the least risk any norm in the signal-scale bracket reaches
+    @pytest.mark.parametrize("value", ["1e-07", repr(math.nextafter(MIN_BAYES_RISK, 0.0)), "0.0"])
+    def test_unreachable_bayes_risk_is_exit_2(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, ini({
+            ("run", "scenario"): "iid_good_models", ("run", "horizon"): 2,
+            ("run", "eval_size"): 200, ("run", "replicates"): 1, ("run", "out"): tmp_path / "out",
+            ("meta", "rate_mode"): "fixed", ("run", "bayes_risk"): value,
+        }))
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run.bayes_risk: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text, name", [
         ("[strategies]\nrows = 0,0,0 / 1.5,1,1", "strategies.rows"),  # approve_prob > 1
         ("[strategies]\nrows = 0,0,0 / x,1,1", "strategies.rows"),
@@ -180,7 +193,7 @@ KEY_VALUES = {
     ("run", "horizon"): st.integers(1, 10**9).map(str),
     ("run", "batch_size"): st.integers(1, 10**9).map(str),
     ("run", "dim"): st.integers(1, 10**9).map(str),
-    ("run", "bayes_risk"): _floats(0, 0.5, exclude_min=True, exclude_max=True),
+    ("run", "bayes_risk"): _floats(MIN_BAYES_RISK, 0.5, exclude_max=True),
     ("run", "initial_batches"): st.integers(1, 10**9).map(str),
     ("run", "drift"): _floats(0),
     ("run", "eval_size"): st.integers(1, 10**9).map(str),

@@ -18,6 +18,7 @@ from modelgate.core import (
 from modelgate.sim import (
     EVAL_BLOCK_ROWS,
     FIT_GRAD_TOL,
+    MIN_BAYES_RISK,
     DeveloperPolicy,
     FitConfig,
     GeneratorState,
@@ -94,16 +95,29 @@ class TestSignalScale:
             warnings.simplefilter("error")
             assert 0.0 < bayes_hinge_risk(60.0) == per_call_hinge_risk(60.0) < 1e-5
 
-    # 0.10 is the default; 1e-6 lies below the rule's value at norm 60, and
-    # the largest float below 0.5 needs a norm near 0
-    @pytest.mark.parametrize("target", [0.10, 0.08, 0.12, 0.2, 0.3, 1e-6, 0.49999999999999994])
+    # 0.10 is the default; MIN_BAYES_RISK, the rule's value at norm 60, is
+    # the least target reached, and the largest float below 0.5 needs a
+    # norm near 0
+    @pytest.mark.parametrize(
+        "target", [0.10, 0.08, 0.12, 0.2, 0.3, MIN_BAYES_RISK, 0.49999999999999994]
+    )
     def test_solver_matches_the_200_step_bisection(self, target):
         assert solve_signal_scale(target) == bisect_200_steps(target)
+
+    def test_least_target_is_the_rule_at_the_top_norm(self):
+        assert MIN_BAYES_RISK == per_call_hinge_risk(60.0)
+        assert bisect_200_steps(MIN_BAYES_RISK) == solve_signal_scale(MIN_BAYES_RISK) > 59.99
+
+    # below MIN_BAYES_RISK the 200-step bisection returned 60 silently
+    @pytest.mark.parametrize("target", [1e-6, math.nextafter(MIN_BAYES_RISK, 0.0), 0.0, 0.5])
+    def test_unreachable_target_raises(self, target):
+        with pytest.raises(ValueError, match="target risk must lie in"):
+            solve_signal_scale(target)
 
     def test_default_scale_is_pinned(self):
         assert solve_signal_scale(0.10) == 7.487997936534283
 
-    @pytest.mark.parametrize("target", [0.10, 1e-6, 0.49999999999999994])
+    @pytest.mark.parametrize("target", [0.10, MIN_BAYES_RISK, 0.49999999999999994])
     def test_solver_stops_when_the_bracket_cannot_shrink(self, target, monkeypatch):
         import modelgate.sim as sim
 
@@ -332,6 +346,15 @@ def bitwise_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def assert_traces_bitwise_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert bitwise_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
 def recording_fits(monkeypatch):
     """Copies of ``(features, labels, start)`` of every ``sim.fit_logistic``
     call made while ``monkeypatch`` is active."""
@@ -460,15 +483,6 @@ class TestRefitPath:
             run_replicate(sc, mc, 0, batches=batches),
             stacking_run(monkeypatch, sc, mc, batches=batches),
         )
-
-
-def assert_traces_bitwise_equal(a, b):
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(x, np.ndarray):
-            assert bitwise_equal(x, y), f.name
-        else:
-            assert x == y, f.name
 
 
 class TestGenerator:
