@@ -53,7 +53,6 @@ from .sim import (
     ScenarioKind,
     apply_shift,
     developer_propose,
-    empirical_mmd,
     fit_logistic,
     generate_batch,
     run_experiment,

@@ -138,7 +138,7 @@ def build_bound_table(
     t: int,
     candidates: Sequence[Optional[CandidateModel]],
     ledger: LossLedger,
-    newest_split: tuple[MonitoringBatch, MonitoringBatch],
+    validation: MonitoringBatch,
     cfg: BoundConfig,
     loss_cfg: AugmentedLossConfig,
 ) -> RiskBoundTable:
@@ -147,9 +147,9 @@ def build_bound_table(
     ``candidates`` holds t + 1 entries, index 0 standing for abstention;
     only the newest, ``candidates[t]``, is scored here.  ``ledger`` holds
     the loss sums of monitoring batches 1..t-1 (prospective for every
-    candidate older than the newest).  ``newest_split`` is the (train,
-    validation) partition of the latest available batch; only its
-    validation part is prospective for the newest candidate.  Each bound
+    candidate older than the newest).  ``validation`` is the held-out part
+    of the latest available batch, the only part of it that is prospective
+    for the newest candidate, which was trained on the rest.  Each bound
     is a Hoeffding UCB at level alpha/t, so simultaneous coverage holds at
     level alpha by the union bound.  Batches are pooled with equal weight
     per observation, matching a uniform mixture when batch sizes are equal.
@@ -179,7 +179,6 @@ def build_bound_table(
     bounds[1:t] = sums / counts + np.sqrt(math.log(1.0 / level) / (2.0 * counts))
     starts[1:t] = np.maximum(older, lo)
 
-    _, validation = newest_split
     val_losses = loss_cfg.base.of_array(candidates[t].predict(validation.features), validation.labels)
     bounds[t] = hoeffding_ucb(val_losses.mean(), val_losses.size, level)
     starts[t] = window_start(t, t, cfg.window)

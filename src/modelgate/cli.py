@@ -35,7 +35,6 @@ from .sim import (
     GRID4,
     GRID12,
     MIN_BAYES_RISK,
-    FitConfig,
     MetaConfig,
     ReplicateTrace,
     ScenarioConfig,
@@ -126,7 +125,6 @@ class RunConfig:
             seed=self.seed,
             eval_size=self.eval_size,
             bayes_risk=self.bayes_risk,
-            fit=FitConfig(),
             initial_batches=self.initial_batches,
         )
 
@@ -397,6 +395,8 @@ class IngestedStream:
 
 
 def _parse_timestamp(raw: str):
+    """A finite number or an ISO date (its first 10 characters); raises
+    ValueError otherwise."""
     raw = raw.strip()
     try:
         value = float(raw)
@@ -404,12 +404,12 @@ def _parse_timestamp(raw: str):
         pass
     else:
         if not math.isfinite(value):
-            raise ConfigError(f"timestamp {raw!r} is not finite")
+            raise ValueError(f"timestamp {raw!r} is not finite")
         return value
     try:
         return date.fromisoformat(raw[:10])
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse timestamp {raw!r}") from exc
+    except ValueError:
+        raise ValueError(f"cannot parse timestamp {raw!r}") from None
 
 
 def ingest(
@@ -422,40 +422,61 @@ def ingest(
 ) -> IngestedStream:
     """Read a UTF-8 header CSV of (timestamp, features..., label) into batches.
 
-    Every feature and label must be a finite number; the first that is not
-    is reported as ``file:line``.  Rows are sorted by timestamp (an error
-    in strict mode if out of order).  Binary labels {0, 1} are mapped to
+    A byte-order mark is skipped, and so are blank lines.  Column names
+    must be distinct, and every row must have as many cells as the header.
+    Every timestamp must be a finite number or an ISO date, and every
+    feature and label a finite number.  The first row that breaks a rule is
+    reported as ``file:line``.  Rows are sorted by timestamp (an error in
+    strict mode if out of order).  Binary labels {0, 1} are mapped to
     {-1, +1}; labels already in {-1, +1} or real-valued labels pass
     through unchanged.
     """
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ConfigError(f"{path} has no header row")
+            for name in header:
+                if header.count(name) > 1:
+                    raise ConfigError(f"{path}:{reader.line_num}: repeated column {name!r}")
             for col in (timestamp_col, label_col):
-                if col not in reader.fieldnames:
+                if col not in header:
                     raise ConfigError(f"{path} is missing column {col!r}")
-            feature_names = tuple(
-                c for c in reader.fieldnames if c not in (timestamp_col, label_col)
-            )
+            feature_names = tuple(c for c in header if c not in (timestamp_col, label_col))
             if not feature_names:
                 raise ConfigError(f"{path} has no feature columns")
-            stamps, feats, labels = [], [], []
-            for i, row in enumerate(reader, start=2):
-                stamps.append(_parse_timestamp(row[timestamp_col]))
+            width = len(header)
+            stamp_at = header.index(timestamp_col)
+            # each row's values: its features in header order, then its label
+            value_at = [header.index(c) for c in (*feature_names, label_col)]
+            stamps, rows = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != width:
+                    raise ConfigError(
+                        f"{path}:{reader.line_num}: {len(row)} cells where the header has {width}"
+                    )
                 try:
-                    values = {c: float(row[c]) for c in (*feature_names, label_col)}
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path}:{i}: non-numeric value ({exc})") from exc
-                bad = [c for c, v in values.items() if not math.isfinite(v)]
-                if bad:
-                    raise ConfigError(f"{path}:{i}: non-finite value in column {bad[0]!r}")
-                feats.append([values[c] for c in feature_names])
-                labels.append(values[label_col])
+                    stamps.append(_parse_timestamp(row[stamp_at]))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
+                try:
+                    values = [float(row[k]) for k in value_at]
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: non-numeric value ({exc})") from exc
+                if not all(map(math.isfinite, values)):
+                    bad = next(k for k, v in zip(value_at, values) if not math.isfinite(v))
+                    raise ConfigError(
+                        f"{path}:{reader.line_num}: non-finite value in column {header[bad]!r}"
+                    )
+                rows.append(values)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
     if not stamps:
         raise ConfigError(f"{path} contains no data rows")
     if len({type(s) for s in stamps}) > 1:
@@ -465,8 +486,9 @@ def ingest(
     if strict_sorted and order != list(range(len(stamps))):
         raise ConfigError("timestamps are not sorted (strict mode)")
     stamps = [stamps[i] for i in order]
-    features = np.asarray(feats, dtype=float)[order]
-    label_arr = np.asarray(labels, dtype=float)[order]
+    data = np.asarray(rows, dtype=float)[order]
+    features = data[:, :-1]
+    label_arr = data[:, -1]
     uniq = set(np.unique(label_arr).tolist())
     if uniq == {0.0, 1.0} or uniq <= {0.0} or uniq <= {1.0}:
         label_arr = np.where(label_arr > 0, 1.0, -1.0)
@@ -497,7 +519,7 @@ def ingest(
         raise ConfigError(f"unknown batching rule {batch_by!r}")
 
     batches = tuple(
-        MonitoringBatch(k, features[idx], label_arr[idx]) for k, idx in enumerate(groups)
+        MonitoringBatch(features[idx], label_arr[idx]) for idx in groups
     )
     return IngestedStream(batches=batches, feature_names=feature_names, rule=rule)
 
@@ -667,8 +689,7 @@ def bound_curves(
             ours = risk_bound(RiskBoundInputs(
                 abstain_cost=delta, step_margin=0.0, drift=2.0 * delta,
                 rate=rate, cover_alpha=0.0, n_strategies=n_strategies,
-                horizon=horizon, batch_size=None, holdout_size=None,
-                slack=None, tail=0.0,
+                horizon=horizon, batch_size=None, holdout_size=None, tail=0.0,
             ))
             rows.append((delta, rate, classical, ours))
     return rows

@@ -35,15 +35,12 @@ class MonitoringBatch:
     draws from the step's data distribution.
     """
 
-    time_index: int
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "features", np.asarray(self.features, dtype=float))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=float))
-        if self.time_index < 0:
-            raise ValueError("time_index must be >= 0")
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be (n, d) and labels (n,)")
         if len(self.features) != len(self.labels):
@@ -106,9 +103,6 @@ class LossFunction:
         if self.kind == "zero_one":
             return (z * y <= 0).astype(float)
         return np.minimum(1.0, np.abs(z - y) / self.scale)
-
-    def __call__(self, z: float, y: float) -> float:
-        return float(self.of_array(np.asarray(z, dtype=float), np.asarray(y, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -142,10 +142,11 @@ class RiskBoundInputs:
     """Ingredients of the average-risk guarantee.
 
     ``batch_size`` / ``holdout_size`` of None mean infinite data (their
-    concentration terms drop out).  ``slack`` is the free analysis
-    parameter trading coverage level against bound tightness; leave it
-    None to have the bound minimised over it.  ``tail`` overrides the
-    derived tail-miscoverage probability when set.
+    concentration terms drop out).  ``tail`` of None derives the
+    tail-miscoverage probability from the slack (``tail_alpha``), and
+    ``risk_bound`` then minimises the bound over the slack, the free
+    analysis parameter trading coverage level against bound tightness; a
+    set ``tail`` fixes that probability and evaluates the bound at slack 0.
     """
 
     abstain_cost: float
@@ -157,7 +158,6 @@ class RiskBoundInputs:
     horizon: int
     batch_size: Optional[int] = None
     holdout_size: Optional[int] = None
-    slack: Optional[float] = None
     tail: Optional[float] = None
 
     def __post_init__(self):
@@ -223,7 +223,7 @@ def _resolve_tail(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float |
     return tail_alpha(slack, inputs.batch_size, inputs.holdout_size, inputs.horizon)
 
 
-def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray | None = None) -> float | np.ndarray:
+def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
     """The (negative) exponential-moment coefficient of the guarantee.
 
     A three-case mixture of (exp(-rate * s) - 1) / s evaluated at
@@ -231,18 +231,15 @@ def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray | None = None) -
     coverage split (1 - a1 - a2, a1, a2).  Strictly negative for any
     positive rate.  ``slack`` is a float or an array of slacks.
     """
-    z = inputs.slack if slack is None else slack
-    if z is None:
-        raise ValueError("slack must be provided or set on the inputs")
     if inputs.rate <= 0:
         raise ValueError("rate must be > 0")
-    xp = _ops(z)
+    xp = _ops(slack)
     a1 = inputs.cover_alpha
-    a2 = _resolve_tail(inputs, z)
+    a2 = _resolve_tail(inputs, slack)
     s0 = inputs.abstain_cost + inputs.step_margin + inputs.drift
     w0 = xp.maximum(0.0, 1.0 - a1 - a2)
     c = _rate_term(inputs.rate, s0, xp) * w0
-    c += _rate_term(inputs.rate, s0 + z, xp) * a1
+    c += _rate_term(inputs.rate, s0 + slack, xp) * a1
     c += (math.exp(-inputs.rate) - 1.0) * a2
     return c
 
@@ -285,12 +282,12 @@ def optimize_slack(inputs: RiskBoundInputs, grid: int = 200) -> tuple[float, flo
 def risk_bound(inputs: RiskBoundInputs) -> float:
     """Upper bound on the forecaster's expected average risk.
 
-    Evaluates -(rate * cost + ln(m)/T + rate^2/(8 n)) / c at the given
-    slack, or at the slack minimising the bound when none is set.  The
+    Evaluates -(rate * cost + ln(m)/T + rate^2/(8 n)) / c at the slack
+    minimising the bound, or at slack 0 when ``inputs.tail`` is set.  The
     value is reported untruncated and can exceed 1 for small rates.
     """
-    if inputs.slack is not None or inputs.tail is not None:
-        return _bound_at(inputs, inputs.slack if inputs.slack is not None else 0.0)
+    if inputs.tail is not None:
+        return _bound_at(inputs, 0.0)
     return optimize_slack(inputs)[1]
 
 
@@ -310,7 +307,7 @@ def max_learning_rate(
     """
 
     def bound(rate: float) -> float:
-        return risk_bound(replace(inputs, rate=rate, slack=None, tail=None))
+        return risk_bound(replace(inputs, rate=rate, tail=None))
 
     lo = hi = None
     for i in range(grid):

@@ -67,7 +67,6 @@ __all__ = [
     "holdout_size",
     "split_batch",
     "apply_shift",
-    "empirical_mmd",
     "verify_drift",
     "run_experiment",
     "run_replicate",
@@ -130,6 +129,10 @@ FIT_GRAD_TOL = 1e-12
 # Armijo sufficient-decrease fraction and step halvings per Newton iteration
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 40
+# the developer's refit windows (``DeveloperPolicy``): last_k's batch count and
+# the longest window cycling reaches
+LAST_K = 4
+CYCLE = 5
 
 
 class ScenarioKind(Enum):
@@ -163,6 +166,13 @@ class FitConfig:
             raise ValueError("iterations must be >= 1")
 
 
+#: The developer's refits, and the initial model's fit on pre-deployment
+#: data: a heavier ridge penalty keeps the realized abstain cost stable
+#: across replicates.
+DEVELOPER_FIT = FitConfig()
+INITIAL_FIT = FitConfig(l2=0.065)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Stream settings for one scenario.
@@ -172,10 +182,9 @@ class ScenarioConfig:
     clipped-hinge risk of the best-in-class predictor as the 64-node
     Gauss-Hermite rule of ``bayes_hinge_risk`` evaluates it; the generating
     coefficients are scaled to hit that value, and the exact risk is higher
-    (0.1036 at the default 0.10).  The initial model is fit
-    on ``initial_batches`` worth of pre-deployment data with its own,
-    deliberately conservative, settings: a heavier ridge penalty keeps the
-    realized abstain cost stable across replicates.
+    (0.1036 at the default 0.10).  The initial model is fit with
+    ``INITIAL_FIT`` on ``initial_batches`` worth of pre-deployment data;
+    the developer refits with ``DEVELOPER_FIT``.
     """
 
     kind: ScenarioKind
@@ -186,9 +195,7 @@ class ScenarioConfig:
     seed: int = 0
     eval_size: int = 100_000
     bayes_risk: float = 0.10
-    fit: FitConfig = field(default_factory=FitConfig)
     initial_batches: int = 2
-    initial_fit: FitConfig = field(default_factory=lambda: FitConfig(l2=0.065))
 
     def __post_init__(self):
         if self.horizon < 1 or self.batch_size < 1 or self.dim < 1:
@@ -439,24 +446,22 @@ class DeveloperPolicy:
     """Which trailing batches the developer refits on at each step.
 
     kind:
-      last_k        the most recent ``k`` batches
-      cycling       window length cycles 1..cycle with step index
+      last_k        the most recent LAST_K batches
+      cycling       window length cycles 1..CYCLE with step index
       all_data      every batch so far
       mostly_last2  last two batches, except every fourth step uses all
     """
 
     kind: str
-    k: int = 4
-    cycle: int = 5
 
     def window(self, t: int) -> range:
         """Batch indices (1-based) used to train the proposal at time t."""
         if t < 2:
             raise ValueError("proposals from monitoring data start at t = 2")
         if self.kind == "last_k":
-            lo = max(1, t - self.k)
+            lo = max(1, t - LAST_K)
         elif self.kind == "cycling":
-            length = ((t - 1) % self.cycle) + 1
+            length = ((t - 1) % CYCLE) + 1
             lo = max(1, t - length)
         elif self.kind == "all_data":
             lo = 1
@@ -469,18 +474,12 @@ class DeveloperPolicy:
 
 def policy_for_scenario(kind: ScenarioKind) -> DeveloperPolicy:
     return {
-        ScenarioKind.ADAPTIVE_SHIFTS: DeveloperPolicy("last_k", k=4),
+        ScenarioKind.ADAPTIVE_SHIFTS: DeveloperPolicy("last_k"),
         ScenarioKind.SMALL_FREQUENT_SHIFTS: DeveloperPolicy("cycling"),
         ScenarioKind.IID_GOOD_MODELS: DeveloperPolicy("all_data"),
         ScenarioKind.IID_RANDOM_MODELS: DeveloperPolicy("mostly_last2"),
         ScenarioKind.INGESTED: DeveloperPolicy("all_data"),
     }[kind]
-
-
-@dataclass
-class Split:
-    train: MonitoringBatch
-    validation: MonitoringBatch
 
 
 def holdout_size(n: int, validation_fraction: float) -> int:
@@ -492,13 +491,16 @@ def holdout_size(n: int, validation_fraction: float) -> int:
     return n_val
 
 
-def split_batch(batch: MonitoringBatch, validation_fraction: float, rng: np.random.Generator) -> Split:
-    """Random train/validation partition of ``holdout_size`` validation rows."""
+def split_batch(
+    batch: MonitoringBatch, validation_fraction: float, rng: np.random.Generator
+) -> tuple[MonitoringBatch, MonitoringBatch]:
+    """Random ``(train, validation)`` partition with ``holdout_size``
+    validation rows."""
     n_val = holdout_size(batch.size, validation_fraction)
     perm = rng.permutation(batch.size)
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    mk = lambda idx: MonitoringBatch(batch.time_index, batch.features[idx], batch.labels[idx])
-    return Split(train=mk(train_idx), validation=mk(val_idx))
+    mk = lambda idx: MonitoringBatch(batch.features[idx], batch.labels[idx])
+    return mk(train_idx), mk(val_idx)
 
 
 class TrainingRows:
@@ -575,13 +577,15 @@ def developer_propose(
 
 @dataclass
 class GeneratorState:
-    """Mutable state of the data-generating process for one replicate."""
+    """Mutable state of the data-generating process for one replicate.
+
+    ``shift_times`` lists the steps at which ``apply_shift`` moved the
+    distribution."""
 
     coeff_history: list[np.ndarray]
     rng: np.random.Generator
     budget: float = 0.0
-    shift_count: int = 0
-    last_shift_time: int = -(10**9)
+    shift_times: list[int] = field(default_factory=list)
     pending_shift: bool = False
     shadow_top: int = 0
 
@@ -603,7 +607,7 @@ def _draw(rng: np.random.Generator, beta: np.ndarray, rows: int, dtype=float):
 def generate_batch(gen: GeneratorState, cfg: ScenarioConfig, time_index: int) -> MonitoringBatch:
     """Draw IID observations from the distribution realized at ``time_index``."""
     beta = gen.coeff_history[min(time_index, len(gen.coeff_history) - 1)]
-    return MonitoringBatch(time_index, *_draw(gen.rng, beta, cfg.batch_size))
+    return MonitoringBatch(*_draw(gen.rng, beta, cfg.batch_size))
 
 
 def _class_risks(beta: np.ndarray, probe: np.ndarray, diff: np.ndarray, mean_minus: np.ndarray) -> np.ndarray:
@@ -836,8 +840,10 @@ def apply_shift(
     coefs: np.ndarray,
     loss: LossFunction,
     window: int,
-) -> None:
-    """Realize the distribution for time ``t_new`` and append its coefficients.
+) -> bool:
+    """Realize the distribution for time ``t_new`` and append its
+    coefficients; return whether they moved, in which case ``t_new`` is
+    appended to ``gen.shift_times``.
 
     Called at the start of step ``t_new``, before any data from that step
     is drawn: the shift function may depend on everything observed so far,
@@ -869,39 +875,24 @@ def apply_shift(
     elif cfg.kind is ScenarioKind.ADAPTIVE_SHIFTS:
         if feedback:
             gen.pending_shift = True
-        allowed = t_new > WARMUP_STEPS and t_new - gen.last_shift_time >= MIN_SHIFT_GAP
+        allowed = t_new > WARMUP_STEPS and (
+            not gen.shift_times or t_new - gen.shift_times[-1] >= MIN_SHIFT_GAP
+        )
         if gen.pending_shift and allowed:
             target = SHIFT_SAFETY * gen.budget
             victim = coefs[:, gen.shadow_top - 1] if gen.shadow_top > 0 else None
             shifted = _flip_subset(gen, target, t_new, window, coefs, loss, cfg, victim)
             gen.pending_shift = False
-    if shifted is not None and not np.array_equal(shifted, beta):
-        gen.coeff_history.append(shifted)
-        gen.shift_count += 1
-        gen.last_shift_time = t_new
-    else:
-        gen.coeff_history.append(beta)
+    moved = shifted is not None and not np.array_equal(shifted, beta)
+    gen.coeff_history.append(shifted if moved else beta)
+    if moved:
+        gen.shift_times.append(t_new)
+    return moved
 
 
-def empirical_mmd(
-    sample_a: MonitoringBatch,
-    sample_b: MonitoringBatch,
-    coefs: np.ndarray,
-    loss_cfg: AugmentedLossConfig,
-) -> float:
-    """Largest absolute risk difference between two samples over the
-    candidate columns ``coefs`` (shape (d + 1, k), k >= 1).
-
-    A finite-class lower bound on the population discrepancy; abstention
-    costs the same on both samples and contributes nothing.
-    """
-    if coefs.shape[1] == 0:
-        raise ValueError("need at least one candidate column")
-    risks = [
-        loss_cfg.base.of_array(candidate_scores(coefs, s.features), s.labels[:, None]).mean(axis=0)
-        for s in (sample_a, sample_b)
-    ]
-    return float(np.max(np.abs(risks[0] - risks[1])))
+def _sample_risks(coefs: np.ndarray, x: np.ndarray, y: np.ndarray, loss: LossFunction) -> np.ndarray:
+    """Each candidate column's mean loss on the labelled rows ``(x, y)``."""
+    return loss.of_array(candidate_scores(coefs, x), y[:, None]).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -931,31 +922,39 @@ def verify_drift(
 ) -> DriftReport:
     """Empirically check every windowed discrepancy against the budget.
 
-    For each time t and lookback w, draws ``n_check`` labelled samples from
-    the realized distribution at t and the same number (split equally) from
-    the pooled window, and compares their discrepancy over the candidate
-    columns ``coefs`` (``empirical_mmd``) against budget + tolerance.
-    The tolerance is the pre-registered allowance for sampling noise at
-    the default ``n_check``.
+    For each time t, draws ``n_check`` labelled rows from the realized
+    distribution at t; for each lookback w, the same number (split equally)
+    from the pooled window.  The discrepancy at (t, w) is the largest
+    absolute difference of a candidate column's mean loss on the two
+    samples, over the columns ``coefs`` (shape (d + 1, k), k >= 1;
+    ``ValueError`` otherwise): a finite-class lower bound on the population
+    discrepancy.  Abstention costs the same on both samples and contributes
+    nothing.  The sample at t is scored once and serves all w lookbacks.
+    A value above budget + tolerance is a violation; the tolerance is the
+    pre-registered allowance for sampling noise at the default ``n_check``.
     """
+    if coefs.shape[1] == 0:
+        raise ValueError("need at least one candidate column")
+    loss = loss_cfg.base
     rng = np.random.default_rng(seed)
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
     violations = []
 
     for t in range(1, horizon + 1):
-        current = MonitoringBatch(t, *_draw(rng, coeff_history[t], n_check))
+        current = _sample_risks(coefs, *_draw(rng, coeff_history[t], n_check), loss)
         for w in range(1, window + 1):
             lo = max(0, t - w)
             members = list(range(lo, t))
             per = max(1, n_check // len(members))
             pooled = [_draw(rng, coeff_history[s], per) for s in members]
-            mixed = MonitoringBatch(
-                t,
+            mixed = _sample_risks(
+                coefs,
                 np.vstack([x for x, _ in pooled]),
                 np.concatenate([y for _, y in pooled]),
+                loss,
             )
-            val = empirical_mmd(current, mixed, coefs, loss_cfg)
+            val = float(np.max(np.abs(current - mixed)))
             values[t - 1, w - 1] = val
             if val > budget + tolerance:
                 violations.append((t, w, val))
@@ -1064,12 +1063,11 @@ def run_replicate(
         beta0 = scale * b0 / np.linalg.norm(b0)
         gen = GeneratorState(coeff_history=[beta0], rng=rng)
         rows0 = scenario.initial_batches * scenario.batch_size
-        initial = MonitoringBatch(0, *_draw(rng, beta0, rows0))
+        initial = MonitoringBatch(*_draw(rng, beta0, rows0))
 
-    split0 = split_batch(initial, meta_cfg.bound.validation_fraction, rng)
-    first = CandidateModel(
-        fit_logistic(split0.train.features, split0.train.labels, scenario.initial_fit)
-    )
+    # the newest batch's split: the bound table at the next step validates on it
+    train, validation = split_batch(initial, meta_cfg.bound.validation_fraction, rng)
+    first = CandidateModel(fit_logistic(train.features, train.labels, INITIAL_FIT))
     # index 0 stands for abstention, index t for candidate t
     candidates = [None, first]
     if exact:
@@ -1094,8 +1092,9 @@ def run_replicate(
 
     margin = meta_cfg.margin_mult * delta
     step_margin = meta_cfg.step_margin_mult * margin
+    drift = scenario.drift if scenario.drift is not None else delta
     if not ingested:
-        gen.budget = scenario.drift if scenario.drift is not None else delta
+        gen.budget = drift
 
     if meta_cfg.rate_mode == "fixed":
         rate = meta_cfg.rate
@@ -1104,7 +1103,7 @@ def run_replicate(
         inputs = RiskBoundInputs(
             abstain_cost=delta,
             step_margin=step_margin,
-            drift=(scenario.drift if scenario.drift is not None else delta),
+            drift=drift,
             rate=1.0,
             cover_alpha=meta_cfg.bound.alpha,
             n_strategies=len(meta_cfg.rows),
@@ -1136,10 +1135,7 @@ def run_replicate(
 
     capacity = sum(b.size for b in batches[1:]) if ingested else horizon * scenario.batch_size
     train_rows = TrainingRows(capacity, dim)
-    # the newest batch's split: the bound table at the next step validates on it
-    newest = split0
     ledger = LossLedger(horizon)
-    shift_times: list[int] = []
     # column t - 1 holds candidate t
     coef_mat = np.zeros((dim + 1, horizon))
     coef_mat[:, 0] = first.coef
@@ -1147,13 +1143,11 @@ def run_replicate(
     for t in range(1, horizon + 1):
         if t >= 2:
             coef_mat[:, t - 1] = developer_propose(
-                policy, train_rows, coef_mat[:, : t - 1], t, scenario.fit
+                policy, train_rows, coef_mat[:, : t - 1], t, DEVELOPER_FIT
             )
             candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
         coefs = coef_mat[:, :t]
-        table = build_bound_table(
-            t, candidates, ledger, (newest.train, newest.validation), meta_cfg.bound, loss_cfg
-        )
+        table = build_bound_table(t, candidates, ledger, validation, meta_cfg.bound, loss_cfg)
 
         # the distribution for step t is realized now, before any data from
         # step t is drawn; the shift function may react to the approval the
@@ -1165,13 +1159,9 @@ def run_replicate(
             shadow_changed = top > 0 and top != gen.shadow_top
             if top > 0:
                 gen.shadow_top = top
-        shifted = False
-        if not ingested:
-            before = gen.shift_count
-            apply_shift(gen, scenario, t, shadow_changed, coefs, loss, meta_cfg.bound.window)
-            shifted = gen.shift_count > before
-            if shifted:
-                shift_times.append(t)
+        shifted = not ingested and apply_shift(
+            gen, scenario, t, shadow_changed, coefs, loss, meta_cfg.bound.window
+        )
 
         weights = meta.weights
         statuses = strategy_statuses(meta, table)
@@ -1219,8 +1209,8 @@ def run_replicate(
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
         trace.strategy_abstain[t - 1] = statuses[:, 0]
 
-        newest = split_batch(batch, meta_cfg.bound.validation_fraction, rng)
-        train_rows.add(batch, newest.train)
+        train, validation = split_batch(batch, meta_cfg.bound.validation_fraction, rng)
+        train_rows.add(batch, train)
         trace.emp_risk[t - 1] = batch_risks[-1]
         strat_risks = batch_risks[:-1]
 
@@ -1229,10 +1219,9 @@ def run_replicate(
             if not ingested and scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
                 shadow = strategy_advance(shadow, blosses, table.feasible(delta, step_margin))
 
-    trace.coeff_history = (
-        np.stack(gen.coeff_history[: horizon + 1]) if not ingested else np.zeros((0, dim))
-    )
-    trace.shift_times = tuple(shift_times)
+    if not ingested:
+        trace.coeff_history = np.stack(gen.coeff_history[: horizon + 1])
+        trace.shift_times = tuple(gen.shift_times)
     trace.model_coefs = coef_mat.copy()
     return trace
 

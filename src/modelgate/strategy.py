@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,19 +145,16 @@ def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
     return softmax(np.where(mask, logw, NEG_INF))
 
 
-def advance(
-    bank: StrategyBank,
-    batch_losses: np.ndarray,
-    mask: Optional[np.ndarray] = None,
-) -> StrategyBank:
+def advance(bank: StrategyBank, batch_losses: np.ndarray, mask: np.ndarray) -> StrategyBank:
     """Move to time t+1: loss update, then the prior's transition.
 
     ``batch_losses`` holds the empirical augmented risk of every entry on
     the step's monitoring batch (index 0 is the abstain cost).  Each row is
-    reweighted by exp(-learn_rate * loss); ``mask``, when given, zeroes the
-    entries that violated the step's bound constraint first, keeping the
-    recursion consistent with the sequence-level constraints (a row left
-    with no mass abstains).  The transition is
+    reweighted by exp(-learn_rate * loss); ``mask``, the step's
+    ``RiskBoundTable.feasible`` mask, zeroes the entries that violated the
+    bound constraint first, keeping the recursion consistent with the
+    sequence-level constraints (a row left with no mass abstains).  The
+    transition is
     ``nxt[k] = (1 - a) v[k] + sum_{i<k} a v[i] / (t + 1 - i)``.
     """
     losses = np.asarray(batch_losses, dtype=float)
@@ -169,9 +166,7 @@ def advance(
     if abs(losses[0] - bank.abstain_cost) > 1e-9:
         raise ValueError("entry 0 of batch_losses must equal the abstain cost")
     logv = bank.log_weights - bank.learn_rate[:, None] * losses
-    if mask is not None:
-        logv = np.where(mask, logv, NEG_INF)
-    v = softmax(logv)
+    v = softmax(np.where(mask, logv, NEG_INF))
     a = bank.approve_prob[:, None]
     nxt = np.zeros((len(v), t + 2))
     nxt[:, : t + 1] = (1.0 - a) * v

@@ -257,15 +257,14 @@ def test_criterion_7_simultaneous_coverage():
 
     # the vectorised UCBs must agree with the production table builder
     x, y = draw(3 * n)
-    history = [MonitoringBatch(s, x[(s - 1) * n : s * n], y[(s - 1) * n : s * n]) for s in (1, 2, 3)]
-    val = MonitoringBatch(3, history[2].features[:n_val], history[2].labels[:n_val])
-    train = MonitoringBatch(3, history[2].features[n_val:], history[2].labels[n_val:])
+    history = [MonitoringBatch(x[(s - 1) * n : s * n], y[(s - 1) * n : s * n]) for s in (1, 2, 3)]
+    val = MonitoringBatch(history[2].features[:n_val], history[2].labels[:n_val])
     ledger = LossLedger(4)
     for s, b in enumerate(history, start=1):
         preds = np.column_stack([model(b.features) for model in models[:s]])
         ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, candidates, ledger, (train, val), BoundConfig(alpha=alpha, window=window),
+        4, candidates, ledger, val, BoundConfig(alpha=alpha, window=window),
         AugmentedLossConfig(HINGE, 0.25),
     )
     for j in range(1, 4):

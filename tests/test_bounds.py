@@ -35,10 +35,10 @@ def ledger_of(candidates, batches, horizon):
     return ledger
 
 
-def iid_batch(rng, t, n=30, d=2):
+def iid_batch(rng, n=30, d=2):
     feats = rng.standard_normal((n, d))
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return MonitoringBatch(t, feats, labels)
+    return MonitoringBatch(feats, labels)
 
 
 class TestWindowStart:
@@ -100,8 +100,8 @@ class TestBuildBoundTable:
     def test_t1_layout(self):
         candidates = [None, constant_model(1.0)]
         rng = np.random.default_rng(1)
-        val = iid_batch(rng, 0, n=10)
-        table = build_bound_table(1, candidates, LossLedger(1), (val, val), self.cfg, self.loss_cfg)
+        val = iid_batch(rng, n=10)
+        table = build_bound_table(1, candidates, LossLedger(1), val, self.cfg, self.loss_cfg)
         assert table.bounds[0] == 0.3
         assert len(table.bounds) == 2
         # constant prediction 1.0: loss 0 on +1 labels, 1 on -1 labels
@@ -113,11 +113,11 @@ class TestBuildBoundTable:
         rng = np.random.default_rng(2)
         batches = []
         for t in (1, 2):
-            b = iid_batch(rng, t, n=20)
-            batches.append(MonitoringBatch(t, b.features, np.ones(20)))  # all +1: loss 0
+            b = iid_batch(rng, n=20)
+            batches.append(MonitoringBatch(b.features, np.ones(20)))  # all +1: loss 0
         val = batches[-1]
         ledger = ledger_of(candidates, batches[:1], 2)
-        table = build_bound_table(2, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
+        table = build_bound_table(2, candidates, ledger, val, self.cfg, self.loss_cfg)
         # model 1 pools batch 1 (20 zero losses) at level alpha/2
         assert table.bounds[1] == pytest.approx(math.sqrt(math.log(20.0) / 40.0))
 
@@ -128,10 +128,10 @@ class TestBuildBoundTable:
         for t in range(1, 5):
             candidates.append(constant_model(0.5))
             if t < 4:
-                batches.append(MonitoringBatch(t, *_all_plus(rng, 20)))
+                batches.append(MonitoringBatch(*_all_plus(rng, 20)))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 4)
-        table = build_bound_table(4, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
+        table = build_bound_table(4, candidates, ledger, val, self.cfg, self.loss_cfg)
         # model 1 pools batches 1..3 (60 obs of loss .25) at level alpha/4
         expected = 0.25 + math.sqrt(math.log(40.0) / 120.0)
         assert table.bounds[1] == pytest.approx(expected)
@@ -143,10 +143,10 @@ class TestBuildBoundTable:
         for t in range(1, 7):
             candidates.append(constant_model(0.5))
             if t < 6:
-                batches.append(iid_batch(rng, t))
+                batches.append(iid_batch(rng))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 6)
-        table = build_bound_table(6, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
+        table = build_bound_table(6, candidates, ledger, val, self.cfg, self.loss_cfg)
         assert table.window_starts[1] == 3  # max(1, 6-3)
         assert table.window_starts[5] == 5
         assert table.window_starts[6] == 5  # newest: previous step
@@ -158,60 +158,60 @@ class TestBuildBoundTable:
         for t in range(1, 7):
             candidates.append(constant_model(0.5))
             if t < 6:
-                batches.append(iid_batch(rng, t))
+                batches.append(iid_batch(rng))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 6)
-        narrow = build_bound_table(6, candidates, ledger, (val, val), BoundConfig(window=2), self.loss_cfg)
-        wide = build_bound_table(6, candidates, ledger, (val, val), BoundConfig(window=5), self.loss_cfg)
+        narrow = build_bound_table(6, candidates, ledger, val, BoundConfig(window=2), self.loss_cfg)
+        wide = build_bound_table(6, candidates, ledger, val, BoundConfig(window=5), self.loss_cfg)
         assert np.all(wide.window_starts[1:] <= narrow.window_starts[1:])
 
     def test_only_the_newest_candidate_is_scored(self):
         # older candidates' bounds come from the ledger alone
         rng = np.random.default_rng(7)
         scored = [None] + [constant_model(0.5) for _ in (1, 2, 3)]
-        batches = [iid_batch(rng, t) for t in (1, 2)]
+        batches = [iid_batch(rng) for _ in (1, 2)]
         ledger = ledger_of(scored, batches, 3)
         # scoring an older entry would fail: None has no predict
         candidates = [None, None, None, constant_model(0.5)]
         val = batches[-1]
-        table = build_bound_table(3, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
-        expected = build_bound_table(3, scored, ledger, (val, val), self.cfg, self.loss_cfg)
+        table = build_bound_table(3, candidates, ledger, val, self.cfg, self.loss_cfg)
+        expected = build_bound_table(3, scored, ledger, val, self.cfg, self.loss_cfg)
         assert table.bounds.tolist() == expected.bounds.tolist()
 
     def test_pooled_mean_weights_every_row_equally(self):
         # batches of 10 and 30 rows: candidate 1's pooled mean is per observation
         candidates = constant_candidates(3)
-        val = MonitoringBatch(0, *_all_plus(np.random.default_rng(8), 10))
+        val = MonitoringBatch(*_all_plus(np.random.default_rng(8), 10))
         ledger = LossLedger(3)
         ledger.record(1, np.full((10, 1), 0.1))
         ledger.record(2, np.full((30, 2), 0.5))
-        table = build_bound_table(3, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
+        table = build_bound_table(3, candidates, ledger, val, self.cfg, self.loss_cfg)
         expected = (10 * 0.1 + 30 * 0.5) / 40 + math.sqrt(math.log(30.0) / 80.0)
         assert table.bounds[1] == pytest.approx(expected, abs=1e-15)
         with pytest.raises(ValueError, match="empty evaluation window"):
             # nothing recorded yet
-            build_bound_table(3, candidates, LossLedger(3), (val, val), self.cfg, self.loss_cfg)
+            build_bound_table(3, candidates, LossLedger(3), val, self.cfg, self.loss_cfg)
 
     def test_empty_batch_in_the_window_raises(self):
         # batch 3 has no rows, and candidate 3 pools batch 3 alone at t = 4
         candidates = constant_candidates(4)
-        val = MonitoringBatch(0, *_all_plus(np.random.default_rng(9), 10))
+        val = MonitoringBatch(*_all_plus(np.random.default_rng(9), 10))
         ledger = LossLedger(4)
         ledger.record(1, np.full((5, 1), 0.2))
         ledger.record(2, np.full((5, 2), 0.2))
         ledger.record(3, np.zeros((0, 3)))
         with pytest.raises(ValueError, match="candidate 3 has an empty evaluation window"):
-            build_bound_table(4, candidates, ledger, (val, val), self.cfg, self.loss_cfg)
+            build_bound_table(4, candidates, ledger, val, self.cfg, self.loss_cfg)
 
     def test_candidates_must_cover_every_step(self):
         # abstention plus candidates 1..t: one entry short or over is refused
-        val = MonitoringBatch(0, *_all_plus(np.random.default_rng(10), 10))
+        val = MonitoringBatch(*_all_plus(np.random.default_rng(10), 10))
         ledger = LossLedger(3)
         ledger.record(1, np.full((5, 1), 0.2))
         ledger.record(2, np.full((5, 2), 0.2))
         for count in (3, 5):
             with pytest.raises(ValueError, match="candidates 1..3"):
-                build_bound_table(3, constant_candidates(count - 1), ledger, (val, val), self.cfg,
+                build_bound_table(3, constant_candidates(count - 1), ledger, val, self.cfg,
                                   self.loss_cfg)
 
     def test_feasible_mask_keeps_abstain(self):
@@ -225,8 +225,8 @@ class TestBuildBoundTable:
         candidates = [None, constant_model(-1.0)]  # always wrong on +1 labels: loss 1
         rng = np.random.default_rng(6)
         feats, labels = _all_plus(rng, 10)
-        val = MonitoringBatch(0, feats, labels)
-        table = build_bound_table(1, candidates, LossLedger(1), (val, val), self.cfg, self.loss_cfg)
+        val = MonitoringBatch(feats, labels)
+        table = build_bound_table(1, candidates, LossLedger(1), val, self.cfg, self.loss_cfg)
         assert table.bounds[1] > 1.0
 
 
@@ -261,9 +261,9 @@ def test_table_matches_the_candidate_loop(t, window, seed):
     ledger = LossLedger(t)
     for s in range(1, t):
         ledger.record(s, rng.random((int(rng.integers(1, 60)), s)))
-    val = MonitoringBatch(0, *_all_plus(rng, 10))
+    val = MonitoringBatch(*_all_plus(rng, 10))
     cfg = BoundConfig(alpha=0.1, window=window)
-    table = build_bound_table(t, constant_candidates(t), ledger, (val, val), cfg,
+    table = build_bound_table(t, constant_candidates(t), ledger, val, cfg,
                               AugmentedLossConfig(HINGE, 0.3))
     want = loop_bounds(t, ledger, window, cfg.alpha / t)
     got = table.bounds[1:t].tolist()

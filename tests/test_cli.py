@@ -468,6 +468,57 @@ class TestIngest:
             ingest(path, "month")
 
 
+# (header, rows, the line reported, the message after it)
+MALFORMED_CSV = {
+    "repeated_column": ("timestamp,x0,x0,label", ["1,0.5,0.7,1", "2,0.3,0.1,0"],
+                        1, "repeated column 'x0'"),
+    "extra_cell": ("timestamp,x1,x2,label", ["1,0.5,1.0,1", "2,0.25,-1.0,0,9"],
+                   3, "5 cells where the header has 4"),
+    "missing_cell": ("timestamp,x1,x2,label", ["1,0.5,1.0,1", "2,0.25,0"],
+                     3, "3 cells where the header has 4"),
+    "nul_in_timestamp": ("timestamp,x1,x2,label", ["1,0.5,1.0,1", "2\x00,0.25,-1.0,0"],
+                         3, "cannot parse timestamp '2\\x00'"),
+    "line_after_a_blank_line": ("timestamp,x1,x2,label", ["1,0.5,1.0,1", "", "2,oops,1.0,0"],
+                                4, "non-numeric value"),
+}
+
+
+class TestIngestRules:
+    """What ``ingest`` accepts: distinct column names, one cell per column in
+    every row, parseable timestamps; a byte-order mark and blank lines are
+    skipped.  A broken rule names ``file:line``."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CSV))
+    def test_malformed_file_names_its_line(self, tmp_path, capsys, case):
+        header, rows, line, message = MALFORMED_CSV[case]
+        path = toy_csv(tmp_path, rows, header=header)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:{line}: {message}")):
+            ingest(path)
+        assert main(["ingest-check", str(path), "--batch-size", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out and captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {path}:{line}: ")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rows = ["3,0.5,1.0,1", "1,0.25,-1.0,0", "2,0.1,0.2,1", "4,2.0,3.0,0"]
+        plain = ingest(toy_csv(tmp_path, rows), "count", 2)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "data.csv").read_bytes())
+        marked = ingest(path, "count", 2)
+        assert marked.feature_names == plain.feature_names == ("x1", "x2")
+        for a, b in zip(marked.batches, plain.batches, strict=True):
+            assert np.array_equal(a.features, b.features) and np.array_equal(a.labels, b.labels)
+
+    def test_columns_are_read_by_position(self, tmp_path):
+        # the label and the timestamp may sit anywhere; features keep header order
+        path = toy_csv(tmp_path, ["1,0.5,2,-1.0", "0,0.25,1,3.0"], header="label,b,timestamp,a")
+        stream = ingest(path, "count", 2)
+        assert stream.feature_names == ("b", "a")
+        assert stream.batches[0].features.tolist() == [[0.25, 3.0], [0.5, -1.0]]
+        assert stream.batches[0].labels.tolist() == [-1.0, 1.0]
+
+
 class TestMainExitCodes:
     def test_run_success(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -39,6 +39,11 @@ def risk_of(weights, preds, labels, delta):
     return float(deployed_risks([(preds, np.asarray(labels, dtype=float))], [weights], cfg)[0])
 
 
+def loss_at(loss, z, y):
+    """The loss of one (score, label) pair."""
+    return float(loss.of_array(z, y))
+
+
 class TestAugmentedLoss:
     def test_abstain_costs_exactly_delta(self):
         assert AugmentedLossConfig(HINGE, 0.15).abstain_cost == 0.15
@@ -47,16 +52,16 @@ class TestAugmentedLoss:
                 AugmentedLossConfig(HINGE, bad)
 
     def test_hinge_zero_region(self):
-        assert HINGE(1.0, 1.0) == 0.0
-        assert HINGE(1.0, 1) == 0.0
+        assert loss_at(HINGE, 1.0, 1.0) == 0.0
+        assert loss_at(HINGE, 1.0, 1) == 0.0
 
     def test_hinge_midpoint(self):
         # max(0, 1 - z*y)/2 at z=0, y=+1 is 0.5
-        assert HINGE(0.0, 1.0) == pytest.approx(0.5)
+        assert loss_at(HINGE, 0.0, 1.0) == pytest.approx(0.5)
 
     def test_bad_label_rejected(self):
         with pytest.raises(ValueError):
-            HINGE(0.2, 0.5)
+            HINGE.of_array(0.2, 0.5)
         with pytest.raises(ValueError):
             LossFunction("zero_one").check_labels(np.array([1.0, 0.0]))
 
@@ -67,15 +72,15 @@ class TestAugmentedLoss:
     )
     @settings(max_examples=200, deadline=None)
     def test_always_in_unit_interval(self, z, y, scale):
-        assert 0.0 <= LossFunction("clipped_hinge", scale=scale)(z, y) <= 1.0
+        assert 0.0 <= loss_at(LossFunction("clipped_hinge", scale=scale), z, y) <= 1.0
 
     def test_other_kinds(self):
         zo = LossFunction("zero_one")
-        assert zo(0.4, 1.0) == 0.0
-        assert zo(-0.4, 1.0) == 1.0
+        assert loss_at(zo, 0.4, 1.0) == 0.0
+        assert loss_at(zo, -0.4, 1.0) == 1.0
         sa = LossFunction("scaled_absolute", scale=4.0)
-        assert sa(1.0, 5.0) == pytest.approx(1.0)
-        assert sa(4.0, 5.0) == pytest.approx(0.25)
+        assert loss_at(sa, 1.0, 5.0) == pytest.approx(1.0)
+        assert loss_at(sa, 4.0, 5.0) == pytest.approx(0.25)
 
     def test_affine_only_where_never_clipped(self):
         assert HINGE.affine and LossFunction("clipped_hinge", scale=3.0).affine
@@ -279,9 +284,11 @@ class TestTypes:
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):
-            MonitoringBatch(1, np.zeros((0, 2)), np.zeros(0))
+            MonitoringBatch(np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(ValueError):
-            MonitoringBatch(1, np.zeros((3, 2)), np.zeros(4))
+            MonitoringBatch(np.zeros((3, 2)), np.zeros(4))
+        with pytest.raises(ValueError):
+            MonitoringBatch(np.zeros(3), np.zeros(3))
 
     def test_batch_model_losses_layout(self):
         # entry 0 is the abstain cost, entry j the mean loss of candidate j

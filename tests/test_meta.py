@@ -19,6 +19,7 @@ from modelgate.meta import (
     risk_bound,
     strategy_statuses,
     tail_alpha,
+    _bound_at,
 )
 
 DELTA = 0.25
@@ -36,7 +37,7 @@ def headline_inputs(rate, delta=0.15, eps_t=0.0):
     return RiskBoundInputs(
         abstain_cost=delta, step_margin=eps_t, drift=2 * delta, rate=rate,
         cover_alpha=0.0, n_strategies=10, horizon=50,
-        batch_size=None, holdout_size=None, slack=None, tail=0.0,
+        batch_size=None, holdout_size=None, tail=0.0,
     )
 
 
@@ -230,7 +231,7 @@ class TestRiskBound:
         z_star, best = optimize_slack(inp)
         rng = np.random.default_rng(5)
         for z in rng.uniform(0, 1, size=100):
-            assert best <= risk_bound(replace(inp, slack=float(z))) + 1e-12
+            assert best <= _bound_at(inp, float(z)) + 1e-12
         assert 0.0 <= z_star <= 1.0
 
     def test_slack_optimum_stable_under_grid_doubling(self):
@@ -240,9 +241,9 @@ class TestRiskBound:
         assert abs(z1 - z2) <= 1e-3
 
     def test_infinite_batch_drops_quadratic_term(self):
-        a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50, tail=0.0, slack=1e-6))
+        a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50, tail=0.0))
         b = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50,
-                                       batch_size=10**9, holdout_size=10**9, tail=0.0, slack=1e-6))
+                                       batch_size=10**9, holdout_size=10**9, tail=0.0))
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_tighter_than_classical_in_matched_regime(self):
@@ -250,7 +251,7 @@ class TestRiskBound:
         for delta in (0.05, 0.15, 0.3):
             for rate in np.linspace(0.1, 3.0, 12):
                 ours = risk_bound(RiskBoundInputs(
-                    delta, 0.0, 0.0, float(rate), 0.0, 10, 50, tail=0.0, slack=1e-9))
+                    delta, 0.0, 0.0, float(rate), 0.0, 10, 50, tail=0.0))
                 classical = classical_ewaf_bound(float(rate), delta, 10, 50)
                 assert ours <= classical + 1e-12
 
@@ -290,7 +291,7 @@ def full_scan_rate(target, inputs, cap, grid):
     the bisection always runs 80 steps.  None stands for infeasible."""
 
     def bound(rate):
-        return risk_bound(replace(inputs, rate=rate, slack=None, tail=None))
+        return risk_bound(replace(inputs, rate=rate, tail=None))
 
     rates = [cap * (i + 1) / grid for i in range(grid)]
     feasible = [r for r in rates if bound(r) <= target]

@@ -29,7 +29,6 @@ from modelgate.sim import (
     apply_shift,
     bayes_hinge_risk,
     developer_propose,
-    empirical_mmd,
     fit_logistic,
     generate_batch,
     label_score_means,
@@ -41,9 +40,11 @@ from modelgate.sim import (
     split_batch,
     verify_drift,
     _class_risks,
+    _draw,
     _last_feasible,
     _logistic_terms,
     _probe_losses,
+    _sample_risks,
     _score_blocks,
 )
 
@@ -284,7 +285,7 @@ class TestDeveloperPolicies:
         assert policy_for_scenario(ScenarioKind.IID_RANDOM_MODELS).kind == "mostly_last2"
 
     def test_last_k_truncates_at_history_start(self):
-        assert list(DeveloperPolicy("last_k", k=4).window(3)) == [1, 2]
+        assert list(DeveloperPolicy("last_k").window(3)) == [1, 2]
 
     def test_cycling_schedule_table(self):
         # window length = ((t-1) mod 5) + 1
@@ -310,19 +311,19 @@ class TestDeveloperPolicies:
         cfg = ScenarioConfig(kind=ScenarioKind.IID_GOOD_MODELS, **SMALL)
         gen = GeneratorState(coeff_history=[np.zeros(cfg.dim)], rng=rng)
         rows = TrainingRows(2 * cfg.batch_size, cfg.dim)
-        history, splits = [], []
+        history, trains = [], []
         for t in (1, 2):
             b = generate_batch(gen, cfg, t)
             history.append(b)
-            splits.append(split_batch(b, 0.5, rng))
-            rows.add(b, splits[-1].train)
+            trains.append(split_batch(b, 0.5, rng)[0])
+            rows.add(b, trains[-1])
             gen.coeff_history.append(gen.coefficients)
         zero = np.zeros(cfg.dim + 1)
         coef = developer_propose(
             DeveloperPolicy("all_data"), rows, np.column_stack([zero, zero]), 3, FitConfig(iterations=50)
         )
-        ref_feats = np.vstack([history[0].features, splits[1].train.features])
-        ref_labels = np.concatenate([history[0].labels, splits[1].train.labels])
+        ref_feats = np.vstack([history[0].features, trains[1].features])
+        ref_labels = np.concatenate([history[0].labels, trains[1].labels])
         ref = fit_logistic(ref_feats, ref_labels, FitConfig(iterations=50))
         assert np.allclose(coef, ref)
         # the newest candidate reaches fit_logistic as the start, and a
@@ -336,8 +337,9 @@ class TestDeveloperPolicies:
 def stacked_window(policy, history, splits, t):
     """The oracle for ``TrainingRows``: the developer's window at step t
     stacked batch by batch from ``history`` (batch s at index s - 1), the
-    newest batch t - 1 by its training split only."""
-    parts = [splits[s - 1].train if s == t - 1 else history[s - 1] for s in policy.window(t)]
+    newest batch t - 1 by its training split only (the first part of its
+    ``split_batch`` pair)."""
+    parts = [splits[s - 1][0] if s == t - 1 else history[s - 1] for s in policy.window(t)]
     return np.vstack([p.features for p in parts]), np.concatenate([p.labels for p in parts])
 
 
@@ -401,15 +403,15 @@ def replay_batches(sizes, dim=3, seed=21):
     rng = np.random.default_rng(seed)
     beta = rng.standard_normal(dim)
     out = []
-    for k, n in enumerate(sizes):
+    for n in sizes:
         x = rng.standard_normal((n, dim))
         y = np.where(rng.random(n) < sigmoid(x @ beta), 1.0, -1.0)
-        out.append(MonitoringBatch(k, x, y))
+        out.append(MonitoringBatch(x, y))
     return out
 
 
 POLICIES = [
-    DeveloperPolicy("last_k", k=4),
+    DeveloperPolicy("last_k"),
     DeveloperPolicy("cycling"),
     DeveloperPolicy("all_data"),
     DeveloperPolicy("mostly_last2"),
@@ -428,7 +430,7 @@ class TestRefitPath:
         coefs = rng.standard_normal((history[0].dim + 1, len(sizes)))
         calls = recording_fits(monkeypatch)
         for t in range(2, 14):
-            rows.add(history[t - 2], splits[t - 2].train)
+            rows.add(history[t - 2], splits[t - 2][0])
             developer_propose(policy, rows, coefs[:, : t - 1], t, FitConfig())
             features, labels = stacked_window(policy, history, splits, t)
             assert bitwise_equal(calls[-1][0], features)
@@ -520,7 +522,7 @@ class TestGenerator:
             coefs = np.ones((cfg.dim + 1, 1))
             for t in range(1, 9):
                 apply_shift(gen, cfg, t, False, coefs, HINGE, 3)
-            assert gen.shift_count == 0
+            assert gen.shift_times == []
             assert all(np.array_equal(c, gen.coeff_history[0]) for c in gen.coeff_history)
 
     def test_small_frequent_shift_times(self):
@@ -528,20 +530,37 @@ class TestGenerator:
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(14), budget=0.27)
         coefs = column(np.concatenate([beta, [0.0]]))
-        shifted_at = []
-        for t in range(1, 14):
-            before = gen.shift_count
-            apply_shift(gen, cfg, t, False, coefs, HINGE, 3)
-            if gen.shift_count > before:
-                shifted_at.append(t)
-        assert shifted_at == [4, 8, 12]
+        shifted_at = [t for t in range(1, 14) if apply_shift(gen, cfg, t, False, coefs, HINGE, 3)]
+        assert shifted_at == gen.shift_times == [4, 8, 12]
+
+    @pytest.mark.parametrize("kind,seed", [(ScenarioKind.ADAPTIVE_SHIFTS, 2),
+                                           (ScenarioKind.SMALL_FREQUENT_SHIFTS, 4)])
+    def test_moves_are_reported_at_the_trace_shift_times(self, kind, seed, monkeypatch):
+        import modelgate.sim as sim
+
+        returned = []
+        real = sim.apply_shift
+
+        def recording(gen, cfg, t_new, *args):
+            returned.append(real(gen, cfg, t_new, *args))
+            return returned[-1]
+
+        monkeypatch.setattr(sim, "apply_shift", recording)
+        tr = run_replicate(small_scenario(kind, seed=seed, horizon=16),
+                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        assert tr.shift_times and len(returned) == tr.horizon
+        assert all(type(moved) is bool for moved in returned)
+        assert tuple(t for t, moved in enumerate(returned, start=1) if moved) == tr.shift_times
+        # a move is a change of the coefficients, and nothing else is
+        for t, moved in enumerate(returned, start=1):
+            assert moved == (not np.array_equal(tr.coeff_history[t], tr.coeff_history[t - 1]))
 
     def test_rotation_preserves_norm(self):
         cfg = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS)
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(15), budget=0.27)
-        apply_shift(gen, cfg, 4, False, column(np.concatenate([beta, [0.0]])), HINGE, 3)
-        assert gen.shift_count == 1
+        assert apply_shift(gen, cfg, 4, False, column(np.concatenate([beta, [0.0]])), HINGE, 3)
+        assert gen.shift_times == [4]
         assert np.linalg.norm(gen.coefficients) == pytest.approx(np.linalg.norm(beta), rel=1e-9)
 
 
@@ -585,9 +604,9 @@ class TestShiftProbe:
         coefs = np.column_stack([np.append(beta, 0.0), victim])
         for budget, flipped in ((0.05, [lean]), (0.27, sorted({lean, cfg.dim - 1}))):
             gen = GeneratorState([beta], np.random.default_rng(23), budget=budget, shadow_top=2)
-            apply_shift(gen, cfg, 6, True, coefs, HINGE, 3)
+            assert apply_shift(gen, cfg, 6, True, coefs, HINGE, 3)
             changed = np.flatnonzero(gen.coefficients != beta)
-            assert gen.shift_count == 1 and changed.tolist() == flipped
+            assert gen.shift_times == [6] and changed.tolist() == flipped
             ratio = gen.coefficients[changed] / beta[changed]
             if budget == 0.05:
                 assert 0.0 < ratio[0] < 1.0  # a partial flip
@@ -700,20 +719,30 @@ class TestShiftSearch:
         assert np.mean(counts) <= 12 and max(counts) <= 43
 
 
+def sample_mmd(sample_a, sample_b, coefs, loss):
+    """The empirical discrepancy of two ``(x, y)`` samples as ``verify_drift``
+    takes it: the largest gap between a candidate's mean losses on them."""
+    gap = _sample_risks(coefs, *sample_a, loss) - _sample_risks(coefs, *sample_b, loss)
+    return float(np.max(np.abs(gap)))
+
+
 class TestEmpiricalMmd:
+    """The empirical discrepancy of two samples, from ``sim._sample_risks``."""
+
     def test_identical_samples_give_zero(self):
         rng = np.random.default_rng(16)
-        b = MonitoringBatch(1, rng.standard_normal((50, 3)), np.where(rng.random(50) < 0.5, 1.0, -1.0))
-        assert empirical_mmd(b, b, column([1.0, 0, 0, 0]), LOSS_CFG) == 0.0
+        b = (rng.standard_normal((50, 3)), np.where(rng.random(50) < 0.5, 1.0, -1.0))
+        assert sample_mmd(b, b, column([1.0, 0, 0, 0]), HINGE) == 0.0
 
     def test_single_model_gives_exact_risk_difference(self):
         rng = np.random.default_rng(17)
-        a = MonitoringBatch(1, rng.standard_normal((40, 2)), np.ones(40))
-        b = MonitoringBatch(1, rng.standard_normal((40, 2)), -np.ones(40))
+        a = (rng.standard_normal((40, 2)), np.ones(40))
+        b = (rng.standard_normal((40, 2)), -np.ones(40))
         model = CandidateModel(np.array([1.0, 0.0, 0.0]))
-        la = HINGE.of_array(model.predict(a.features), a.labels).mean()
-        lb = HINGE.of_array(model.predict(b.features), b.labels).mean()
-        assert empirical_mmd(a, b, column(model.coef), LOSS_CFG) == pytest.approx(abs(la - lb))
+        la = HINGE.of_array(model.predict(a[0]), a[1]).mean()
+        lb = HINGE.of_array(model.predict(b[0]), b[1]).mean()
+        assert _sample_risks(column(model.coef), *a, HINGE).tolist() == [la]
+        assert sample_mmd(a, b, column(model.coef), HINGE) == pytest.approx(abs(la - lb))
 
     def test_known_shift_matches_monte_carlo(self):
         # mean-shifted label law: compare against a one-million-sample oracle
@@ -727,7 +756,7 @@ class TestEmpiricalMmd:
             r = np.random.default_rng(seed)
             X = r.standard_normal((n, d))
             y = np.where(r.random(n) < sigmoid(X @ beta), 1.0, -1.0)
-            return MonitoringBatch(1, X, y)
+            return X, y
 
         big = 10**6
         Xo = rng.standard_normal((big, d))
@@ -740,35 +769,34 @@ class TestEmpiricalMmd:
             diff += sign * np.mean(p * lp + (1 - p) * lm)
         truth = abs(diff)
         n = 30000
-        got = empirical_mmd(draw(beta1, n, 1), draw(beta2, n, 2), column(model.coef), LOSS_CFG)
+        got = sample_mmd(draw(beta1, n, 1), draw(beta2, n, 2), column(model.coef), HINGE)
         assert abs(got - truth) < 3 * 0.5 * np.sqrt(2.0 / n)
 
     @pytest.mark.parametrize("loss", [HINGE, LossFunction("zero_one"),
                                       LossFunction("clipped_hinge", scale=1.5)])
     def test_matches_the_per_model_loop(self, loss):
         rng = np.random.default_rng(19)
-        cfg = AugmentedLossConfig(loss, 0.25)
         for k in (1, 2, 7, 30):
             coefs = rng.normal(0.0, 1.5, size=(5, k))
-            a, b = (MonitoringBatch(1, rng.standard_normal((n, 4)),
-                                    np.where(rng.random(n) < 0.5, 1.0, -1.0)) for n in (500, 700))
-            got = empirical_mmd(a, b, coefs, cfg)
-            assert got == pytest.approx(per_model_mmd(a, b, coefs, cfg), rel=0.0, abs=1e-14)
+            a, b = ((rng.standard_normal((n, 4)), np.where(rng.random(n) < 0.5, 1.0, -1.0))
+                    for n in (500, 700))
+            got = sample_mmd(a, b, coefs, loss)
+            assert got == pytest.approx(per_model_mmd(a, b, coefs, loss), rel=0.0, abs=1e-14)
 
     def test_zero_columns_rejected(self):
-        b = MonitoringBatch(1, np.zeros((3, 2)), np.ones(3))
         with pytest.raises(ValueError, match="at least one candidate column"):
-            empirical_mmd(b, b, np.zeros((3, 0)), LOSS_CFG)
+            verify_drift([np.ones(2)] * 3, budget=0.1, window=2, coefs=np.zeros((3, 0)),
+                         loss_cfg=LOSS_CFG, n_check=10)
 
 
-def per_model_mmd(sample_a, sample_b, coefs, loss_cfg):
-    """The oracle: ``empirical_mmd`` as a loop over the candidates, each
-    scored on its own by ``predict``."""
+def per_model_mmd(sample_a, sample_b, coefs, loss):
+    """The oracle: the discrepancy of two ``(x, y)`` samples as a loop over
+    the candidates, each scored on its own by ``predict``."""
     worst = 0.0
     for coef in coefs.T:
         model = CandidateModel(coef.copy())
-        la = loss_cfg.base.of_array(model.predict(sample_a.features), sample_a.labels)
-        lb = loss_cfg.base.of_array(model.predict(sample_b.features), sample_b.labels)
+        la = loss.of_array(model.predict(sample_a[0]), sample_a[1])
+        lb = loss.of_array(model.predict(sample_b[0]), sample_b[1])
         worst = max(worst, abs(float(la.mean()) - float(lb.mean())))
     return worst
 
@@ -781,7 +809,7 @@ def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed
     def draw(beta, count):
         x = rng.standard_normal((count, len(beta)))
         y = np.where(rng.random(count) < sigmoid(x @ beta), 1.0, -1.0)
-        return MonitoringBatch(0, x, y)
+        return x, y
 
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
@@ -790,10 +818,32 @@ def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed
         for w in range(1, window + 1):
             members = range(max(0, t - w), t)
             pooled = [draw(coeff_history[s], max(1, n_check // len(members))) for s in members]
-            mixed = MonitoringBatch(0, np.vstack([b.features for b in pooled]),
-                                    np.concatenate([b.labels for b in pooled]))
-            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss_cfg)
+            mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
+            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss_cfg.base)
     return values
+
+
+def per_window_drift(coeff_history, budget, window, coefs, loss, n_check, tolerance, seed):
+    """The oracle: ``verify_drift``'s values and violations composed per
+    window: both samples are drawn by ``sim._draw`` in the same order and
+    scored at every (t, w), so the sample at t is scored once per window."""
+    rng = np.random.default_rng(seed)
+    horizon = len(coeff_history) - 1
+    values = np.zeros((horizon, window))
+    violations = []
+    for t in range(1, horizon + 1):
+        current = _draw(rng, coeff_history[t], n_check)
+        for w in range(1, window + 1):
+            members = range(max(0, t - w), t)
+            pooled = [_draw(rng, coeff_history[s], max(1, n_check // len(members))) for s in members]
+            mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
+            risks = [loss.of_array(candidate_scores(coefs, x), y[:, None]).mean(axis=0)
+                     for x, y in (current, mixed)]
+            val = float(np.max(np.abs(risks[0] - risks[1])))
+            values[t - 1, w - 1] = val
+            if val > budget + tolerance:
+                violations.append((t, w, val))
+    return values, tuple(violations)
 
 
 class TestVerifyDrift:
@@ -829,6 +879,22 @@ class TestVerifyDrift:
         np.testing.assert_allclose(report.values, want, rtol=0.0, atol=1e-14)
         flagged = [(t, w) for t, w, _ in report.violations]
         assert flagged and flagged == [(t + 1, w + 1) for t, w in zip(*np.nonzero(want > budget))]
+
+    @pytest.mark.parametrize("loss", [HINGE, LossFunction("clipped_hinge", scale=1.5)],
+                             ids=["clipped_hinge", "clipped_hinge_scale1.5"])
+    def test_values_equal_the_per_window_composition_bit_for_bit(self, loss):
+        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12),
+                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        assert tr.shift_times
+        args = (3, tr.model_coefs, loss, 3000, 0.0, 5)
+        # a budget that flags about half the windows
+        budget = float(np.median(per_window_drift(tr.coeff_history, 1.0, *args)[0]))
+        want, flagged = per_window_drift(tr.coeff_history, budget, *args)
+        report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
+                              loss_cfg=AugmentedLossConfig(loss, tr.abstain_cost), n_check=3000,
+                              tolerance=0.0, seed=5)
+        assert bitwise_equal(report.values, want)
+        assert flagged and report.violations == flagged
 
 
 class TestRunReplicate:

@@ -47,6 +47,11 @@ def losses_vec(*model_losses):
     return np.array([DELTA, *model_losses])
 
 
+def advance_open(bank, losses):
+    """``advance`` with every entry feasible: an all-true mask."""
+    return advance(bank, losses, np.ones(len(losses), dtype=bool))
+
+
 class TestTransitionMatrix:
     def test_zero_approve_prob_is_identity_on_old_states(self):
         A = transition_matrix(4, 0.0)
@@ -83,16 +88,16 @@ class TestLossUpdate:
     def test_zero_learning_rate_keeps_weights(self):
         # optimism plays no part in the update; nonzero, it keeps the row
         # from being the fail-safe
-        nxt = advance(bank_with(approve=0.0, optimism=1.0, learn=0.0), losses_vec(0.9))
+        nxt = advance_open(bank_with(approve=0.0, optimism=1.0, learn=0.0), losses_vec(0.9))
         assert np.allclose(nxt.weights, [[0.5, 0.5, 0.0]])
 
     def test_equal_losses_keep_weights(self):
-        nxt = advance(bank_with(approve=0.0, learn=3.0), np.array([DELTA, DELTA]))
+        nxt = advance_open(bank_with(approve=0.0, learn=3.0), np.array([DELTA, DELTA]))
         assert np.allclose(nxt.weights, [[0.5, 0.5, 0.0]])
 
     def test_scalar_arithmetic_oracle(self):
         # v0 = e^{-0.2} / (e^{-0.2} + e^{-0.8}) = 1/(1+e^{-0.6})
-        nxt = advance(bank_with(approve=0.0, learn=1.0, cost=0.2), np.array([0.2, 0.8]))
+        nxt = advance_open(bank_with(approve=0.0, learn=1.0, cost=0.2), np.array([0.2, 0.8]))
         v0 = nxt.weights[0, 0]
         assert v0 == pytest.approx(1.0 / (1.0 + np.exp(-0.6)), abs=1e-12)
         assert v0 == pytest.approx(0.6457, abs=1e-4)
@@ -100,16 +105,16 @@ class TestLossUpdate:
     def test_domain_errors(self):
         bank = bank_with()
         with pytest.raises(ValueError):
-            advance(bank, np.array([DELTA, 1.4]))
+            advance_open(bank, np.array([DELTA, 1.4]))
         with pytest.raises(ValueError):
-            advance(bank, np.array([0.9, 0.5]))  # entry 0 must be the abstain cost
+            advance_open(bank, np.array([0.9, 0.5]))  # entry 0 must be the abstain cost
         with pytest.raises(ValueError):
-            advance(bank, np.array([DELTA, 0.5, 0.5]))  # one entry too many
+            advance_open(bank, np.array([DELTA, 0.5, 0.5]))  # one entry too many
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_losses_rejected(self, bad):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            advance(bank_with(), np.array([DELTA, bad]))
+            advance_open(bank_with(), np.array([DELTA, bad]))
 
     @given(shift=st.floats(-0.2, 0.2))
     @settings(max_examples=50, deadline=None)
@@ -117,22 +122,22 @@ class TestLossUpdate:
         # adding a constant to every loss, the abstain cost included, cannot
         # change the posterior
         base = np.array([0.5, 0.3])
-        a = advance(bank_with(approve=0.0, learn=2.0, cost=0.5), base)
-        b = advance(bank_with(approve=0.0, learn=2.0, cost=0.5 + shift), base + shift)
+        a = advance_open(bank_with(approve=0.0, learn=2.0, cost=0.5), base)
+        b = advance_open(bank_with(approve=0.0, learn=2.0, cost=0.5 + shift), base + shift)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
 
 class TestAdvance:
     def test_zero_approve_prob_gives_new_model_nothing(self):
-        nxt = advance(bank_with(approve=0.0), losses_vec(0.1))
+        nxt = advance_open(bank_with(approve=0.0), losses_vec(0.1))
         assert nxt.time_index == 2
         assert nxt.weights[0, 2] == pytest.approx(0.0, abs=1e-15)
 
     def test_full_approve_prob_matrix_vector_oracle(self):
         # eta1=1, t=1: mass on the new model is v0/2 + v1
         losses = losses_vec(0.05)
-        v = advance(bank_with(approve=0.0, learn=2.0), losses).weights[0]
-        nxt = advance(bank_with(approve=1.0, learn=2.0), losses)
+        v = advance_open(bank_with(approve=0.0, learn=2.0), losses).weights[0]
+        nxt = advance_open(bank_with(approve=1.0, learn=2.0), losses)
         assert nxt.weights[0, 2] == pytest.approx(v[0] / 2.0 + v[1], abs=1e-12)
 
     def test_simplex_preserved(self):
@@ -140,7 +145,7 @@ class TestAdvance:
         bank = bank_with(approve=0.4, learn=5.0)
         for t in range(1, 12):
             losses = np.concatenate([[DELTA], rng.random(t)])
-            bank = advance(bank, losses)
+            bank = advance_open(bank, losses)
             assert abs(bank.weights.sum() - 1.0) < 1e-12
 
     def test_support_never_grows_without_approvals(self):
@@ -148,17 +153,17 @@ class TestAdvance:
         bank = bank_with(approve=0.0, learn=2.0)
         for t in range(1, 8):
             losses = np.concatenate([[DELTA], rng.random(t)])
-            bank = advance(bank, losses)
+            bank = advance_open(bank, losses)
             assert np.all(bank.weights[0, 2:] == 0.0)
 
     @pytest.mark.parametrize("t", [2, 3, 50, 300])
     def test_cumsum_transition_matches_matrix(self, t):
-        # learn_rate 0 and no mask: advance applies the transition alone
+        # learn_rate 0 and an all-true mask: advance applies the transition alone
         rng = np.random.default_rng(t)
         rows = [(a, 0.0, 0.0) for a in (0.0, 0.3, 1.0)]
         logw = np.log(rng.dirichlet(np.ones(t), size=len(rows)))
         bank = StrategyBank(t - 1, logw, *np.array(rows).T, DELTA, 0.05)
-        nxt = advance(bank, np.r_[DELTA, rng.random(t - 1)])
+        nxt = advance_open(bank, np.r_[DELTA, rng.random(t - 1)])
         v = softmax(logw)
         for i, (a, _, _) in enumerate(rows):
             want = transition_matrix(t, a) @ v[i]
@@ -191,7 +196,7 @@ class TestBank:
         # approve_prob 1 moves all abstention mass to the models at t = 2;
         # when every model is then infeasible, no feasible entry has weight
         bank = init_bank([(1.0, 0.0, 1.0), (0.3, 0.0, 1.0)], DELTA, 0.05)
-        bank = advance(bank, losses_vec(0.3))
+        bank = advance_open(bank, losses_vec(0.3))
         assert bank.weights[0, 0] == 0.0
         closed = table_from([DELTA, 0.9, 0.9])
         statuses = optimistic_step(bank, closed)
@@ -215,7 +220,7 @@ class TestBank:
         bank = bank_with()
         object.__setattr__(bank, "learn_rate", np.array([np.nan]))
         with pytest.raises(ValueError, match="not normalised"):
-            advance(bank, losses_vec(0.5))
+            advance_open(bank, losses_vec(0.5))
 
     def test_shape_and_normalisation_checked(self):
         with pytest.raises(ValueError):
@@ -351,7 +356,7 @@ class TestReductions:
             assert np.allclose(status[:2], ref, atol=1e-10)
             assert np.allclose(status[2:], 0.0)
             logw = logw - 2.5 * losses[:2]
-            bank = advance(bank, losses)
+            bank = advance_open(bank, losses)
 
     def test_masked_model_can_reenter_via_transitions(self):
         bank = bank_with(approve=0.5, learn=0.0, margin=0.0)
