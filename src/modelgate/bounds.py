@@ -95,15 +95,16 @@ def window_start(t: int, j: int, window: int) -> int:
     return max(j, t - window)
 
 
-def hoeffding_ucb(mean: float, count: int, alpha: float) -> float:
+def hoeffding_ucb(mean, count, alpha: float):
     """mean + sqrt(ln(1/alpha) / (2 count)) for the mean of ``count``
-    losses bounded in [0, 1]."""
-    if count < 1:
+    losses bounded in [0, 1]; ``mean`` and ``count`` may be arrays of one
+    shape, one bound per entry."""
+    count = np.asarray(count)
+    if np.any(count < 1):
         raise ValueError("need at least one loss")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    half_width = math.sqrt(math.log(1.0 / alpha) / (2.0 * count))
-    return float(mean) + half_width
+    return mean + np.sqrt(math.log(1.0 / alpha) / (2.0 * count))
 
 
 class LossLedger:
@@ -175,11 +176,12 @@ def build_bound_table(
     if not counts.all():
         raise ValueError(f"candidate {older[counts == 0][0]} has an empty evaluation window")
     sums = np.where(pooled, ledger.sums[lo:t, 1:t], 0.0).sum(axis=0)
-    # hoeffding_ucb elementwise: np.sqrt rounds correctly, like math.sqrt
-    bounds[1:t] = sums / counts + np.sqrt(math.log(1.0 / level) / (2.0 * counts))
     starts[1:t] = np.maximum(older, lo)
 
+    # the newest candidate's one batch is its validation rows
     val_losses = loss_cfg.base.of_array(candidates[t].predict(validation.features), validation.labels)
-    bounds[t] = hoeffding_ucb(val_losses.mean(), val_losses.size, level)
+    sums = np.append(sums, val_losses.sum())
+    counts = np.append(counts, val_losses.size)
+    bounds[1:] = hoeffding_ucb(sums / counts, counts, level)
     starts[t] = window_start(t, t, cfg.window)
     return RiskBoundTable(t, bounds, starts)

@@ -114,6 +114,11 @@ class RunConfig:
             _require(key.name, value, key.type, key.check)
         if self.scenario is ScenarioKind.INGESTED and not self.data_path:
             raise ConfigError("data.path is required for the ingested scenario")
+        # the stream's own rules, such as a rotation needing two dimensions
+        try:
+            self.scenario_config()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(
@@ -255,7 +260,8 @@ _SCHEMA = (
     _Key("run", "batch_size", "batch_size", _INT, _at_least(1),
          "a run rejects a size that does not split at bounds.validation_fraction "
          "into two nonempty parts (so at least 2)"),
-    _Key("run", "dim", "dim", _INT, _at_least(1)),
+    _Key("run", "dim", "dim", _INT, _at_least(1),
+         "at least 2 for small_frequent_shifts, whose shifts are rotations"),
     _Key("run", "bayes_risk", "bayes_risk", _FLOAT, _half_open(MIN_BAYES_RISK, 0.5),
          "best-in-class hinge risk; the least is its value at coefficient norm 60"),
     _Key("run", "initial_batches", "initial_batches", _INT, _at_least(1),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -291,6 +292,7 @@ def risk_bound(inputs: RiskBoundInputs) -> float:
     return optimize_slack(inputs)[1]
 
 
+@lru_cache(maxsize=64)
 def max_learning_rate(
     target: float,
     inputs: RiskBoundInputs,
@@ -303,7 +305,9 @@ def max_learning_rate(
     interior interval: an ascending grid scan stops at the first infeasible
     rate after a feasible one, and bisection polishes that upper edge until
     the midpoint rounds onto an end.  Raises InfeasibleRateError when no
-    rate qualifies.
+    rate qualifies.  Each distinct ``(target, inputs)`` is solved once: the
+    replicates of a replayed stream with a fixed abstain cost all ask for
+    the same rate.
     """
 
     def bound(rate: float) -> float:

@@ -104,6 +104,8 @@ SHIFT_SAFETY = 0.85
 MIN_SHIFT_GAP = 2
 WARMUP_STEPS = 4
 MMD_PROBE = 20000
+# the small-shift scenario's rotation path ends this far from its start
+ROTATION_ANGLE = math.pi / 2
 # A budgeted shift moves to a multiple of 2**-SHIFT_GRID_BITS along its path
 # (the grid a 40-halving bisection reaches), found by ITP (``_last_feasible``):
 # truncation ITP_KAPPA1 * width**2 with the width in path units, and ITP_N0
@@ -204,6 +206,8 @@ class ScenarioConfig:
             raise ValueError("drift must be >= 0")
         if self.initial_batches < 1:
             raise ValueError("initial_batches must be >= 1")
+        if self.kind is ScenarioKind.SMALL_FREQUENT_SHIFTS and self.dim < 2:
+            raise ValueError("small_frequent_shifts rotates the coefficients, so dim must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -610,75 +614,45 @@ def generate_batch(gen: GeneratorState, cfg: ScenarioConfig, time_index: int) ->
     return MonitoringBatch(*_draw(gen.rng, beta, cfg.batch_size))
 
 
-def _class_risks(beta: np.ndarray, probe: np.ndarray, diff: np.ndarray, mean_minus: np.ndarray) -> np.ndarray:
-    """Risk of each probed model under the label law of ``beta``; the label
+def _probe_risks(coefs: np.ndarray, probe: np.ndarray, loss: LossFunction):
+    """The map from coefficients beta to each candidate column's risk under
+    the label law of beta, on the feature rows ``probe``: the label
     expectation is analytic, only the feature average is Monte Carlo.
 
     With p the probability of label +1, a row's expected loss is
-    ``loss(-1) + p * (loss(+1) - loss(-1))``, so one product with ``diff``
-    serves any loss."""
-    p = sigmoid(probe @ beta)
-    return mean_minus + p @ diff / len(probe)
-
-
-def _probe_losses(coefs: np.ndarray, probe: np.ndarray, loss: LossFunction):
-    """``(diff, mean_minus)`` for the candidate columns ``coefs`` on the
-    probe rows: ``loss(+1) - loss(-1)`` per row and candidate, shape (n, t),
-    and the column means of ``loss(-1)``, the two inputs of
-    ``_class_risks``.  An affine loss ``(1 - z y) / scale`` gives both in
-    closed form in the scores z: ``diff = -2 z / scale`` (scaled in place)
-    and ``loss(-1) = (1 + z) / scale``."""
+    ``loss(-1) + p * (loss(+1) - loss(-1))``, so one product with the
+    per-row differences serves any loss.  An affine loss
+    ``(1 - z y) / scale`` gives both terms in closed form in the scores z:
+    ``loss(-1) = (1 + z) / scale`` and a difference of ``-2 z / scale``."""
     scores = candidate_scores(coefs, probe)
     if loss.affine:
         mean_minus = (1.0 + scores.mean(axis=0)) / loss.scale
-        scores *= -2.0 / loss.scale
-        return scores, mean_minus
-    loss_minus = loss.of_array(scores, -1.0)
-    return loss.of_array(scores, 1.0) - loss_minus, loss_minus.mean(axis=0)
+        diff = np.multiply(scores, -2.0 / loss.scale, out=scores)
+    else:
+        loss_minus = loss.of_array(scores, -1.0)
+        diff = loss.of_array(scores, 1.0) - loss_minus
+        mean_minus = loss_minus.mean(axis=0)
+    n = len(probe)
+    return lambda beta: mean_minus + sigmoid(probe @ beta) @ diff / n
 
 
-class _WindowMMD:
-    """Windowed discrepancy of a candidate coefficient vector against the
-    recent history, with the per-history risks precomputed once."""
-
-    def __init__(self, gen: GeneratorState, t_new: int, window: int, probe, diff, mean_minus):
-        self.probe = probe
-        self.diff = diff
-        self.mean_minus = mean_minus
-        history_risks = {}
-        window_means = []
-        for w in range(1, window + 1):
-            lo = max(0, t_new - w)
-            members = []
-            for s in range(lo, t_new):
-                # a short history means the distribution has been sitting
-                # at its latest value since then
-                beta = gen.coeff_history[min(s, len(gen.coeff_history) - 1)]
-                key = id(beta)
-                if key not in history_risks:
-                    history_risks[key] = _class_risks(beta, probe, diff, mean_minus)
-                members.append(history_risks[key])
-            window_means.append(np.mean(members, axis=0))
-        self.window_means = np.array(window_means)  # (window, t)
-
-    def __call__(self, beta_new: np.ndarray) -> float:
-        new = _class_risks(beta_new, self.probe, self.diff, self.mean_minus)
-        return float(np.max(np.abs(new - self.window_means)))
-
-
-def _window_mmd(
-    gen: GeneratorState,
-    t_new: int,
-    window: int,
-    coefs: np.ndarray,
-    loss: LossFunction,
-    cfg: ScenarioConfig,
-) -> _WindowMMD:
-    """The windowed discrepancy over the candidate columns ``coefs``,
-    measured on a fresh MMD_PROBE-row probe."""
-    probe = gen.rng.standard_normal((MMD_PROBE, cfg.dim))
-    diff, mean_minus = _probe_losses(coefs, probe, loss)
-    return _WindowMMD(gen, t_new, window, probe, diff, mean_minus)
+def _window_discrepancy(gen: GeneratorState, t_new: int, window: int, coefs: np.ndarray, loss: LossFunction):
+    """The map from candidate coefficients for time ``t_new`` to their
+    windowed risk change: the largest, over the candidate columns ``coefs``
+    and the windows 1..``window``, of the gap between the new risk and the
+    window's mean risk.  Risks are ``_probe_risks`` on a fresh MMD_PROBE-row
+    probe, drawn from ``gen.rng`` here; each distinct history entry is
+    evaluated once."""
+    risks = _probe_risks(coefs, gen.rng.standard_normal((MMD_PROBE, len(gen.coefficients))), loss)
+    # a short history means the distribution has been sitting at its latest
+    # value since then
+    last = len(gen.coeff_history) - 1
+    betas = [gen.coeff_history[min(s, last)] for s in range(max(0, t_new - window), t_new)]
+    distinct = {id(beta): beta for beta in betas}
+    by_id = {key: risks(beta) for key, beta in distinct.items()}
+    history = np.array([by_id[id(beta)] for beta in betas])
+    means = np.array([history[-w:].mean(axis=0) for w in range(1, window + 1)])
+    return lambda beta: float(np.max(np.abs(risks(beta) - means)))
 
 
 def _last_feasible(f, target: float, f_one: float) -> float:
@@ -730,32 +704,25 @@ def _last_feasible(f, target: float, f_one: float) -> float:
     return a * unit
 
 
-def _budgeted_move(
-    gen: GeneratorState,
-    path,
-    target: float,
-    t_new: int,
-    window: int,
-    coefs: np.ndarray,
-    loss: LossFunction,
-    cfg: ScenarioConfig,
-) -> Optional[np.ndarray]:
+def _budgeted_move(mmd, path, target: float, f_one: Optional[float] = None) -> Optional[np.ndarray]:
     """Furthest point along ``path`` (a map [0, 1] -> coefficients) whose
-    windowed risk change stays at or below ``target``: the whole path if it
-    fits, else the last feasible multiple of 2**-SHIFT_GRID_BITS found by
-    ``_last_feasible``, which is exact when the risk change grows
-    monotonically along the path."""
-    mmd = _window_mmd(gen, t_new, window, coefs, loss, cfg)
-    end = path(1.0)
-    f_one = mmd(end)
-    if f_one <= target:
-        return end
+    windowed risk change ``mmd`` stays at or below ``target``: the whole
+    path if it fits, else the last feasible multiple of 2**-SHIFT_GRID_BITS
+    found by ``_last_feasible``, which is exact when the risk change grows
+    monotonically along the path; None when no step fits.  A caller that
+    already has ``f_one = mmd(path(1.0))``, above ``target``, passes it."""
+    if f_one is None:
+        end = path(1.0)
+        f_one = mmd(end)
+        if f_one <= target:
+            return end
     s = _last_feasible(lambda s: mmd(path(s)), target, f_one)
     return path(s) if s > 0 else None
 
 
-def _rotation_path(beta: np.ndarray, rng: np.random.Generator, max_angle: float = math.pi / 2):
-    """Rotate the coefficients toward a random tangent direction.
+def _rotation_path(beta: np.ndarray, rng: np.random.Generator):
+    """Rotate the coefficients toward a random tangent direction, by up to
+    ROTATION_ANGLE.
 
     Rotation preserves the coefficient norm, so the best-in-class risk is
     unchanged and only the alignment of existing models degrades.
@@ -773,40 +740,20 @@ def _rotation_path(beta: np.ndarray, rng: np.random.Generator, max_angle: float 
     tang /= tn
 
     def path(s: float) -> np.ndarray:
-        angle = s * max_angle
+        angle = s * ROTATION_ANGLE
         return norm * (math.cos(angle) * unit + math.sin(angle) * tang)
 
     return path
 
 
-def _flip_subset(
-    gen: GeneratorState,
-    target: float,
-    t_new: int,
-    window: int,
-    coefs: np.ndarray,
-    loss: LossFunction,
-    cfg: ScenarioConfig,
-    victim: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
-    """Sign-flip the largest coordinate subset that fits the budget.
+def _flip_subset(mmd, beta: np.ndarray, order: np.ndarray, target: float) -> Optional[np.ndarray]:
+    """Sign-flip the longest prefix of the coordinate ``order`` whose
+    windowed risk change ``mmd`` fits the budget ``target``.
 
-    Full flips preserve the coefficient norm; when even one whole
-    coordinate overshoots, that coordinate is flipped partially instead:
-    scaled by ``1 - 2 s`` with s the last feasible multiple of
-    2**-SHIFT_GRID_BITS that ``_last_feasible`` finds, exact when the risk
-    change grows monotonically in s.  Given a ``victim`` (the coefficient
-    column of the candidate whose approval triggered the shift),
-    coordinates it leans on hardest are flipped first, so the budget is
-    spent where it hurts that candidate most.
+    Full flips preserve the coefficient norm; when even the first whole
+    coordinate overshoots, it is flipped partially instead: scaled by
+    ``1 - 2 s`` with s the last feasible point ``_budgeted_move`` finds.
     """
-    beta = gen.coefficients
-    # the probe is drawn before the coordinate order, which may use the rng
-    mmd = _window_mmd(gen, t_new, window, coefs, loss, cfg)
-    if victim is not None:
-        order = np.argsort(-(victim[: cfg.dim] * beta))
-    else:
-        order = gen.rng.permutation(cfg.dim)
 
     def flipped(k: int) -> np.ndarray:
         out = beta.copy()
@@ -816,7 +763,7 @@ def _flip_subset(
     f_one = mmd(flipped(1))
     if f_one <= target:
         best = 1
-        while best < cfg.dim and mmd(flipped(best + 1)) <= target:
+        while best < len(beta) and mmd(flipped(best + 1)) <= target:
             best += 1
         return flipped(best)
 
@@ -827,9 +774,8 @@ def _flip_subset(
         out[coord] = (1.0 - 2.0 * s) * out[coord]
         return out
 
-    # path(1.0) is flipped(1) bit for bit (-1.0 * x == -x), so f_one is f(1)
-    s = _last_feasible(lambda s: mmd(path(s)), target, f_one)
-    return path(s) if s > 0 else None
+    # path(1.0) is flipped(1) bit for bit (-1.0 * x == -x), so f_one is its value
+    return _budgeted_move(mmd, path, target, f_one)
 
 
 def apply_shift(
@@ -852,16 +798,18 @@ def apply_shift(
     coefficients by a random amount every fourth step; the adaptive
     scenario sign-flips a budget-sized coordinate subset the moment the
     shadow tester approves a new candidate, so the approved model walks
-    straight into the shifted distribution.  A warm-up and a minimum gap
-    keep early steps stationary and rule out back-to-back moves.  Every
-    move is budget-checked against the windows 1..``window``, the bound
-    table's lookback, over the candidate columns ``coefs`` (shape
-    (dim + 1, k), k >= 1; ``ValueError`` otherwise), on a fresh
-    MMD_PROBE-row probe.  A move that must
-    stop partway along its path stops at the last feasible multiple of
-    2**-SHIFT_GRID_BITS, located by an ITP search (``_last_feasible``):
-    the point 40 halvings of the path would reach whenever the risk change
-    grows monotonically along it.
+    straight into the shifted distribution.  The coordinates that
+    candidate (the shadow tester's latest approval) leans on hardest are
+    flipped first, so the budget is spent where it hurts it most; before
+    any approval the order is random.  A warm-up and a minimum gap keep
+    early steps stationary and rule out back-to-back moves.  Every move is
+    budget-checked by ``_window_discrepancy`` against the windows
+    1..``window``, the bound table's lookback, over the candidate columns
+    ``coefs`` (shape (dim + 1, k), k >= 1; ``ValueError`` otherwise).  A
+    move that must stop partway along its path stops at the last feasible
+    multiple of 2**-SHIFT_GRID_BITS, located by an ITP search
+    (``_last_feasible``): the point 40 halvings of the path would reach
+    whenever the risk change grows monotonically along it.
     """
     if coefs.shape[1] == 0:
         raise ValueError("a shift is measured against at least one candidate column")
@@ -871,7 +819,7 @@ def apply_shift(
         # small relative to the budget: trackable by short-window refits
         target = gen.rng.uniform(0.1, 0.35) * SHIFT_SAFETY * gen.budget
         path = _rotation_path(beta, gen.rng)
-        shifted = _budgeted_move(gen, path, target, t_new, window, coefs, loss, cfg)
+        shifted = _budgeted_move(_window_discrepancy(gen, t_new, window, coefs, loss), path, target)
     elif cfg.kind is ScenarioKind.ADAPTIVE_SHIFTS:
         if feedback:
             gen.pending_shift = True
@@ -879,9 +827,13 @@ def apply_shift(
             not gen.shift_times or t_new - gen.shift_times[-1] >= MIN_SHIFT_GAP
         )
         if gen.pending_shift and allowed:
-            target = SHIFT_SAFETY * gen.budget
-            victim = coefs[:, gen.shadow_top - 1] if gen.shadow_top > 0 else None
-            shifted = _flip_subset(gen, target, t_new, window, coefs, loss, cfg, victim)
+            # the probe is drawn before the coordinate order, which may use the rng
+            mmd = _window_discrepancy(gen, t_new, window, coefs, loss)
+            if gen.shadow_top > 0:
+                order = np.argsort(-(coefs[:-1, gen.shadow_top - 1] * beta))
+            else:
+                order = gen.rng.permutation(len(beta))
+            shifted = _flip_subset(mmd, beta, order, SHIFT_SAFETY * gen.budget)
             gen.pending_shift = False
     moved = shifted is not None and not np.array_equal(shifted, beta)
     gen.coeff_history.append(shifted if moved else beta)
@@ -1030,8 +982,10 @@ def run_replicate(
     integrated once when the candidate is proposed, and all of them again
     only on a step whose shift moved the distribution.  Other losses
     measure both on fresh Monte Carlo samples of ``scenario.eval_size``
-    rows.  For ingested streams (``batches`` given) the batch itself is the
-    only evidence and the true risk column equals the empirical one.
+    rows.  An ingested stream replays ``batches``, which are given exactly
+    when ``scenario.kind`` is INGESTED (``ValueError`` otherwise); the batch
+    itself is the only evidence and the true risk column equals the
+    empirical one.
 
     Under an affine loss every deployed risk is ``core.mixture_risks`` of
     one risk row per step: the batch's loss-ledger row for the empirical
@@ -1043,8 +997,10 @@ def run_replicate(
     the run (horizon x batch_size rows, or the replay batches' total),
     filled once per batch; each refit fits a view of it.
     """
+    ingested = scenario.kind is ScenarioKind.INGESTED
+    if ingested != (batches is not None):
+        raise ValueError("batches are replayed exactly when the scenario kind is ingested")
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, replicate]))
-    ingested = batches is not None
     loss = meta_cfg.loss
     exact = not ingested and loss.affine
     policy = policy_for_scenario(scenario.kind)
@@ -1154,7 +1110,7 @@ def run_replicate(
         # shadow tester is about to make, since that decision only uses
         # data through t - 1
         shadow_changed = False
-        if not ingested and scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
+        if scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
             top = int(np.argmax(optimistic_step(shadow, table)[0]))
             shadow_changed = top > 0 and top != gen.shadow_top
             if top > 0:
@@ -1216,7 +1172,7 @@ def run_replicate(
 
         if t < horizon:
             meta = meta_advance(meta, table, blosses, strat_risks)
-            if not ingested and scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
+            if scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
                 shadow = strategy_advance(shadow, blosses, table.feasible(delta, step_margin))
 
     if not ingested:

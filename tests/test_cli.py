@@ -121,6 +121,28 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="data.path"):
             load_config(path)
 
+    def test_rotation_in_one_dimension_rejected(self):
+        # small_frequent_shifts rotates the coefficients; other scenarios run at dim 1
+        with pytest.raises(ConfigError, match="dim must be >= 2"):
+            RunConfig(ScenarioKind.SMALL_FREQUENT_SHIFTS, dim=1)
+        cfg = RunConfig(ScenarioKind.SMALL_FREQUENT_SHIFTS, dim=2)
+        with pytest.raises(ConfigError, match="dim must be >= 2"):
+            dataclasses.replace(cfg, dim=1)
+        for kind in (ScenarioKind.ADAPTIVE_SHIFTS, ScenarioKind.IID_GOOD_MODELS):
+            assert RunConfig(kind, dim=1).dim == 1
+
+    def test_rotation_in_one_dimension_is_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path, ini({
+            ("run", "scenario"): "small_frequent_shifts", ("run", "dim"): 1,
+            ("run", "horizon"): 8, ("run", "replicates"): 1, ("run", "out"): tmp_path / "out",
+            ("meta", "rate_mode"): "fixed",
+        }))
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "dim must be >= 2" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_round_trip(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
         manifest = tmp_path / "manifest.ini"
@@ -235,6 +257,8 @@ def test_round_trip_values_cover_every_key():
 @example({("run", "scenario"): "iid_good_models"})
 def test_any_valid_config_round_trips_through_its_manifest(tmp_path, values):
     assume(values[("run", "scenario")] != "ingested" or ("data", "path") in values)
+    # a rotation needs two dimensions
+    assume(values[("run", "scenario")] != "small_frequent_shifts" or values.get(("run", "dim")) != "1")
     cfg = load_config(write_config(tmp_path, ini(values)))
     manifest = tmp_path / "manifest.ini"
     save_manifest(cfg, manifest, ["note: test"])
@@ -829,6 +853,21 @@ class TestProcessIsolation:
         run(dataclasses.replace(cfg, threads=64))
         run(dataclasses.replace(cfg, threads=64, replicates=1))
         assert cfg.replicates == 2 and sizes == [2]
+
+    def test_solved_rate_replay_matches_on_two_workers(self, tmp_path):
+        # a fixed abstain cost gives every replicate of a replay the same rate
+        # inputs: the serial run solves once, the workers each solve again
+        from modelgate.meta import max_learning_rate
+
+        cfg = dataclasses.replace(load_config(replay_config(tmp_path, replay_csv(tmp_path, 3825))),
+                                  rate_mode="solve", abstain_cost=0.3)
+        max_learning_rate.cache_clear()
+        serial = run(dataclasses.replace(cfg, out=str(tmp_path / "serial"), threads=1))
+        info = max_learning_rate.cache_info()
+        assert (info.misses, info.hits) == (1, cfg.replicates - 1)
+        pooled = run(dataclasses.replace(cfg, out=str(tmp_path / "pooled"), threads=2))
+        assert serial["meta_rates"] == pooled["meta_rates"] != [cfg.rate] * cfg.replicates
+        assert serial["steps"].read_bytes() == pooled["steps"].read_bytes()
 
     def test_worker_pool_matches_serial(self, tmp_path):
         config = write_config(tmp_path)

@@ -39,11 +39,10 @@ from modelgate.sim import (
     solve_signal_scale,
     split_batch,
     verify_drift,
-    _class_risks,
     _draw,
     _last_feasible,
     _logistic_terms,
-    _probe_losses,
+    _probe_risks,
     _sample_risks,
     _score_blocks,
 )
@@ -515,6 +514,13 @@ class TestGenerator:
         se = 3 * 0.5 / np.sqrt(batch.size)
         assert abs(emp - truth) < se
 
+    def test_rotation_needs_two_dimensions(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, dim=1)
+        # a sign flip and an IID stream are defined in one dimension
+        for kind in (ScenarioKind.ADAPTIVE_SHIFTS, ScenarioKind.IID_GOOD_MODELS):
+            assert small_scenario(kind, dim=1).dim == 1
+
     def test_iid_scenarios_never_shift(self):
         for kind in (ScenarioKind.IID_GOOD_MODELS, ScenarioKind.IID_RANDOM_MODELS):
             cfg = small_scenario(kind)
@@ -565,7 +571,7 @@ class TestGenerator:
 
 
 class TestShiftProbe:
-    def test_class_risks_match_two_product_form(self):
+    def test_probe_risks_match_two_product_form(self):
         # the old form: per-model predict columns, then the label expectation
         # as p @ loss(+1) + (1 - p) @ loss(-1)
         rng = np.random.default_rng(21)
@@ -575,13 +581,12 @@ class TestShiftProbe:
         scores = np.column_stack([CandidateModel(c).predict(probe) for c in coefs.T])
         for loss in (HINGE, LossFunction("clipped_hinge", scale=1.5), LossFunction("zero_one"),
                      LossFunction("scaled_absolute", scale=2.0), LossFunction("clipped_hinge", scale=3.0)):
-            diff, mean_minus = _probe_losses(coefs, probe, loss)
+            risks = _probe_risks(coefs, probe, loss)
             loss_plus, loss_minus = loss.of_array(scores, 1.0), loss.of_array(scores, -1.0)
             for beta in rng.normal(0.0, 1.5, size=(5, dim)):
                 p = sigmoid(probe @ beta)
                 want = p @ loss_plus / n + (1.0 - p) @ loss_minus / n
-                got = _class_risks(beta, probe, diff, mean_minus)
-                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+                np.testing.assert_allclose(risks(beta), want, rtol=0.0, atol=1e-12)
 
     def test_zero_columns_rejected(self):
         # a shift is measured against the live candidates, and there is always one
@@ -908,6 +913,14 @@ class TestRunReplicate:
         assert np.array_equal(a.coeff_history, b.coeff_history)
         assert a.shift_times == b.shift_times
         assert a.abstain_cost == b.abstain_cost
+
+    def test_batches_exactly_when_ingested(self):
+        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        with pytest.raises(ValueError, match="exactly when the scenario kind is ingested"):
+            run_replicate(ScenarioConfig(kind=ScenarioKind.INGESTED, dim=3), mc, 0)
+        with pytest.raises(ValueError, match="exactly when the scenario kind is ingested"):
+            run_replicate(small_scenario(ScenarioKind.IID_GOOD_MODELS, dim=3), mc, 0,
+                          batches=replay_batches([40, 40, 40]))
 
     def test_replicates_differ(self):
         sc = small_scenario(ScenarioKind.IID_GOOD_MODELS, seed=78)
