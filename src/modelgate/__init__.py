@@ -4,7 +4,9 @@ The package gates a stream of candidate model updates: each step it
 builds confidence bounds on every candidate's risk, lets a family of
 approval strategies propose soft approvals (with an abstain option at a
 fixed cost), and aggregates them with a meta-forecaster whose learning
-rate is certified by an average-risk guarantee.
+rate is certified by an average-risk guarantee.  ``modelgate.cli.RunConfig``
+holds every setting of a run, for the ``modelgate`` command and
+``run_replicate`` alike.
 """
 
 from .core import (
@@ -15,7 +17,7 @@ from .core import (
     candidate_scores,
     deployed_risks,
 )
-from .bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
+from .bounds import LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
 from .strategy import (
     REPEATED_TTEST,
     StrategyBank,
@@ -47,9 +49,7 @@ from .sim import (
     DeveloperPolicy,
     DriftReport,
     FitConfig,
-    MetaConfig,
     ReplicateTrace,
-    ScenarioConfig,
     ScenarioKind,
     apply_shift,
     developer_propose,

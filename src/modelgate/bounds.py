@@ -18,36 +18,12 @@ import numpy as np
 from .core import AugmentedLossConfig, CandidateModel, MonitoringBatch
 
 __all__ = [
-    "BoundConfig",
     "RiskBoundTable",
     "window_start",
     "hoeffding_ucb",
     "LossLedger",
     "build_bound_table",
 ]
-
-
-@dataclass(frozen=True)
-class BoundConfig:
-    """Settings for bound construction.
-
-    alpha is the total per-step miscoverage budget (split across candidates
-    by a Bonferroni correction); window is how many trailing batches may be
-    pooled; validation_fraction is the share of the newest batch held out
-    for the newest candidate.
-    """
-
-    alpha: float = 0.1
-    window: int = 3
-    validation_fraction: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -140,8 +116,10 @@ def build_bound_table(
     candidates: Sequence[Optional[CandidateModel]],
     ledger: LossLedger,
     validation: MonitoringBatch,
-    cfg: BoundConfig,
     loss_cfg: AugmentedLossConfig,
+    *,
+    alpha: float,
+    window: int,
 ) -> RiskBoundTable:
     """Construct the bound table for decision time t.
 
@@ -150,7 +128,8 @@ def build_bound_table(
     the loss sums of monitoring batches 1..t-1 (prospective for every
     candidate older than the newest).  ``validation`` is the held-out part
     of the latest available batch, the only part of it that is prospective
-    for the newest candidate, which was trained on the rest.  Each bound
+    for the newest candidate, which was trained on the rest.  Older
+    candidates pool at most the trailing ``window`` batches.  Each bound
     is a Hoeffding UCB at level alpha/t, so simultaneous coverage holds at
     level alpha by the union bound.  Batches are pooled with equal weight
     per observation, matching a uniform mixture when batch sizes are equal.
@@ -159,17 +138,17 @@ def build_bound_table(
         raise ValueError("t must be >= 1")
     if len(candidates) != t + 1:
         raise ValueError(f"candidates must hold abstention and candidates 1..{t}")
-    level = cfg.alpha / t
+    level = alpha / t
 
     bounds = np.empty(t + 1)
     starts = np.empty(t + 1, dtype=int)
     bounds[0] = loss_cfg.abstain_cost
-    starts[0] = max(0, t - cfg.window)
+    starts[0] = max(0, t - window)
 
     # candidate j pools batches max(j, lo)..t-1 (``window_start``): one
     # slice of the ledger, masked where s < j.  A masked cell adds 0.0 and
     # each column adds its batches one by one in batch order.
-    lo = max(1, t - cfg.window)
+    lo = max(1, t - window)
     older = np.arange(1, t)
     pooled = np.arange(lo, t)[:, None] >= older
     counts = (ledger.counts[lo:t, None] * pooled).sum(axis=0)
@@ -183,5 +162,5 @@ def build_bound_table(
     sums = np.append(sums, val_losses.sum())
     counts = np.append(counts, val_losses.size)
     bounds[1:] = hoeffding_ucb(sums / counts, counts, level)
-    starts[t] = window_start(t, t, cfg.window)
+    starts[t] = window_start(t, t, window)
     return RiskBoundTable(t, bounds, starts)

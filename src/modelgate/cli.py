@@ -28,16 +28,13 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundConfig
 from .core import LossFunction, MonitoringBatch
 from .meta import InfeasibleRateError, RiskBoundInputs, classical_ewaf_bound, risk_bound
 from .sim import (
     GRID4,
     GRID12,
     MIN_BAYES_RISK,
-    MetaConfig,
     ReplicateTrace,
-    ScenarioConfig,
     ScenarioKind,
     holdout_size,
     run_replicate,
@@ -70,11 +67,13 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one run.
+    """Fully resolved settings for one run: the one settings record, read
+    by the command line and by ``sim.run_replicate`` alike.
 
     Every value is checked against the config schema on construction, so a
     config made with ``dataclasses.replace`` (command-line overrides, a
-    rerun from a manifest) is checked exactly like one read from a file.
+    rerun from a manifest) or in code is checked exactly like one read from
+    a file.
     """
 
     scenario: ScenarioKind
@@ -114,38 +113,21 @@ class RunConfig:
             _require(key.name, value, key.type, key.check)
         if self.scenario is ScenarioKind.INGESTED and not self.data_path:
             raise ConfigError("data.path is required for the ingested scenario")
-        # the stream's own rules, such as a rotation needing two dimensions
-        try:
-            self.scenario_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        if self.scenario is ScenarioKind.SMALL_FREQUENT_SHIFTS and self.dim < 2:
+            raise ConfigError("small_frequent_shifts rotates the coefficients, so dim must be >= 2")
+        _check_columns(self.timestamp_col, self.label_col)
 
-    def scenario_config(self) -> ScenarioConfig:
-        return ScenarioConfig(
-            kind=self.scenario,
-            horizon=self.horizon,
-            batch_size=self.batch_size,
-            dim=self.dim,
-            drift=self.drift,
-            seed=self.seed,
-            eval_size=self.eval_size,
-            bayes_risk=self.bayes_risk,
-            initial_batches=self.initial_batches,
-        )
+    @property
+    def loss(self) -> LossFunction:
+        """The loss the ``[loss]`` keys name."""
+        return LossFunction(self.loss_kind, self.loss_scale)
 
-    def meta_config(self) -> MetaConfig:
-        return MetaConfig(
-            rows=self.rows,
-            bound=BoundConfig(
-                alpha=self.bound_alpha,
-                window=self.bound_window,
-                validation_fraction=self.validation_fraction,
-            ),
-            margin_mult=self.margin_mult,
-            step_margin_mult=self.step_margin_mult,
-            rate_mode=self.rate_mode,
-            rate=self.rate,
-            loss=LossFunction(self.loss_kind, self.loss_scale),
+
+def _check_columns(timestamp_col: str, label_col: str) -> None:
+    """Reject one column named as both the timestamp and the label."""
+    if timestamp_col == label_col:
+        raise ConfigError(
+            f"data.label_col: {label_col!r} is also data.timestamp_col; the two must differ"
         )
 
 
@@ -295,11 +277,13 @@ _SCHEMA = (
          "bounds.validation_fraction into two nonempty parts, and, for clipped_hinge "
          "and zero_one, labels 0/1 or -1/+1"),
     _Key("data", "timestamp_col", "timestamp_col", _STR, help="column name"),
-    _Key("data", "label_col", "label_col", _STR, help="column name"),
+    _Key("data", "label_col", "label_col", _STR, help="column name; must differ from timestamp_col"),
     _Key("data", "batch_by", "batch_by", _choice("count", "month")),
     _Key("data", "batch_size", "data_batch_size", _INT, _at_least(2), "for batch_by = count"),
     _Key("data", "abstain_cost", "abstain_cost", _FLOAT, _between(0, 1),
-         "unset: the first model's risk on batch 1"),
+         "the cost of every scenario, simulated or replayed; unset: the initial model's "
+         "risk, on batch 1 of a replayed stream or under a simulated stream's first "
+         "distribution"),
 )
 
 # the one key that stores each RunConfig field; the others (preset) are input only
@@ -372,7 +356,8 @@ def save_manifest(cfg: RunConfig, path: Path, extra_comments: Sequence[str] = ()
     blocks = []
     for section, keys in groupby(_FIELD_KEYS, key=attrgetter("section")):
         values = [(key, getattr(cfg, key.field)) for key in keys]
-        # only a replayed stream reads [data]; it is written once a key leaves its default
+        # [data] is written once a key leaves its default: abstain_cost applies
+        # to every scenario, the other keys to a replayed stream
         if section == "data" and all(v == _DEFAULTS[key.field] for key, v in values):
             continue
         blocks.append("\n".join([f"[{section}]"] + [
@@ -437,6 +422,7 @@ def ingest(
     {-1, +1}; labels already in {-1, +1} or real-valued labels pass
     through unchanged.
     """
+    _check_columns(timestamp_col, label_col)
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -499,7 +485,6 @@ def ingest(
     if uniq == {0.0, 1.0} or uniq <= {0.0} or uniq <= {1.0}:
         label_arr = np.where(label_arr > 0, 1.0, -1.0)
 
-    groups: list[np.ndarray] = []
     if batch_by == "count":
         if batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
@@ -511,15 +496,8 @@ def ingest(
     elif batch_by == "month":
         if not isinstance(stamps[0], date):
             raise ConfigError("monthly batching needs date timestamps")
-        keys = [(s.year, s.month) for s in stamps]
-        groups, current = [], [0]
-        for i in range(1, len(keys)):
-            if keys[i] == keys[i - 1]:
-                current.append(i)
-            else:
-                groups.append(np.asarray(current))
-                current = [i]
-        groups.append(np.asarray(current))
+        months = groupby(range(len(stamps)), key=lambda i: (stamps[i].year, stamps[i].month))
+        groups = [np.asarray(list(rows)) for _, rows in months]
         rule = "month"
     else:
         raise ConfigError(f"unknown batching rule {batch_by!r}")
@@ -542,7 +520,7 @@ def _replay_batches(cfg: RunConfig) -> tuple[MonitoringBatch, ...]:
                     cfg.timestamp_col, cfg.label_col)
     if len(stream.batches) < 2:
         raise ConfigError(f"{cfg.data_path}: replay needs at least two batches")
-    loss = cfg.meta_config().loss
+    loss = cfg.loss
     for k, batch in enumerate(stream.batches):
         what = f"{cfg.data_path}: batch {k}"
         try:
@@ -594,10 +572,7 @@ def _step_lines(tr: ReplicateTrace) -> list[str]:
 
 def _replicate_worker(args):
     cfg, rep, batches = args
-    return run_replicate(
-        cfg.scenario_config(), cfg.meta_config(), rep,
-        batches=batches, fixed_abstain_cost=cfg.abstain_cost,
-    )
+    return run_replicate(cfg, rep, batches=batches)
 
 
 def run(cfg: RunConfig) -> dict:
@@ -640,14 +615,21 @@ def run(cfg: RunConfig) -> dict:
     cum_all = np.stack([tr.cum_avg_true() for tr in traces])
     abst_all = np.stack([tr.abstain_prob for tr in traces])
     summary_path = out_dir / "summary.csv"
-    denom = math.sqrt(len(traces)) if len(traces) > 1 else 1.0
+    # one std per column, not one reduction along axis 0, which sums in
+    # another order and so writes other bytes
+    if len(traces) > 1:
+        root_n = math.sqrt(len(traces))
+        cum_se = [cum_all[:, t].std(ddof=1) / root_n for t in range(horizon)]
+        abst_se = [abst_all[:, t].std(ddof=1) / root_n for t in range(horizon)]
+    else:
+        cum_se = abst_se = [0.0] * horizon
     summary = [
         ",".join([
             str(t + 1),
             _fmt(cum_all[:, t].mean()),
-            _fmt(cum_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
+            _fmt(cum_se[t]),
             _fmt(abst_all[:, t].mean()),
-            _fmt(abst_all[:, t].std(ddof=1) / denom if len(traces) > 1 else 0.0),
+            _fmt(abst_se[t]),
         ])
         for t in range(horizon)
     ]

@@ -18,11 +18,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .bounds import BoundConfig, LossLedger, build_bound_table
+from .bounds import LossLedger, build_bound_table
 from .core import (
     AugmentedLossConfig,
     CandidateModel,
@@ -43,11 +43,12 @@ from .meta import (
 )
 from .strategy import REPEATED_TTEST, advance as strategy_advance, init_bank, optimistic_step
 
+if TYPE_CHECKING:
+    from .cli import RunConfig
+
 __all__ = [
     "ScenarioKind",
     "FitConfig",
-    "ScenarioConfig",
-    "MetaConfig",
     "DeveloperPolicy",
     "TrainingRows",
     "GeneratorState",
@@ -173,62 +174,6 @@ class FitConfig:
 #: across replicates.
 DEVELOPER_FIT = FitConfig()
 INITIAL_FIT = FitConfig(l2=0.065)
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Stream settings for one scenario.
-
-    ``drift`` of None means the budget is set to the realized abstain cost
-    once the initial model has been scored.  ``bayes_risk`` sets the
-    clipped-hinge risk of the best-in-class predictor as the 64-node
-    Gauss-Hermite rule of ``bayes_hinge_risk`` evaluates it; the generating
-    coefficients are scaled to hit that value, and the exact risk is higher
-    (0.1036 at the default 0.10).  The initial model is fit with
-    ``INITIAL_FIT`` on ``initial_batches`` worth of pre-deployment data;
-    the developer refits with ``DEVELOPER_FIT``.
-    """
-
-    kind: ScenarioKind
-    horizon: int = 50
-    batch_size: int = 75
-    dim: int = 10
-    drift: Optional[float] = None
-    seed: int = 0
-    eval_size: int = 100_000
-    bayes_risk: float = 0.10
-    initial_batches: int = 2
-
-    def __post_init__(self):
-        if self.horizon < 1 or self.batch_size < 1 or self.dim < 1:
-            raise ValueError("horizon, batch_size and dim must be >= 1")
-        if self.drift is not None and self.drift < 0:
-            raise ValueError("drift must be >= 0")
-        if self.initial_batches < 1:
-            raise ValueError("initial_batches must be >= 1")
-        if self.kind is ScenarioKind.SMALL_FREQUENT_SHIFTS and self.dim < 2:
-            raise ValueError("small_frequent_shifts rotates the coefficients, so dim must be >= 2")
-
-
-@dataclass(frozen=True)
-class MetaConfig:
-    """Approval-side settings shared by every replicate of a run."""
-
-    rows: tuple[tuple[float, float, float], ...] = GRID12
-    bound: BoundConfig = field(default_factory=BoundConfig)
-    margin_mult: float = 0.6
-    step_margin_mult: float = 0.2
-    rate_mode: str = "solve"
-    rate: float = 1.6
-    loss: LossFunction = field(default_factory=LossFunction)
-
-    def __post_init__(self):
-        if self.rate_mode not in ("solve", "fixed"):
-            raise ValueError("rate_mode must be 'solve' or 'fixed'")
-        if self.margin_mult < 0 or self.step_margin_mult < 0:
-            raise ValueError("margin multipliers must be >= 0")
-        if self.rate <= 0:
-            raise ValueError("rate must be > 0")
 
 
 def sigmoid(m: np.ndarray) -> np.ndarray:
@@ -608,8 +553,9 @@ def _draw(rng: np.random.Generator, beta: np.ndarray, rows: int, dtype=float):
     return x, y
 
 
-def generate_batch(gen: GeneratorState, cfg: ScenarioConfig, time_index: int) -> MonitoringBatch:
-    """Draw IID observations from the distribution realized at ``time_index``."""
+def generate_batch(gen: GeneratorState, cfg: RunConfig, time_index: int) -> MonitoringBatch:
+    """Draw ``cfg.batch_size`` IID observations from the distribution
+    realized at ``time_index``."""
     beta = gen.coeff_history[min(time_index, len(gen.coeff_history) - 1)]
     return MonitoringBatch(*_draw(gen.rng, beta, cfg.batch_size))
 
@@ -780,12 +726,11 @@ def _flip_subset(mmd, beta: np.ndarray, order: np.ndarray, target: float) -> Opt
 
 def apply_shift(
     gen: GeneratorState,
-    cfg: ScenarioConfig,
+    cfg: RunConfig,
     t_new: int,
     feedback: bool,
     coefs: np.ndarray,
     loss: LossFunction,
-    window: int,
 ) -> bool:
     """Realize the distribution for time ``t_new`` and append its
     coefficients; return whether they moved, in which case ``t_new`` is
@@ -804,8 +749,8 @@ def apply_shift(
     any approval the order is random.  A warm-up and a minimum gap keep
     early steps stationary and rule out back-to-back moves.  Every move is
     budget-checked by ``_window_discrepancy`` against the windows
-    1..``window``, the bound table's lookback, over the candidate columns
-    ``coefs`` (shape (dim + 1, k), k >= 1; ``ValueError`` otherwise).  A
+    1..``cfg.bound_window``, the bound table's lookback, over the candidate
+    columns ``coefs`` (shape (dim + 1, k), k >= 1; ``ValueError`` otherwise).  A
     move that must stop partway along its path stops at the last feasible
     multiple of 2**-SHIFT_GRID_BITS, located by an ITP search
     (``_last_feasible``): the point 40 halvings of the path would reach
@@ -815,12 +760,13 @@ def apply_shift(
         raise ValueError("a shift is measured against at least one candidate column")
     beta = gen.coefficients
     shifted = None
-    if cfg.kind is ScenarioKind.SMALL_FREQUENT_SHIFTS and t_new % 4 == 0:
+    if cfg.scenario is ScenarioKind.SMALL_FREQUENT_SHIFTS and t_new % 4 == 0:
         # small relative to the budget: trackable by short-window refits
         target = gen.rng.uniform(0.1, 0.35) * SHIFT_SAFETY * gen.budget
         path = _rotation_path(beta, gen.rng)
-        shifted = _budgeted_move(_window_discrepancy(gen, t_new, window, coefs, loss), path, target)
-    elif cfg.kind is ScenarioKind.ADAPTIVE_SHIFTS:
+        mmd = _window_discrepancy(gen, t_new, cfg.bound_window, coefs, loss)
+        shifted = _budgeted_move(mmd, path, target)
+    elif cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
         if feedback:
             gen.pending_shift = True
         allowed = t_new > WARMUP_STEPS and (
@@ -828,7 +774,7 @@ def apply_shift(
         )
         if gen.pending_shift and allowed:
             # the probe is drawn before the coordinate order, which may use the rng
-            mmd = _window_discrepancy(gen, t_new, window, coefs, loss)
+            mmd = _window_discrepancy(gen, t_new, cfg.bound_window, coefs, loss)
             if gen.shadow_top > 0:
                 order = np.argsort(-(coefs[:-1, gen.shadow_top - 1] * beta))
             else:
@@ -967,13 +913,21 @@ def _score_blocks(coefs: np.ndarray, x: np.ndarray, labels: np.ndarray):
 
 
 def run_replicate(
-    scenario: ScenarioConfig,
-    meta_cfg: MetaConfig,
+    cfg: RunConfig,
     replicate: int,
     batches: Optional[Sequence[MonitoringBatch]] = None,
-    fixed_abstain_cost: Optional[float] = None,
 ) -> ReplicateTrace:
-    """Run one replicate end to end.
+    """Run one replicate of the run ``cfg`` end to end.
+
+    A generated stream's coefficients are scaled so that the 64-node rule
+    of ``bayes_hinge_risk`` gives ``cfg.bayes_risk`` (the exact risk is
+    higher: 0.1036 at the default 0.10).  The initial model is fit with
+    ``INITIAL_FIT`` on ``cfg.initial_batches`` batches of pre-deployment
+    data; the developer refits with ``DEVELOPER_FIT``.  The abstain cost
+    is ``cfg.abstain_cost`` when set, and otherwise the initial model's
+    risk on replay batch 1 or under a generated stream's first
+    distribution; the drift budget is ``cfg.drift`` when set, and
+    otherwise that abstain cost.
 
     For generated scenarios under an affine loss (``LossFunction.affine``,
     the default clipped hinge among them) the abstain cost and the per-step
@@ -981,9 +935,9 @@ def run_replicate(
     under the realized distribution comes from ``label_score_means``, is
     integrated once when the candidate is proposed, and all of them again
     only on a step whose shift moved the distribution.  Other losses
-    measure both on fresh Monte Carlo samples of ``scenario.eval_size``
-    rows.  An ingested stream replays ``batches``, which are given exactly
-    when ``scenario.kind`` is INGESTED (``ValueError`` otherwise); the batch
+    measure both on fresh Monte Carlo samples of ``cfg.eval_size`` rows.
+    An ingested stream replays ``batches``, which are given exactly when
+    ``cfg.scenario`` is INGESTED (``ValueError`` otherwise); the batch
     itself is the only evidence and the true risk column equals the
     empirical one.
 
@@ -997,13 +951,13 @@ def run_replicate(
     the run (horizon x batch_size rows, or the replay batches' total),
     filled once per batch; each refit fits a view of it.
     """
-    ingested = scenario.kind is ScenarioKind.INGESTED
+    ingested = cfg.scenario is ScenarioKind.INGESTED
     if ingested != (batches is not None):
         raise ValueError("batches are replayed exactly when the scenario kind is ingested")
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, replicate]))
-    loss = meta_cfg.loss
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, replicate]))
+    loss = cfg.loss
     exact = not ingested and loss.affine
-    policy = policy_for_scenario(scenario.kind)
+    policy = policy_for_scenario(cfg.scenario)
 
     if ingested:
         if len(batches) < 2:
@@ -1012,17 +966,17 @@ def run_replicate(
         initial = batches[0]
         dim = initial.dim
     else:
-        horizon = scenario.horizon
-        dim = scenario.dim
-        scale = solve_signal_scale(scenario.bayes_risk)
+        horizon = cfg.horizon
+        dim = cfg.dim
+        scale = solve_signal_scale(cfg.bayes_risk)
         b0 = rng.standard_normal(dim)
         beta0 = scale * b0 / np.linalg.norm(b0)
         gen = GeneratorState(coeff_history=[beta0], rng=rng)
-        rows0 = scenario.initial_batches * scenario.batch_size
+        rows0 = cfg.initial_batches * cfg.batch_size
         initial = MonitoringBatch(*_draw(rng, beta0, rows0))
 
     # the newest batch's split: the bound table at the next step validates on it
-    train, validation = split_batch(initial, meta_cfg.bound.validation_fraction, rng)
+    train, validation = split_batch(initial, cfg.validation_fraction, rng)
     first = CandidateModel(fit_logistic(train.features, train.labels, INITIAL_FIT))
     # index 0 stands for abstention, index t for candidate t
     candidates = [None, first]
@@ -1033,46 +987,46 @@ def run_replicate(
     # delta is the initial model's risk on batch 1 or, for a generated
     # stream, under the first deployment distribution, which equals the
     # initial one (shifts cannot fire inside the warm-up)
-    if fixed_abstain_cost is not None:
-        delta = fixed_abstain_cost
+    if cfg.abstain_cost is not None:
+        delta = cfg.abstain_cost
     elif ingested:
         delta = float(np.mean(loss.of_array(first.predict(batches[1].features), batches[1].labels)))
     elif exact:
         delta = float(affine_loss_mean(label_scores[0], loss.scale))
     else:
-        x_cal, y_cal = _draw(rng, beta0, scenario.eval_size)
+        x_cal, y_cal = _draw(rng, beta0, cfg.eval_size)
         delta = float(np.mean(loss.of_array(first.predict(x_cal), y_cal)))
         del x_cal, y_cal
     delta = min(max(delta, 1e-6), 1.0 - 1e-6)
     loss_cfg = AugmentedLossConfig(loss, delta)
 
-    margin = meta_cfg.margin_mult * delta
-    step_margin = meta_cfg.step_margin_mult * margin
-    drift = scenario.drift if scenario.drift is not None else delta
+    margin = cfg.margin_mult * delta
+    step_margin = cfg.step_margin_mult * margin
+    drift = cfg.drift if cfg.drift is not None else delta
     if not ingested:
         gen.budget = drift
 
-    if meta_cfg.rate_mode == "fixed":
-        rate = meta_cfg.rate
+    if cfg.rate_mode == "fixed":
+        rate = cfg.rate
     else:
-        n = scenario.batch_size if not ingested else min(b.size for b in batches[1:])
+        n = cfg.batch_size if not ingested else min(b.size for b in batches[1:])
         inputs = RiskBoundInputs(
             abstain_cost=delta,
             step_margin=step_margin,
             drift=drift,
             rate=1.0,
-            cover_alpha=meta_cfg.bound.alpha,
-            n_strategies=len(meta_cfg.rows),
+            cover_alpha=cfg.bound_alpha,
+            n_strategies=len(cfg.rows),
             horizon=horizon,
             batch_size=n,
-            holdout_size=holdout_size(n, meta_cfg.bound.validation_fraction),
+            holdout_size=holdout_size(n, cfg.validation_fraction),
         )
         rate = max_learning_rate(delta + margin, inputs)
 
-    meta = init_meta(meta_cfg.rows, rate, delta, step_margin)
+    meta = init_meta(cfg.rows, rate, delta, step_margin)
     shadow = init_bank([REPEATED_TTEST], delta, step_margin)
 
-    m = len(meta_cfg.rows)
+    m = len(cfg.rows)
     trace = ReplicateTrace(
         replicate=replicate,
         abstain_cost=delta,
@@ -1089,7 +1043,7 @@ def run_replicate(
         model_coefs=np.zeros((dim + 1, 0)),
     )
 
-    capacity = sum(b.size for b in batches[1:]) if ingested else horizon * scenario.batch_size
+    capacity = sum(b.size for b in batches[1:]) if ingested else horizon * cfg.batch_size
     train_rows = TrainingRows(capacity, dim)
     ledger = LossLedger(horizon)
     # column t - 1 holds candidate t
@@ -1103,21 +1057,20 @@ def run_replicate(
             )
             candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
         coefs = coef_mat[:, :t]
-        table = build_bound_table(t, candidates, ledger, validation, meta_cfg.bound, loss_cfg)
+        table = build_bound_table(t, candidates, ledger, validation, loss_cfg,
+                                  alpha=cfg.bound_alpha, window=cfg.bound_window)
 
         # the distribution for step t is realized now, before any data from
         # step t is drawn; the shift function may react to the approval the
         # shadow tester is about to make, since that decision only uses
         # data through t - 1
         shadow_changed = False
-        if scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
+        if cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
             top = int(np.argmax(optimistic_step(shadow, table)[0]))
             shadow_changed = top > 0 and top != gen.shadow_top
             if top > 0:
                 gen.shadow_top = top
-        shifted = not ingested and apply_shift(
-            gen, scenario, t, shadow_changed, coefs, loss, meta_cfg.bound.window
-        )
+        shifted = not ingested and apply_shift(gen, cfg, t, shadow_changed, coefs, loss)
 
         weights = meta.weights
         statuses = strategy_statuses(meta, table)
@@ -1134,12 +1087,12 @@ def run_replicate(
                 label_scores = np.append(label_scores, label_score_means(beta_t, coefs[:, -1:]))
             true_row = np.concatenate(([delta], affine_loss_mean(label_scores, loss.scale)))
             eval_risks = mixture_risks(deployed, true_row)
-            batch = generate_batch(gen, scenario, t)
+            batch = generate_batch(gen, cfg, t)
         else:
             # float32 is plenty for a Monte Carlo risk estimate and halves
             # the cost of the widest arrays in the loop
             eval_feats, eval_labels = _draw(
-                rng, gen.coeff_history[t], scenario.eval_size, np.float32
+                rng, gen.coeff_history[t], cfg.eval_size, np.float32
             )
             eval_risks = deployed_risks(
                 _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
@@ -1147,7 +1100,7 @@ def run_replicate(
                 loss_cfg,
             )
             del eval_feats, eval_labels
-            batch = generate_batch(gen, scenario, t)
+            batch = generate_batch(gen, cfg, t)
         batch_preds = candidate_scores(coefs, batch.features)
         ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
         blosses = ledger.row(t, delta)
@@ -1165,14 +1118,14 @@ def run_replicate(
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
         trace.strategy_abstain[t - 1] = statuses[:, 0]
 
-        train, validation = split_batch(batch, meta_cfg.bound.validation_fraction, rng)
+        train, validation = split_batch(batch, cfg.validation_fraction, rng)
         train_rows.add(batch, train)
         trace.emp_risk[t - 1] = batch_risks[-1]
         strat_risks = batch_risks[:-1]
 
         if t < horizon:
             meta = meta_advance(meta, table, blosses, strat_risks)
-            if scenario.kind is ScenarioKind.ADAPTIVE_SHIFTS:
+            if cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
                 shadow = strategy_advance(shadow, blosses, table.feasible(delta, step_margin))
 
     if not ingested:
@@ -1183,16 +1136,7 @@ def run_replicate(
 
 
 def run_experiment(
-    scenario: ScenarioConfig,
-    meta_cfg: MetaConfig,
-    replicates: int,
-    batches: Optional[Sequence[MonitoringBatch]] = None,
-    fixed_abstain_cost: Optional[float] = None,
+    cfg: RunConfig, batches: Optional[Sequence[MonitoringBatch]] = None
 ) -> list[ReplicateTrace]:
-    """Run ``replicates`` independent replicates of one scenario."""
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
-    return [
-        run_replicate(scenario, meta_cfg, r, batches=batches, fixed_abstain_cost=fixed_abstain_cost)
-        for r in range(replicates)
-    ]
+    """Run the ``cfg.replicates`` independent replicates of one run, serially."""
+    return [run_replicate(cfg, r, batches=batches) for r in range(cfg.replicates)]

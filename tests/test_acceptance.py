@@ -13,14 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from modelgate.bounds import BoundConfig, LossLedger, RiskBoundTable, build_bound_table
-from modelgate.cli import load_config, run
+from modelgate.bounds import LossLedger, RiskBoundTable, build_bound_table
+from modelgate.cli import RunConfig, load_config, run
 from modelgate.core import AugmentedLossConfig, CandidateModel, LossFunction, MonitoringBatch
 from modelgate.meta import RiskBoundInputs, classical_ewaf_bound, max_learning_rate
 from modelgate.sim import (
     FitConfig,
-    MetaConfig,
-    ScenarioConfig,
     ScenarioKind,
     fit_logistic,
     logistic_objective,
@@ -56,8 +54,7 @@ def experiments():
     out = {}
     started = time.time()
     for kind in ALL_SCENARIOS:
-        scenario = ScenarioConfig(kind=kind, seed=SEED)
-        out[kind] = run_experiment(scenario, MetaConfig(), REPLICATES)
+        out[kind] = run_experiment(RunConfig(kind, seed=SEED, replicates=REPLICATES))
     out["elapsed"] = time.time() - started
     return out
 
@@ -264,8 +261,7 @@ def test_criterion_7_simultaneous_coverage():
         preds = np.column_stack([model(b.features) for model in models[:s]])
         ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, candidates, ledger, val, BoundConfig(alpha=alpha, window=window),
-        AugmentedLossConfig(HINGE, 0.25),
+        4, candidates, ledger, val, AugmentedLossConfig(HINGE, 0.25), alpha=alpha, window=window,
     )
     for j in range(1, 4):
         pooled = np.concatenate([

@@ -248,6 +248,53 @@ def test_round_trip_values_cover_every_key():
     assert set(KEY_VALUES) == {(key.section, key.key) for key in _SCHEMA}
 
 
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+#: For every schema key with a check, at each end the check bounds: the last
+#: value it accepts and the first it rejects
+CHECK_EDGES = {
+    "run.horizon": [(1, 0)],
+    "run.batch_size": [(1, 0)],
+    "run.dim": [(1, 0)],
+    "run.bayes_risk": [(MIN_BAYES_RISK, _down(MIN_BAYES_RISK)), (_down(0.5), 0.5)],
+    "run.initial_batches": [(1, 0)],
+    "run.drift": [(0.0, _down(0.0))],
+    "run.eval_size": [(1, 0)],
+    "run.replicates": [(1, 0)],
+    "run.seed": [(0, -1)],
+    "run.threads": [(1, 0)],
+    "bounds.alpha": [(_up(0.0), 0.0), (_down(1.0), 1.0)],
+    "bounds.window": [(1, 0)],
+    "bounds.validation_fraction": [(_up(0.0), 0.0), (_down(1.0), 1.0)],
+    "margins.margin_mult": [(0.0, _down(0.0))],
+    "margins.step_margin_mult": [(0.0, _down(0.0))],
+    "meta.rate": [(_up(0.0), 0.0)],
+    "loss.scale": [(_up(0.0), 0.0)],
+    "data.batch_size": [(2, 1)],
+    "data.abstain_cost": [(_up(0.0), 0.0), (_down(1.0), 1.0)],
+}
+
+
+def test_check_edges_cover_every_checked_key():
+    assert set(CHECK_EDGES) == {key.name for key in _SCHEMA if key.check is not None}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_EDGES))
+def test_each_check_rejects_the_first_value_past_its_edge(name):
+    # RunConfig holds the only copy of each rule, for the library as for the CLI
+    field = next(key.field for key in _SCHEMA if key.name == name)
+    for accepted, rejected in CHECK_EDGES[name]:
+        assert getattr(RunConfig(ScenarioKind.IID_GOOD_MODELS, **{field: accepted}), field) == accepted
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)}: {re.escape(repr(rejected))} is invalid"):
+            RunConfig(ScenarioKind.IID_GOOD_MODELS, **{field: rejected})
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.fixed_dictionaries(
@@ -259,6 +306,8 @@ def test_any_valid_config_round_trips_through_its_manifest(tmp_path, values):
     assume(values[("run", "scenario")] != "ingested" or ("data", "path") in values)
     # a rotation needs two dimensions
     assume(values[("run", "scenario")] != "small_frequent_shifts" or values.get(("run", "dim")) != "1")
+    # and a column cannot be both the timestamp and the label
+    assume(values.get(("data", "timestamp_col"), "timestamp") != values.get(("data", "label_col"), "label"))
     cfg = load_config(write_config(tmp_path, ini(values)))
     manifest = tmp_path / "manifest.ini"
     save_manifest(cfg, manifest, ["note: test"])
@@ -404,7 +453,7 @@ class TestCsvBytes:
             )
             for r in range(replicates)
         ]
-        monkeypatch.setattr(cli, "run_replicate", lambda sc, mc, r, **kw: traces[r])
+        monkeypatch.setattr(cli, "run_replicate", lambda cfg, r, **kw: traces[r])
         cfg = RunConfig(scenario=ScenarioKind.IID_GOOD_MODELS, horizon=horizon,
                         replicates=replicates, rows=GRID12[:m], out=str(tmp_path / "any"))
         result = run(cfg)
@@ -601,6 +650,14 @@ class TestMainExitCodes:
     def test_ingest_check_bad_file_is_exit_2(self, tmp_path, capsys):
         path = toy_csv(tmp_path, ["1,oops,1,1"])
         assert main(["ingest-check", str(path)]) == 2
+        capsys.readouterr()
+        # a column named as both the timestamp and the label
+        path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0"])
+        assert main(["ingest-check", str(path), "--label-col", "timestamp", "--batch-size", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "config error: data.label_col: 'timestamp' is also data.timestamp_col; the two must differ"
+        ]
 
     def test_ingest_check_defaults_are_the_run_defaults(self, tmp_path, capsys, monkeypatch):
         import modelgate.cli as cli
@@ -652,6 +709,12 @@ def replay_case(rows, bad_row=None, label=lambda y: y):
     return lambda tmp_path: replay_config(tmp_path, replay_csv(tmp_path, rows, bad_row, label))
 
 
+def label_col_is_timestamp_col(tmp_path):
+    path = replay_config(tmp_path, replay_csv(tmp_path, 300))
+    path.write_text(path.read_text() + "label_col = timestamp\n")  # into [data]
+    return path
+
+
 def simulated_batch_of_one(tmp_path):
     return write_config(tmp_path, f"""\
 [run]
@@ -674,8 +737,9 @@ class TestMalformedReplay:
         (replay_case(300, label=lambda y: 0.25 + 0.5 * y), "labels in {-1, +1}"),  # real-valued labels
         (replay_case(75), "at least two batches"),
         (simulated_batch_of_one, "run.batch_size (1 rows)"),  # no batch splits
+        (label_col_is_timestamp_col, "data.label_col: 'timestamp' is also data.timestamp_col"),
     ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch",
-            "simulated_batch_of_one"])
+            "simulated_batch_of_one", "label_col_is_timestamp_col"])
     def test_run_exits_2_with_one_line(self, tmp_path, capsys, make_config, expect):
         config = make_config(tmp_path)
         assert main(["run", str(config)]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from modelgate.cli import RunConfig
 from modelgate.core import (
     AugmentedLossConfig,
     CandidateModel,
@@ -22,8 +23,6 @@ from modelgate.sim import (
     DeveloperPolicy,
     FitConfig,
     GeneratorState,
-    MetaConfig,
-    ScenarioConfig,
     ScenarioKind,
     TrainingRows,
     apply_shift,
@@ -51,12 +50,18 @@ HINGE = LossFunction("clipped_hinge", scale=2.0)
 LOSS_CFG = AugmentedLossConfig(HINGE, 0.25)
 
 SMALL = dict(horizon=10, batch_size=40, eval_size=2000)
+FIXED_RATE = dict(rate_mode="fixed", rate=1.5)
 
 
 def small_scenario(kind, seed=5, **kw):
-    args = dict(SMALL)
-    args.update(kw)
-    return ScenarioConfig(kind=kind, seed=seed, **args)
+    """A short run of ``kind`` at the fixed learning rate 1.5."""
+    return RunConfig(kind, seed=seed, **{**SMALL, **FIXED_RATE, **kw})
+
+
+def replay_config(**kw):
+    """An ingested run at the fixed learning rate 1.5, for replaying batches
+    given in code (its data path is never read)."""
+    return RunConfig(ScenarioKind.INGESTED, seed=0, data_path="replay.csv", **{**FIXED_RATE, **kw})
 
 
 def column(coef):
@@ -307,7 +312,7 @@ class TestDeveloperPolicies:
 
     def test_developer_sees_only_train_slice_of_newest(self):
         rng = np.random.default_rng(5)
-        cfg = ScenarioConfig(kind=ScenarioKind.IID_GOOD_MODELS, **SMALL)
+        cfg = RunConfig(ScenarioKind.IID_GOOD_MODELS, **SMALL)
         gen = GeneratorState(coeff_history=[np.zeros(cfg.dim)], rng=rng)
         rows = TrainingRows(2 * cfg.batch_size, cfg.dim)
         history, trains = [], []
@@ -372,7 +377,7 @@ def recording_fits(monkeypatch):
     return calls
 
 
-def stacking_run(monkeypatch, scenario, meta_cfg, **kw):
+def stacking_run(monkeypatch, cfg, **kw):
     """``run_replicate`` with every refit on ``stacked_window`` of the
     batches the run split, warm-started at the newest candidate."""
     import modelgate.sim as sim
@@ -394,7 +399,7 @@ def stacking_run(monkeypatch, scenario, meta_cfg, **kw):
     with monkeypatch.context() as mp:
         mp.setattr(sim, "split_batch", recording_split)
         mp.setattr(sim, "developer_propose", stacking_propose)
-        return run_replicate(scenario, meta_cfg, 0, **kw)
+        return run_replicate(cfg, 0, **kw)
 
 
 def replay_batches(sizes, dim=3, seed=21):
@@ -453,20 +458,18 @@ class TestRefitPath:
     )
     def test_trace_equals_the_stacking_run(self, kind, monkeypatch):
         sc = small_scenario(kind, seed=84, horizon=13)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
-        assert_traces_bitwise_equal(run_replicate(sc, mc, 0), stacking_run(monkeypatch, sc, mc))
+        assert_traces_bitwise_equal(run_replicate(sc, 0), stacking_run(monkeypatch, sc))
 
     def test_random_models_stay_within_the_fit_tolerance(self, monkeypatch):
         # only mostly_last2 changes starts, so only the fit's tolerance moves it
         sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=84, horizon=13)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
-        a, b = run_replicate(sc, mc, 0), stacking_run(monkeypatch, sc, mc)
+        a, b = run_replicate(sc, 0), stacking_run(monkeypatch, sc)
         assert np.max(np.abs(a.model_coefs - b.model_coefs)) <= 1e-9
 
     def test_all_data_refits_start_from_the_last_all_data_candidate(self, monkeypatch):
         calls = recording_fits(monkeypatch)
         sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=83, horizon=14)
-        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        tr = run_replicate(sc, 0)
         # the first call fits the initial model from zero; then one per step
         assert calls[0][2] is None and len(calls) == sc.horizon
         # mostly_last2 refits on every batch at t = 4, 8, 12; at t = 4 the
@@ -478,11 +481,10 @@ class TestRefitPath:
 
     def test_replay_trace_equals_the_stacking_run(self, monkeypatch):
         batches = replay_batches([60] + UNEQUAL + [45])
-        sc = ScenarioConfig(kind=ScenarioKind.INGESTED, dim=3)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
+        sc = replay_config(dim=3)
         assert_traces_bitwise_equal(
-            run_replicate(sc, mc, 0, batches=batches),
-            stacking_run(monkeypatch, sc, mc, batches=batches),
+            run_replicate(sc, 0, batches=batches),
+            stacking_run(monkeypatch, sc, batches=batches),
         )
 
 
@@ -495,12 +497,12 @@ class TestGenerator:
         assert np.array_equal(a.labels, b.labels)
 
     def test_zero_coefficients_balanced_labels(self):
-        cfg = ScenarioConfig(kind=ScenarioKind.IID_GOOD_MODELS, horizon=5, batch_size=20000, eval_size=100)
+        cfg = RunConfig(ScenarioKind.IID_GOOD_MODELS, horizon=5, batch_size=20000, eval_size=100)
         batch = generate_batch(GeneratorState([np.zeros(cfg.dim)], np.random.default_rng(10)), cfg, 0)
         assert batch.labels.mean() == pytest.approx(0.0, abs=0.03)
 
     def test_large_batch_risk_matches_monte_carlo(self):
-        cfg = ScenarioConfig(kind=ScenarioKind.IID_GOOD_MODELS, horizon=5, batch_size=60000, eval_size=100)
+        cfg = RunConfig(ScenarioKind.IID_GOOD_MODELS, horizon=5, batch_size=60000, eval_size=100)
         beta = np.array([1.5, -0.5, 0.25, 0, 0, 0, 0, 0, 0, 0.7])
         gen = GeneratorState([beta], np.random.default_rng(11))
         batch = generate_batch(gen, cfg, 0)
@@ -527,7 +529,7 @@ class TestGenerator:
             gen = GeneratorState([np.ones(cfg.dim)], np.random.default_rng(13), budget=0.3)
             coefs = np.ones((cfg.dim + 1, 1))
             for t in range(1, 9):
-                apply_shift(gen, cfg, t, False, coefs, HINGE, 3)
+                apply_shift(gen, cfg, t, False, coefs, HINGE)
             assert gen.shift_times == []
             assert all(np.array_equal(c, gen.coeff_history[0]) for c in gen.coeff_history)
 
@@ -536,7 +538,7 @@ class TestGenerator:
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(14), budget=0.27)
         coefs = column(np.concatenate([beta, [0.0]]))
-        shifted_at = [t for t in range(1, 14) if apply_shift(gen, cfg, t, False, coefs, HINGE, 3)]
+        shifted_at = [t for t in range(1, 14) if apply_shift(gen, cfg, t, False, coefs, HINGE)]
         assert shifted_at == gen.shift_times == [4, 8, 12]
 
     @pytest.mark.parametrize("kind,seed", [(ScenarioKind.ADAPTIVE_SHIFTS, 2),
@@ -552,8 +554,7 @@ class TestGenerator:
             return returned[-1]
 
         monkeypatch.setattr(sim, "apply_shift", recording)
-        tr = run_replicate(small_scenario(kind, seed=seed, horizon=16),
-                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        tr = run_replicate(small_scenario(kind, seed=seed, horizon=16), 0)
         assert tr.shift_times and len(returned) == tr.horizon
         assert all(type(moved) is bool for moved in returned)
         assert tuple(t for t, moved in enumerate(returned, start=1) if moved) == tr.shift_times
@@ -565,7 +566,7 @@ class TestGenerator:
         cfg = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS)
         beta = solve_signal_scale(0.1) * np.ones(cfg.dim) / np.sqrt(cfg.dim)
         gen = GeneratorState([beta], np.random.default_rng(15), budget=0.27)
-        assert apply_shift(gen, cfg, 4, False, column(np.concatenate([beta, [0.0]])), HINGE, 3)
+        assert apply_shift(gen, cfg, 4, False, column(np.concatenate([beta, [0.0]])), HINGE)
         assert gen.shift_times == [4]
         assert np.linalg.norm(gen.coefficients) == pytest.approx(np.linalg.norm(beta), rel=1e-9)
 
@@ -594,7 +595,7 @@ class TestShiftProbe:
             cfg = small_scenario(kind)
             gen = GeneratorState([np.ones(cfg.dim)], np.random.default_rng(22), budget=0.3)
             with pytest.raises(ValueError, match="at least one candidate column"):
-                apply_shift(gen, cfg, 4, False, np.zeros((cfg.dim + 1, 0)), HINGE, 3)
+                apply_shift(gen, cfg, 4, False, np.zeros((cfg.dim + 1, 0)), HINGE)
             assert len(gen.coeff_history) == 1
 
     @pytest.mark.parametrize("lean", [7, 3, 0])
@@ -609,7 +610,7 @@ class TestShiftProbe:
         coefs = np.column_stack([np.append(beta, 0.0), victim])
         for budget, flipped in ((0.05, [lean]), (0.27, sorted({lean, cfg.dim - 1}))):
             gen = GeneratorState([beta], np.random.default_rng(23), budget=budget, shadow_top=2)
-            assert apply_shift(gen, cfg, 6, True, coefs, HINGE, 3)
+            assert apply_shift(gen, cfg, 6, True, coefs, HINGE)
             changed = np.flatnonzero(gen.coefficients != beta)
             assert gen.shift_times == [6] and changed.tolist() == flipped
             ratio = gen.coefficients[changed] / beta[changed]
@@ -690,17 +691,16 @@ class TestShiftSearch:
     def test_trace_equals_the_bisection_trace(self, monkeypatch):
         import modelgate.sim as sim
 
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
         cases = [(ScenarioKind.ADAPTIVE_SHIFTS, 2, 16), (ScenarioKind.ADAPTIVE_SHIFTS, 3, 16),
                  (ScenarioKind.SMALL_FREQUENT_SHIFTS, 1, 12), (ScenarioKind.SMALL_FREQUENT_SHIFTS, 4, 12)]
         for kind, seed, horizon in cases:
             sc = small_scenario(kind, seed=seed, horizon=horizon)
-            fast = run_replicate(sc, mc, 0)
+            fast = run_replicate(sc, 0)
             searches = []
             with monkeypatch.context() as mp:
                 mp.setattr(sim, "_last_feasible",
                            lambda f, target, f_one: searches.append(target) or bisection_last_feasible(f, target))
-                slow = run_replicate(sc, mc, 0)
+                slow = run_replicate(sc, 0)
             assert searches, (kind, seed)
             for name in (fl.name for fl in dataclasses.fields(fast)):
                 a, b = getattr(fast, name), getattr(slow, name)
@@ -717,9 +717,8 @@ class TestShiftSearch:
             return out
 
         monkeypatch.setattr(sim, "_last_feasible", counting)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
         for seed in range(1, 5):
-            run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=seed, horizon=50), mc, 0)
+            run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=seed, horizon=50), 0)
         assert len(counts) == 48  # a rotation every fourth step
         assert np.mean(counts) <= 12 and max(counts) <= 43
 
@@ -873,8 +872,7 @@ class TestVerifyDrift:
 
     def test_shifting_trace_matches_the_per_model_loop(self):
         # a budget below most windows' discrepancy, so there are violations to compare
-        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12),
-                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
         assert tr.shift_times
         loss_cfg = AugmentedLossConfig(HINGE, tr.abstain_cost)
         want = per_model_drift_values(tr.coeff_history, 3, tr.model_coefs, loss_cfg, 3000, 5)
@@ -888,8 +886,7 @@ class TestVerifyDrift:
     @pytest.mark.parametrize("loss", [HINGE, LossFunction("clipped_hinge", scale=1.5)],
                              ids=["clipped_hinge", "clipped_hinge_scale1.5"])
     def test_values_equal_the_per_window_composition_bit_for_bit(self, loss):
-        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12),
-                           MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
         assert tr.shift_times
         args = (3, tr.model_coefs, loss, 3000, 0.0, 5)
         # a budget that flags about half the windows
@@ -904,10 +901,10 @@ class TestVerifyDrift:
 
 class TestRunReplicate:
     def test_bit_identical_reruns(self):
-        sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=77)
-        mc = MetaConfig(rows=((0.0, 0.0, 0.0), (0.5, 1e4, 0.0), (0.3, 0.0, 1.5)), rate_mode="fixed", rate=1.5)
-        a = run_replicate(sc, mc, 0)
-        b = run_replicate(sc, mc, 0)
+        sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=77,
+                            rows=((0.0, 0.0, 0.0), (0.5, 1e4, 0.0), (0.3, 0.0, 1.5)))
+        a = run_replicate(sc, 0)
+        b = run_replicate(sc, 0)
         assert np.array_equal(a.true_risk, b.true_risk)
         assert np.array_equal(a.meta_weights, b.meta_weights)
         assert np.array_equal(a.coeff_history, b.coeff_history)
@@ -915,31 +912,27 @@ class TestRunReplicate:
         assert a.abstain_cost == b.abstain_cost
 
     def test_batches_exactly_when_ingested(self):
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
         with pytest.raises(ValueError, match="exactly when the scenario kind is ingested"):
-            run_replicate(ScenarioConfig(kind=ScenarioKind.INGESTED, dim=3), mc, 0)
+            run_replicate(replay_config(dim=3), 0)
         with pytest.raises(ValueError, match="exactly when the scenario kind is ingested"):
-            run_replicate(small_scenario(ScenarioKind.IID_GOOD_MODELS, dim=3), mc, 0,
+            run_replicate(small_scenario(ScenarioKind.IID_GOOD_MODELS, dim=3), 0,
                           batches=replay_batches([40, 40, 40]))
 
     def test_replicates_differ(self):
-        sc = small_scenario(ScenarioKind.IID_GOOD_MODELS, seed=78)
-        mc = MetaConfig(rows=((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)), rate_mode="fixed", rate=1.5)
-        a = run_replicate(sc, mc, 0)
-        b = run_replicate(sc, mc, 1)
+        sc = small_scenario(ScenarioKind.IID_GOOD_MODELS, seed=78, rows=((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)))
+        a = run_replicate(sc, 0)
+        b = run_replicate(sc, 1)
         assert not np.array_equal(a.true_risk, b.true_risk)
 
     def test_abstain_only_strategy_risk_is_exactly_delta(self):
-        sc = small_scenario(ScenarioKind.IID_GOOD_MODELS, seed=79)
-        mc = MetaConfig(rows=((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)), rate_mode="fixed", rate=1.5)
-        tr = run_replicate(sc, mc, 0)
+        sc = small_scenario(ScenarioKind.IID_GOOD_MODELS, seed=79, rows=((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)))
+        tr = run_replicate(sc, 0)
         assert np.all(tr.strategy_true_risk[:, 0] == tr.abstain_cost)
         assert np.all(tr.strategy_abstain[:, 0] == 1.0)
 
     def test_risks_in_unit_interval_and_cum_consistent(self):
         sc = small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, seed=80)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
-        tr = run_replicate(sc, mc, 0)
+        tr = run_replicate(sc, 0)
         assert np.all(tr.true_risk >= 0) and np.all(tr.true_risk <= 1)
         mean = math.fsum(tr.true_risk) / tr.horizon
         assert tr.cum_avg_true()[-1] == pytest.approx(mean, abs=1e-12)
@@ -957,7 +950,7 @@ class TestRunReplicate:
 
         monkeypatch.setattr(CandidateModel, "predict", recording_predict)
         sc = small_scenario(ScenarioKind.IID_RANDOM_MODELS, seed=82, horizon=7)
-        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        tr = run_replicate(sc, 0)
         monkeypatch.undo()
         assert tr.model_coefs.shape == (sc.dim + 1, sc.horizon)
         # its own array, not a view of the run loop's buffer
@@ -969,8 +962,7 @@ class TestRunReplicate:
 
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
-        tr = run_replicate(sc, mc, 0)
+        tr = run_replicate(sc, 0)
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
                               coefs=tr.model_coefs, loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
                               n_check=4000, seed=3)
@@ -979,10 +971,9 @@ class TestRunReplicate:
 
 class TestAdversarialDrift:
     def test_adaptive_trace_respects_budget(self):
-        sc = ScenarioConfig(kind=ScenarioKind.ADAPTIVE_SHIFTS, seed=90,
-                            horizon=16, batch_size=60, eval_size=2000)
-        mc = MetaConfig(rate_mode="fixed", rate=1.3)
-        tr = run_replicate(sc, mc, 0)
+        sc = RunConfig(ScenarioKind.ADAPTIVE_SHIFTS, seed=90, horizon=16, batch_size=60,
+                       eval_size=2000, rate_mode="fixed", rate=1.3)
+        tr = run_replicate(sc, 0)
         n_models = tr.model_coefs.shape[1]
         picks = sorted(set(np.linspace(0, n_models - 1, 8, dtype=int).tolist()))
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
@@ -1110,8 +1101,8 @@ def adaptive_run():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "affine_loss_mean", recording)
-        sc = ScenarioConfig(kind=ScenarioKind.ADAPTIVE_SHIFTS, seed=11, horizon=20)
-        trace = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5), 0)
+        sc = RunConfig(ScenarioKind.ADAPTIVE_SHIFTS, seed=11, horizon=20, **FIXED_RATE)
+        trace = run_replicate(sc, 0)
     return trace, seen
 
 
@@ -1179,15 +1170,15 @@ class TestMonteCarloPath:
     @pytest.mark.parametrize("loss", [LossFunction("zero_one"), LossFunction("clipped_hinge", scale=1.5)],
                              ids=["zero_one", "clipped_hinge_scale1.5"])
     def test_non_affine_replicate(self, loss):
-        sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=82)
-        tr = run_replicate(sc, MetaConfig(rate_mode="fixed", rate=1.5, loss=loss), 0)
+        sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=82,
+                            loss_kind=loss.kind, loss_scale=loss.scale)
+        tr = run_replicate(sc, 0)
         for risks in (tr.true_risk, tr.strategy_true_risk, tr.emp_risk):
             assert np.all(np.isfinite(risks)) and np.all((risks >= 0) & (risks <= 1))
         assert np.all(tr.strategy_true_risk[:, 0] == tr.abstain_cost)
 
     def test_affine_trace_ignores_eval_size(self):
-        mc = MetaConfig(rate_mode="fixed", rate=1.5)
-        a, b = (run_replicate(small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, seed=83, eval_size=n), mc, 0)
+        a, b = (run_replicate(small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, seed=83, eval_size=n), 0)
                 for n in (100, 5000))
         for name in ("true_risk", "emp_risk", "abstain_prob", "meta_weights", "meta_top",
                      "strategy_true_risk", "strategy_abstain", "coeff_history", "model_coefs"):
