@@ -113,6 +113,13 @@ class RunConfig:
             _require(key.name, value, key.type, key.check)
         if self.scenario is ScenarioKind.INGESTED and not self.data_path:
             raise ConfigError("data.path is required for the ingested scenario")
+        if self.scenario is not ScenarioKind.INGESTED:
+            for key in _REPLAY_KEYS:
+                if getattr(self, key.field) != _DEFAULTS[key.field]:
+                    raise ConfigError(
+                        f"{key.name}: set for scenario {self.scenario.value}, but only "
+                        "the ingested scenario replays data"
+                    )
         if self.scenario is ScenarioKind.SMALL_FREQUENT_SHIFTS and self.dim < 2:
             raise ConfigError("small_frequent_shifts rotates the coefficients, so dim must be >= 2")
         _check_columns(self.timestamp_col, self.label_col)
@@ -275,7 +282,8 @@ _SCHEMA = (
          help="required by the ingested scenario: a CSV file with a header row and finite "
          "features and labels.  A run needs at least two batches, each split at "
          "bounds.validation_fraction into two nonempty parts, and, for clipped_hinge "
-         "and zero_one, labels 0/1 or -1/+1"),
+         "and zero_one, labels 0/1 or -1/+1.  Only the ingested scenario reads path "
+         "and the keys up to batch_size; any other rejects one set away from its default"),
     _Key("data", "timestamp_col", "timestamp_col", _STR, help="column name"),
     _Key("data", "label_col", "label_col", _STR, help="column name; must differ from timestamp_col"),
     _Key("data", "batch_by", "batch_by", _choice("count", "month")),
@@ -288,6 +296,9 @@ _SCHEMA = (
 
 # the one key that stores each RunConfig field; the others (preset) are input only
 _FIELD_KEYS = tuple(key for key in _SCHEMA if key.type.format is not None)
+# the [data] keys that only a replay reads; a simulated scenario must leave
+# them at their defaults
+_REPLAY_KEYS = tuple(key for key in _SCHEMA if key.section == "data" and key.key != "abstain_cost")
 
 
 def _grammar() -> str:
@@ -357,7 +368,8 @@ def save_manifest(cfg: RunConfig, path: Path, extra_comments: Sequence[str] = ()
     for section, keys in groupby(_FIELD_KEYS, key=attrgetter("section")):
         values = [(key, getattr(cfg, key.field)) for key in keys]
         # [data] is written once a key leaves its default: abstain_cost applies
-        # to every scenario, the other keys to a replayed stream
+        # to every scenario, the other keys only to a replayed stream (a
+        # simulated config leaves them at their defaults)
         if section == "data" and all(v == _DEFAULTS[key.field] for key, v in values):
             continue
         blocks.append("\n".join([f"[{section}]"] + [

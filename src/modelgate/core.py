@@ -90,7 +90,7 @@ class LossFunction:
         return self.kind == "clipped_hinge" and self.scale >= 2.0
 
     def check_labels(self, y: np.ndarray) -> None:
-        if self.kind in _MARGIN_KINDS and not np.all(np.isin(y, (-1.0, 1.0))):
+        if self.kind in _MARGIN_KINDS and not np.all((y == 1.0) | (y == -1.0)):
             raise ValueError(f"{self.kind} loss requires labels in {{-1, +1}}")
 
     def of_array(self, z: np.ndarray, y: np.ndarray) -> np.ndarray:

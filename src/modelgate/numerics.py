@@ -8,9 +8,12 @@ NEG_INF = -np.inf
 
 
 def outside(x, lo: float, hi: float) -> bool:
-    """True if any entry of ``x`` lies outside [lo, hi]; nan always does."""
+    """True if any entry of ``x`` lies outside [lo, hi]; nan always does.
+
+    Two reductions and no temporaries: a nan makes both extremes nan, and
+    every comparison with nan is False."""
     x = np.asarray(x, dtype=float)
-    return bool(np.any(~((x >= lo) & (x <= hi))))
+    return x.size > 0 and not (x.min() >= lo and x.max() <= hi)
 
 
 def logsumexp(logw: np.ndarray, axis: int = -1) -> np.ndarray:

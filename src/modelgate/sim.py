@@ -221,10 +221,13 @@ MAX_SIGNAL_SCALE = 60.0
 MIN_BAYES_RISK = bayes_hinge_risk(MAX_SIGNAL_SCALE)
 
 
-def label_score_means(beta: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+def label_score_means(
+    beta: np.ndarray, coefs: np.ndarray, columns: Optional[Sequence[int]] = None
+) -> np.ndarray:
     """Each candidate's expected label-times-score under the label law of
     ``beta``: ``E[(2 sigma(beta.x) - 1) (2 sigma(w.x + b) - 1)]`` for x
-    standard normal, one per column (w, b) of ``coefs`` (shape (dim + 1, k)).
+    standard normal, one per column (w, b) of ``coefs`` (shape (dim + 1, k)),
+    or one per index in ``columns``, in that order, when it is given.
 
     Only two directions of x matter.  With z1 = beta.x / |beta| and z2 the
     standard-normal part of w.x orthogonal to it, the label margin is
@@ -234,19 +237,30 @@ def label_score_means(beta: np.ndarray, coefs: np.ndarray) -> np.ndarray:
     integrand is analytic in a strip of half-width pi / n, with n the larger
     of |beta| and |w|, so the rule's error falls like exp(-2 pi^2 / (n *
     QUAD_STEP)): below 1e-8 up to n = 10.  Each candidate is integrated on
-    its own, so its value does not depend on which others share the call.
+    its own, from a view of its column of ``coefs``, so its value does not
+    depend on which others share the call.  (A contiguous copy of the
+    column may take another BLAS path for ``beta @ w`` and change the last
+    bits.)
     """
     coefs = np.asarray(coefs, dtype=float)
-    out = np.zeros(coefs.shape[1])
+    if columns is None:
+        columns = range(coefs.shape[1])
+    out = np.zeros(len(columns))
     norm = float(np.linalg.norm(beta))
     if norm == 0.0:
         return out  # labels are fair coins
     label = np.tanh(0.5 * norm * _NODES) * _WEIGHTS
-    for j, (w, b) in enumerate(zip(coefs[:-1].T, coefs[-1])):
+    # one grid, filled in place for every candidate: a fresh (171, 171)
+    # array per temporary costs an allocation and its page faults each time
+    grid = np.empty((len(_NODES), len(_NODES)))
+    for i, j in enumerate(columns):
+        w, b = coefs[:-1, j], coefs[-1, j]
         a = float(beta @ w) / norm
         r = math.sqrt(max(float(w @ w) - a * a, 0.0))
-        score = np.tanh(0.5 * (a * _NODES[:, None] + (r * _NODES + b))) @ _WEIGHTS
-        out[j] = score @ label
+        np.add(a * _NODES[:, None], r * _NODES + b, out=grid)
+        grid *= 0.5
+        np.tanh(grid, out=grid)
+        out[i] = (grid @ _WEIGHTS) @ label
     return out
 
 
@@ -789,8 +803,16 @@ def apply_shift(
 
 
 def _sample_risks(coefs: np.ndarray, x: np.ndarray, y: np.ndarray, loss: LossFunction) -> np.ndarray:
-    """Each candidate column's mean loss on the labelled rows ``(x, y)``."""
-    return loss.of_array(candidate_scores(coefs, x), y[:, None]).mean(axis=0)
+    """Each candidate column's mean loss on the labelled rows ``(x, y)``.
+
+    An affine loss (``LossFunction.affine``) averages ``(1 - z y) / scale``
+    as ``(1 - mean(y z)) / scale``: one product with the labels in place of
+    the (rows, candidates) loss matrix."""
+    scores = candidate_scores(coefs, x)
+    if loss.affine:
+        loss.check_labels(y)
+        return (1.0 - y @ scores / len(y)) / loss.scale
+    return loss.of_array(scores, y[:, None]).mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -932,10 +954,15 @@ def run_replicate(
     For generated scenarios under an affine loss (``LossFunction.affine``,
     the default clipped hinge among them) the abstain cost and the per-step
     true risks are exact: each candidate's expected label-times-score
-    under the realized distribution comes from ``label_score_means``, is
-    integrated once when the candidate is proposed, and all of them again
-    only on a step whose shift moved the distribution.  Other losses
-    measure both on fresh Monte Carlo samples of ``cfg.eval_size`` rows.
+    under the realized distribution comes from ``label_score_means``.  It
+    is integrated on demand: a step integrates the candidates that some
+    deployed status weights and that have no value under the current
+    distribution yet, and a step whose shift moved the distribution
+    forgets every value.  A candidate no deployed status weights gets a
+    finite placeholder risk in [0, 1], which ``core.mixture_risks``
+    multiplies by exact zeros, so every true risk is bit for bit the one
+    that integrating every candidate gives.  Other losses measure both on
+    fresh Monte Carlo samples of ``cfg.eval_size`` rows.
     An ingested stream replays ``batches``, which are given exactly when
     ``cfg.scenario`` is INGESTED (``ValueError`` otherwise); the batch
     itself is the only evidence and the true risk column equals the
@@ -981,8 +1008,11 @@ def run_replicate(
     # index 0 stands for abstention, index t for candidate t
     candidates = [None, first]
     if exact:
-        # every candidate's E[label * score] under the current distribution
-        label_scores = label_score_means(beta0, first.coef[:, None])
+        # each candidate's E[label * score] under the current distribution,
+        # NaN until some deployed status weights it; the initial model's
+        # value also gives the abstain cost
+        label_scores = np.full(horizon, np.nan)
+        label_scores[0] = label_score_means(beta0, first.coef[:, None])[0]
 
     # delta is the initial model's risk on batch 1 or, for a generated
     # stream, under the first deployment distribution, which equals the
@@ -1080,12 +1110,14 @@ def run_replicate(
         if ingested:
             batch = batches[t]
         elif exact:
-            beta_t = gen.coeff_history[t]
             if shifted:
-                label_scores = label_score_means(beta_t, coefs)
-            elif t >= 2:
-                label_scores = np.append(label_scores, label_score_means(beta_t, coefs[:, -1:]))
-            true_row = np.concatenate(([delta], affine_loss_mean(label_scores, loss.scale)))
+                label_scores.fill(np.nan)
+            need = np.flatnonzero(np.isnan(label_scores[:t]) & deployed[:, 1:].any(axis=0))
+            label_scores[need] = label_score_means(gen.coeff_history[t], coefs, need)
+            # a column without a value has zero weight in every deployed row,
+            # so its placeholder (a fair coin's risk) changes no product
+            filled = np.nan_to_num(label_scores[:t], nan=0.0)
+            true_row = np.concatenate(([delta], affine_loss_mean(filled, loss.scale)))
             eval_risks = mixture_risks(deployed, true_row)
             batch = generate_batch(gen, cfg, t)
         else:

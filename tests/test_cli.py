@@ -121,6 +121,25 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="data.path"):
             load_config(path)
 
+    @pytest.mark.parametrize("name, value", [
+        ("data.path", "x.csv"), ("data.timestamp_col", "ts"), ("data.label_col", "y"),
+        ("data.batch_by", "month"), ("data.batch_size", 30),
+    ])
+    def test_simulated_scenario_rejects_replay_keys(self, name, value):
+        field = next(key.field for key in _SCHEMA if key.name == name)
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)}: set for scenario iid_good_models"):
+            RunConfig(ScenarioKind.IID_GOOD_MODELS, **{field: value})
+        replay = RunConfig(ScenarioKind.INGESTED, **{"data_path": "in.csv", field: value})
+        assert getattr(replay, field) == value
+        # a rerun or a command-line override is checked the same way
+        with pytest.raises(ConfigError, match="set for scenario adaptive_shifts"):
+            dataclasses.replace(replay, scenario=ScenarioKind.ADAPTIVE_SHIFTS)
+
+    def test_simulated_scenario_keeps_data_defaults_and_abstain_cost(self):
+        cfg = RunConfig(ScenarioKind.SMALL_FREQUENT_SHIFTS, timestamp_col="timestamp",
+                        batch_by="count", data_batch_size=75, abstain_cost=0.2)
+        assert cfg.abstain_cost == 0.2 and cfg.data_path is None
+
     def test_rotation_in_one_dimension_rejected(self):
         # small_frequent_shifts rotates the coefficients; other scenarios run at dim 1
         with pytest.raises(ConfigError, match="dim must be >= 2"):
@@ -289,10 +308,13 @@ def test_check_edges_cover_every_checked_key():
 def test_each_check_rejects_the_first_value_past_its_edge(name):
     # RunConfig holds the only copy of each rule, for the library as for the CLI
     field = next(key.field for key in _SCHEMA if key.name == name)
+    # data.batch_size is read only by a replay, so only a replay may set it
+    base = ({"scenario": ScenarioKind.INGESTED, "data_path": "in.csv"} if name == "data.batch_size"
+            else {"scenario": ScenarioKind.IID_GOOD_MODELS})
     for accepted, rejected in CHECK_EDGES[name]:
-        assert getattr(RunConfig(ScenarioKind.IID_GOOD_MODELS, **{field: accepted}), field) == accepted
+        assert getattr(RunConfig(**base, **{field: accepted}), field) == accepted
         with pytest.raises(ConfigError, match=f"^{re.escape(name)}: {re.escape(repr(rejected))} is invalid"):
-            RunConfig(ScenarioKind.IID_GOOD_MODELS, **{field: rejected})
+            RunConfig(**base, **{field: rejected})
 
 
 @settings(max_examples=150, deadline=None,
@@ -308,6 +330,10 @@ def test_any_valid_config_round_trips_through_its_manifest(tmp_path, values):
     assume(values[("run", "scenario")] != "small_frequent_shifts" or values.get(("run", "dim")) != "1")
     # and a column cannot be both the timestamp and the label
     assume(values.get(("data", "timestamp_col"), "timestamp") != values.get(("data", "label_col"), "label"))
+    # a simulated scenario rejects the keys only a replay reads
+    assume(values[("run", "scenario")] == "ingested" or not any(
+        ("data", key) in values for key in ("path", "timestamp_col", "label_col", "batch_by", "batch_size")
+    ))
     cfg = load_config(write_config(tmp_path, ini(values)))
     manifest = tmp_path / "manifest.ini"
     save_manifest(cfg, manifest, ["note: test"])
@@ -715,6 +741,19 @@ def label_col_is_timestamp_col(tmp_path):
     return path
 
 
+def simulated_with_data_path(tmp_path):
+    return write_config(tmp_path, f"""\
+[run]
+scenario = iid_good_models
+replicates = 1
+out = {tmp_path / 'rout'}
+
+[data]
+path = {tmp_path / 'missing.csv'}
+batch_by = month
+""")
+
+
 def simulated_batch_of_one(tmp_path):
     return write_config(tmp_path, f"""\
 [run]
@@ -738,8 +777,9 @@ class TestMalformedReplay:
         (replay_case(75), "at least two batches"),
         (simulated_batch_of_one, "run.batch_size (1 rows)"),  # no batch splits
         (label_col_is_timestamp_col, "data.label_col: 'timestamp' is also data.timestamp_col"),
+        (simulated_with_data_path, "data.path: set for scenario iid_good_models"),
     ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch",
-            "simulated_batch_of_one", "label_col_is_timestamp_col"])
+            "simulated_batch_of_one", "label_col_is_timestamp_col", "simulated_with_data_path"])
     def test_run_exits_2_with_one_line(self, tmp_path, capsys, make_config, expect):
         config = make_config(tmp_path)
         assert main(["run", str(config)]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from modelgate.bounds import LossLedger
+from modelgate.numerics import outside
 from modelgate.core import (
     AugmentedLossConfig,
     CandidateModel,
@@ -64,6 +65,21 @@ class TestAugmentedLoss:
             HINGE.of_array(0.2, 0.5)
         with pytest.raises(ValueError):
             LossFunction("zero_one").check_labels(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("kind", ["clipped_hinge", "zero_one"])
+    @given(y=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, min_side=0, max_side=4),
+                        elements=st.sampled_from([-1.0, 1.0, 0.0, -0.0, 2.0, -2.0, 0.5,
+                                                  np.nan, np.inf, -np.inf])))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_rejected_exactly_where_isin_rejects_them(self, kind, y):
+        # the former test, np.isin(y, (-1.0, 1.0)); scaled_absolute takes any label
+        loss = LossFunction(kind)
+        if np.all(np.isin(y, (-1.0, 1.0))):
+            loss.check_labels(y)
+        else:
+            with pytest.raises(ValueError, match="labels in"):
+                loss.check_labels(y)
+        LossFunction("scaled_absolute").check_labels(y)
 
     @given(
         z=st.floats(-1, 1),
@@ -296,3 +312,24 @@ class TestTypes:
         assert row.tolist() == [0.2, 0.0, 0.5]
         with pytest.raises(ValueError):
             LossLedger(3).record(2, np.zeros((5, 3)))  # batch 2 has two candidates
+
+
+class TestOutside:
+    """``numerics.outside``, the range test every weight and risk check uses."""
+
+    @given(
+        x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+                     elements=st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                                        st.sampled_from([0.0, -0.0, 1.0, np.nan, np.inf, -np.inf]))),
+        lo=st.sampled_from([-np.inf, -1e-12, -0.0, 0.0, 1.0 - 1e-9]),
+        hi=st.sampled_from([np.inf, 1.0, 1.0 + 1e-12, 0.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_elementwise_form(self, x, lo, hi):
+        # the former four-pass expression: a nan fails both comparisons
+        assert outside(x, lo, hi) is bool(np.any(~((x >= lo) & (x <= hi))))
+
+    def test_nan_is_outside_and_empty_is_not(self):
+        assert outside([0.5, np.nan], 0.0, 1.0) and outside(np.nan, -np.inf, np.inf)
+        assert not outside(np.zeros((0, 3)), 0.0, 1.0)
+        assert not outside([-0.0, 1.0], 0.0, 1.0)

@@ -787,6 +787,20 @@ class TestEmpiricalMmd:
             got = sample_mmd(a, b, coefs, loss)
             assert got == pytest.approx(per_model_mmd(a, b, coefs, loss), rel=0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [2.0, 3.5])
+    def test_affine_branch_matches_the_loss_matrix_mean(self, scale):
+        loss = LossFunction("clipped_hinge", scale=scale)
+        assert loss.affine
+        rng = np.random.default_rng(20)
+        for k in (1, 12):
+            coefs = rng.normal(0.0, 2.0, size=(11, k))
+            x, y = _draw(rng, rng.normal(0.0, 2.0, size=10), 20000)
+            got = _sample_risks(coefs, x, y, loss)
+            want = loss.of_array(candidate_scores(coefs, x), y[:, None]).mean(axis=0)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+        with pytest.raises(ValueError, match="labels in"):
+            _sample_risks(coefs, x, np.where(y > 0, 1.0, 0.0), loss)
+
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="at least one candidate column"):
             verify_drift([np.ones(2)] * 3, budget=0.1, window=2, coefs=np.zeros((3, 0)),
@@ -830,7 +844,8 @@ def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed
 def per_window_drift(coeff_history, budget, window, coefs, loss, n_check, tolerance, seed):
     """The oracle: ``verify_drift``'s values and violations composed per
     window: both samples are drawn by ``sim._draw`` in the same order and
-    scored at every (t, w), so the sample at t is scored once per window."""
+    their risks taken by ``sim._sample_risks`` at every (t, w), so the sample
+    at t is scored once per window."""
     rng = np.random.default_rng(seed)
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
@@ -841,8 +856,7 @@ def per_window_drift(coeff_history, budget, window, coefs, loss, n_check, tolera
             members = range(max(0, t - w), t)
             pooled = [_draw(rng, coeff_history[s], max(1, n_check // len(members))) for s in members]
             mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
-            risks = [loss.of_array(candidate_scores(coefs, x), y[:, None]).mean(axis=0)
-                     for x, y in (current, mixed)]
+            risks = [_sample_risks(coefs, x, y, loss) for x, y in (current, mixed)]
             val = float(np.max(np.abs(risks[0] - risks[1])))
             values[t - 1, w - 1] = val
             if val > budget + tolerance:
@@ -1083,27 +1097,61 @@ def fine_trapezoid_means(beta, coefs, step=0.02, half_width=8.5):
     return np.array(out)
 
 
-@pytest.fixture(scope="module")
-def adaptive_run():
-    """A production-sized adaptive replicate (developer fits and shifted
-    coefficients as the run path meets them) and the label-times-scores
-    it turned into each step's true-risk row (the vector arguments of
-    ``affine_loss_mean``; the abstain cost is its one scalar call)."""
+def quadrature_run(kind):
+    """A production-sized replicate of ``kind`` (seed 11, 20 steps) and, in
+    call order, the columns each ``label_score_means`` call integrated,
+    ``("quad", columns)``, and each ``core.mixture_risks`` product,
+    ``("mix", statuses, row)``: per step the true risks', then the batch's."""
     import modelgate.sim as sim
 
-    seen = []
-    real = sim.affine_loss_mean
+    events = []
+    real_quad, real_mix = sim.label_score_means, sim.mixture_risks
 
-    def recording(label_scores, scale):
-        if np.ndim(label_scores) == 1:
-            seen.append(np.array(label_scores))
-        return real(label_scores, scale)
+    def quad(beta, coefs, columns=None):
+        events.append(("quad", list(range(coefs.shape[1]) if columns is None else columns)))
+        return real_quad(beta, coefs, columns)
+
+    def mix(statuses, row):
+        events.append(("mix", np.array(statuses), np.array(row)))
+        return real_mix(statuses, row)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "affine_loss_mean", recording)
-        sc = RunConfig(ScenarioKind.ADAPTIVE_SHIFTS, seed=11, horizon=20, **FIXED_RATE)
-        trace = run_replicate(sc, 0)
-    return trace, seen
+        mp.setattr(sim, "label_score_means", quad)
+        mp.setattr(sim, "mixture_risks", mix)
+        trace = run_replicate(RunConfig(kind, seed=11, horizon=20, **FIXED_RATE), 0)
+    return trace, events
+
+
+def true_risk_steps(trace, events):
+    """Per step t: ``(t, deployed, row, integrated, fresh)``, the true-risk
+    product's statuses and risk row, the columns with an integral under
+    step t's distribution, and those integrated at step t (the abstain
+    cost's integral of the initial model counts for step 1)."""
+    steps, integrated, fresh, mixes = [], set(), [], 0
+    for event in events:
+        if event[0] == "quad":
+            integrated.update(event[1])
+            fresh += event[1]
+            continue
+        mixes += 1
+        t = (mixes + 1) // 2
+        if mixes % 2:
+            steps.append((t, event[1], event[2], set(integrated), fresh))
+            fresh = []
+        elif t + 1 in trace.shift_times:
+            integrated = set()  # a shift at the next step forgets every value
+    assert len(steps) == trace.horizon and mixes == 2 * trace.horizon
+    return steps
+
+
+@pytest.fixture(scope="module")
+def adaptive_run():
+    return quadrature_run(ScenarioKind.ADAPTIVE_SHIFTS)
+
+
+@pytest.fixture(scope="module")
+def small_shifts_run():
+    return quadrature_run(ScenarioKind.SMALL_FREQUENT_SHIFTS)
 
 
 class TestQuadrature:
@@ -1149,12 +1197,40 @@ class TestQuadrature:
         np.testing.assert_allclose(label_score_means(beta, -coefs), -got, rtol=0.0, atol=1e-15)
         assert label_score_means(np.zeros(10), coefs).tolist() == [0.0, 0.0, 0.0]
 
-    def test_cache_equals_full_recompute_at_every_step(self, adaptive_run):
-        tr, seen = adaptive_run
-        assert len(seen) == tr.horizon and tr.shift_times
-        for t, cached in enumerate(seen, start=1):
+    @pytest.mark.parametrize("run", ["adaptive_run", "small_shifts_run"])
+    def test_true_risks_equal_integrating_every_candidate(self, run, request):
+        tr, events = request.getfixturevalue(run)
+        assert tr.shift_times
+        for t, deployed, row, integrated, _ in true_risk_steps(tr, events):
             full = label_score_means(tr.coeff_history[t], tr.model_coefs[:, :t])
-            assert np.array_equal(cached, full), t
+            full_row = np.concatenate(([tr.abstain_cost], affine_loss_mean(full, HINGE.scale)))
+            missing = [j for j in range(t) if j not in integrated]
+            # a column left without an integral has no weight in any deployed row
+            assert np.all(deployed[:, [1 + j for j in missing]] == 0.0), t
+            assert np.all((row >= 0.0) & (row <= 1.0)), t
+            known = [1 + j for j in sorted(integrated)]
+            assert np.array_equal(row[known], full_row[known]), t
+            assert np.array_equal(deployed @ row, deployed @ full_row), t
+            assert tr.true_risk[t - 1] == (deployed @ row)[-1]
+
+    @pytest.mark.parametrize("run", ["adaptive_run", "small_shifts_run"])
+    def test_integrates_weighted_columns_once_per_distribution(self, run, request):
+        tr, events = request.getfixturevalue(run)
+        count = sum(len(event[1]) for event in events if event[0] == "quad")
+        # integrating eagerly: the initial model, each proposal, and every
+        # candidate again at each shift
+        eager = 1 + sum(t if t in tr.shift_times else 1 for t in range(2, tr.horizon + 1))
+        assert count < eager
+        seen = set()
+        for t, deployed, _, integrated, fresh in true_risk_steps(tr, events):
+            if t in tr.shift_times:
+                seen = set()
+            weighted = set(np.flatnonzero(deployed[:, 1:].any(axis=0)).tolist())
+            # step 1 also integrates the initial model for the abstain cost
+            assert set(fresh) <= weighted | ({0} if t == 1 else set()), t
+            assert len(fresh) == len(set(fresh)) and not set(fresh) & seen, t
+            assert weighted <= integrated, t
+            seen |= set(fresh)
 
     def test_abstain_cost_is_the_first_models_exact_risk(self, adaptive_run):
         tr, _ = adaptive_run
