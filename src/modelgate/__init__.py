@@ -4,60 +4,40 @@ The package gates a stream of candidate model updates: each step it
 builds confidence bounds on every candidate's risk, lets a family of
 approval strategies propose soft approvals (with an abstain option at a
 fixed cost), and aggregates them with a meta-forecaster whose learning
-rate is certified by an average-risk guarantee.  ``modelgate.cli.RunConfig``
-holds every setting of a run, for the ``modelgate`` command and
-``run_replicate`` alike.
+rate is certified by an average-risk guarantee.  ``RunConfig`` holds every
+setting of a run, for the ``modelgate`` command and ``run_replicate``
+alike::
+
+    cfg = modelgate.load_config("configs/example.ini")
+    traces = modelgate.run_experiment(cfg)
+
+The package exports the run path only; every other name stays importable
+from its own module (``modelgate.cli``, ``modelgate.sim``, ...).
 """
 
-from .core import (
-    AugmentedLossConfig,
-    CandidateModel,
-    LossFunction,
-    MonitoringBatch,
-    candidate_scores,
-    deployed_risks,
-)
-from .bounds import LossLedger, RiskBoundTable, build_bound_table, hoeffding_ucb, window_start
-from .strategy import (
-    REPEATED_TTEST,
-    StrategyBank,
-    advance,
-    brute_force_status,
-    init_bank,
-    optimistic_step,
-    step,
-    transition_matrix,
-)
-from .meta import (
-    InfeasibleRateError,
-    MetaState,
-    RiskBoundInputs,
-    classical_ewaf_bound,
-    combine,
-    init_meta,
-    max_learning_rate,
-    meta_advance,
-    meta_update,
-    mgf_rate,
-    optimize_slack,
-    risk_bound,
-    tail_alpha,
-)
+from .config import ConfigError, RunConfig, load_config
+from .core import LossFunction, MonitoringBatch
 from .sim import (
-    GRID4,
-    GRID12,
-    DeveloperPolicy,
     DriftReport,
-    FitConfig,
     ReplicateTrace,
     ScenarioKind,
-    apply_shift,
-    developer_propose,
-    fit_logistic,
-    generate_batch,
     run_experiment,
     run_replicate,
     verify_drift,
 )
+
+__all__ = [
+    "RunConfig",
+    "ConfigError",
+    "load_config",
+    "ScenarioKind",
+    "LossFunction",
+    "MonitoringBatch",
+    "run_experiment",
+    "run_replicate",
+    "ReplicateTrace",
+    "verify_drift",
+    "DriftReport",
+]
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import AugmentedLossConfig, CandidateModel, MonitoringBatch
+from .core import CandidateModel, LossFunction, MonitoringBatch
 
 __all__ = [
     "RiskBoundTable",
@@ -116,7 +116,8 @@ def build_bound_table(
     candidates: Sequence[Optional[CandidateModel]],
     ledger: LossLedger,
     validation: MonitoringBatch,
-    loss_cfg: AugmentedLossConfig,
+    loss: LossFunction,
+    abstain_cost: float,
     *,
     alpha: float,
     window: int,
@@ -142,7 +143,7 @@ def build_bound_table(
 
     bounds = np.empty(t + 1)
     starts = np.empty(t + 1, dtype=int)
-    bounds[0] = loss_cfg.abstain_cost
+    bounds[0] = abstain_cost
     starts[0] = max(0, t - window)
 
     # candidate j pools batches max(j, lo)..t-1 (``window_start``): one
@@ -158,7 +159,7 @@ def build_bound_table(
     starts[1:t] = np.maximum(older, lo)
 
     # the newest candidate's one batch is its validation rows
-    val_losses = loss_cfg.base.of_array(candidates[t].predict(validation.features), validation.labels)
+    val_losses = loss.of_array(candidates[t].predict(validation.features), validation.labels)
     sums = np.append(sums, val_losses.sum())
     counts = np.append(counts, val_losses.size)
     bounds[1:] = hoeffding_ucb(sums / counts, counts, level)

@@ -19,7 +19,6 @@ from .numerics import outside
 __all__ = [
     "MonitoringBatch",
     "LossFunction",
-    "AugmentedLossConfig",
     "CandidateModel",
     "candidate_scores",
     "affine_loss_mean",
@@ -103,18 +102,6 @@ class LossFunction:
         if self.kind == "zero_one":
             return (z * y <= 0).astype(float)
         return np.minimum(1.0, np.abs(z - y) / self.scale)
-
-
-@dataclass(frozen=True)
-class AugmentedLossConfig:
-    """Base loss plus the fixed cost charged when the system abstains."""
-
-    base: LossFunction
-    abstain_cost: float
-
-    def __post_init__(self):
-        if not 0.0 < self.abstain_cost < 1.0:
-            raise ValueError("abstain_cost must lie in (0, 1)")
 
 
 def candidate_scores(coefs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,7 +197,8 @@ def mixture_risks(statuses: np.ndarray, risk_row: np.ndarray) -> np.ndarray:
 def deployed_risks(
     blocks: Iterable[tuple[np.ndarray, np.ndarray]],
     statuses: np.ndarray,
-    cfg: AugmentedLossConfig,
+    loss: LossFunction,
+    abstain_cost: float,
 ) -> np.ndarray:
     """Expected augmented loss of each deployed status on one sample, for
     any loss.
@@ -229,8 +217,7 @@ def deployed_risks(
     mass the blocks are not drawn.
     """
     p0, live, cols = _status_columns(statuses)
-    delta = cfg.abstain_cost
-    out = np.full(len(p0), delta)
+    out = np.full(len(p0), abstain_cost)
     if not live.size:
         return out
     acc = np.zeros(len(live))
@@ -239,7 +226,7 @@ def deployed_risks(
         if scores.shape[1] != len(cols):
             raise ValueError("statuses must have one entry per candidate plus abstain")
         ens = scores @ cols.astype(scores.dtype, copy=False)
-        acc += cfg.base.of_array(ens, labels[:, None]).sum(axis=0)
+        acc += loss.of_array(ens, labels[:, None]).sum(axis=0)
         rows += len(labels)
-    out[live] = p0[live] * delta + (1.0 - p0[live]) * (acc / rows)
+    out[live] = p0[live] * abstain_cost + (1.0 - p0[live]) * (acc / rows)
     return out

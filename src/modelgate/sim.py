@@ -24,7 +24,6 @@ import numpy as np
 
 from .bounds import LossLedger, build_bound_table
 from .core import (
-    AugmentedLossConfig,
     CandidateModel,
     LossFunction,
     MonitoringBatch,
@@ -44,7 +43,7 @@ from .meta import (
 from .strategy import REPEATED_TTEST, advance as strategy_advance, init_bank, optimistic_step
 
 if TYPE_CHECKING:
-    from .cli import RunConfig
+    from .config import RunConfig
 
 __all__ = [
     "ScenarioKind",
@@ -835,7 +834,7 @@ def verify_drift(
     budget: float,
     window: int,
     coefs: np.ndarray,
-    loss_cfg: AugmentedLossConfig,
+    loss: LossFunction,
     n_check: int = 20000,
     tolerance: float = 0.02,
     seed: int = 1234,
@@ -855,7 +854,6 @@ def verify_drift(
     """
     if coefs.shape[1] == 0:
         raise ValueError("need at least one candidate column")
-    loss = loss_cfg.base
     rng = np.random.default_rng(seed)
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
@@ -1028,7 +1026,6 @@ def run_replicate(
         delta = float(np.mean(loss.of_array(first.predict(x_cal), y_cal)))
         del x_cal, y_cal
     delta = min(max(delta, 1e-6), 1.0 - 1e-6)
-    loss_cfg = AugmentedLossConfig(loss, delta)
 
     margin = cfg.margin_mult * delta
     step_margin = cfg.step_margin_mult * margin
@@ -1087,7 +1084,7 @@ def run_replicate(
             )
             candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
         coefs = coef_mat[:, :t]
-        table = build_bound_table(t, candidates, ledger, validation, loss_cfg,
+        table = build_bound_table(t, candidates, ledger, validation, loss, delta,
                                   alpha=cfg.bound_alpha, window=cfg.bound_window)
 
         # the distribution for step t is realized now, before any data from
@@ -1129,7 +1126,8 @@ def run_replicate(
             eval_risks = deployed_risks(
                 _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
                 deployed,
-                loss_cfg,
+                loss,
+                delta,
             )
             del eval_feats, eval_labels
             batch = generate_batch(gen, cfg, t)
@@ -1139,7 +1137,7 @@ def run_replicate(
         if loss.affine:
             batch_risks = mixture_risks(deployed, blosses)
         else:
-            batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss_cfg)
+            batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss, delta)
         if ingested:
             # the batch is the evaluation sample: its risks are the true ones
             eval_risks = batch_risks

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 
 from modelgate.bounds import LossLedger, RiskBoundTable, build_bound_table
-from modelgate.cli import RunConfig, load_config, run
-from modelgate.core import AugmentedLossConfig, CandidateModel, LossFunction, MonitoringBatch
+from modelgate.cli import run
+from modelgate.config import RunConfig, load_config
+from modelgate.core import CandidateModel, LossFunction, MonitoringBatch
 from modelgate.meta import RiskBoundInputs, classical_ewaf_bound, max_learning_rate
 from modelgate.sim import (
     FitConfig,
@@ -261,7 +262,7 @@ def test_criterion_7_simultaneous_coverage():
         preds = np.column_stack([model(b.features) for model in models[:s]])
         ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, candidates, ledger, val, AugmentedLossConfig(HINGE, 0.25), alpha=alpha, window=window,
+        4, candidates, ledger, val, HINGE, 0.25, alpha=alpha, window=window,
     )
     for j in range(1, 4):
         pooled = np.concatenate([
@@ -282,10 +283,9 @@ def test_criterion_8_drift_certification(experiments):
     for tr in experiments[ScenarioKind.SMALL_FREQUENT_SHIFTS]:
         n_models = tr.model_coefs.shape[1]
         picks = sorted(set(np.linspace(0, n_models - 1, 12, dtype=int).tolist()))
-        loss_cfg = AugmentedLossConfig(HINGE, tr.abstain_cost)
         rep = verify_drift(
             tr.coeff_history, budget=tr.abstain_cost, window=3, coefs=tr.model_coefs[:, picks],
-            loss_cfg=loss_cfg, n_check=20000, tolerance=0.02, seed=SEED + tr.replicate,
+            loss=HINGE, n_check=20000, tolerance=0.02, seed=SEED + tr.replicate,
         )
         worst = max(worst, rep.max_value)
         violations += len(rep.violations)

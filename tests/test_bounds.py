@@ -12,7 +12,7 @@ from modelgate.bounds import (
     hoeffding_ucb,
     window_start,
 )
-from modelgate.core import AugmentedLossConfig, CandidateModel, LossFunction, MonitoringBatch
+from modelgate.core import CandidateModel, LossFunction, MonitoringBatch
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
 
@@ -94,13 +94,12 @@ class TestHoeffdingUcb:
 class TestBuildBoundTable:
     def setup_method(self):
         self.bound = dict(alpha=0.1, window=3)
-        self.loss_cfg = AugmentedLossConfig(HINGE, 0.3)
 
     def test_t1_layout(self):
         candidates = [None, constant_model(1.0)]
         rng = np.random.default_rng(1)
         val = iid_batch(rng, n=10)
-        table = build_bound_table(1, candidates, LossLedger(1), val, self.loss_cfg, **self.bound)
+        table = build_bound_table(1, candidates, LossLedger(1), val, HINGE, 0.3, **self.bound)
         assert table.bounds[0] == 0.3
         assert len(table.bounds) == 2
         # constant prediction 1.0: loss 0 on +1 labels, 1 on -1 labels
@@ -116,7 +115,7 @@ class TestBuildBoundTable:
             batches.append(MonitoringBatch(b.features, np.ones(20)))  # all +1: loss 0
         val = batches[-1]
         ledger = ledger_of(candidates, batches[:1], 2)
-        table = build_bound_table(2, candidates, ledger, val, self.loss_cfg, **self.bound)
+        table = build_bound_table(2, candidates, ledger, val, HINGE, 0.3, **self.bound)
         # model 1 pools batch 1 (20 zero losses) at level alpha/2
         assert table.bounds[1] == pytest.approx(math.sqrt(math.log(20.0) / 40.0))
 
@@ -130,7 +129,7 @@ class TestBuildBoundTable:
                 batches.append(MonitoringBatch(*_all_plus(rng, 20)))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 4)
-        table = build_bound_table(4, candidates, ledger, val, self.loss_cfg, **self.bound)
+        table = build_bound_table(4, candidates, ledger, val, HINGE, 0.3, **self.bound)
         # model 1 pools batches 1..3 (60 obs of loss .25) at level alpha/4
         expected = 0.25 + math.sqrt(math.log(40.0) / 120.0)
         assert table.bounds[1] == pytest.approx(expected)
@@ -145,7 +144,7 @@ class TestBuildBoundTable:
                 batches.append(iid_batch(rng))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 6)
-        table = build_bound_table(6, candidates, ledger, val, self.loss_cfg, **self.bound)
+        table = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, **self.bound)
         assert table.window_starts[1] == 3  # max(1, 6-3)
         assert table.window_starts[5] == 5
         assert table.window_starts[6] == 5  # newest: previous step
@@ -160,8 +159,8 @@ class TestBuildBoundTable:
                 batches.append(iid_batch(rng))
         val = batches[-1]
         ledger = ledger_of(candidates, batches, 6)
-        narrow = build_bound_table(6, candidates, ledger, val, self.loss_cfg, alpha=0.1, window=2)
-        wide = build_bound_table(6, candidates, ledger, val, self.loss_cfg, alpha=0.1, window=5)
+        narrow = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, alpha=0.1, window=2)
+        wide = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, alpha=0.1, window=5)
         assert np.all(wide.window_starts[1:] <= narrow.window_starts[1:])
 
     def test_only_the_newest_candidate_is_scored(self):
@@ -173,8 +172,8 @@ class TestBuildBoundTable:
         # scoring an older entry would fail: None has no predict
         candidates = [None, None, None, constant_model(0.5)]
         val = batches[-1]
-        table = build_bound_table(3, candidates, ledger, val, self.loss_cfg, **self.bound)
-        expected = build_bound_table(3, scored, ledger, val, self.loss_cfg, **self.bound)
+        table = build_bound_table(3, candidates, ledger, val, HINGE, 0.3, **self.bound)
+        expected = build_bound_table(3, scored, ledger, val, HINGE, 0.3, **self.bound)
         assert table.bounds.tolist() == expected.bounds.tolist()
 
     def test_pooled_mean_weights_every_row_equally(self):
@@ -184,12 +183,12 @@ class TestBuildBoundTable:
         ledger = LossLedger(3)
         ledger.record(1, np.full((10, 1), 0.1))
         ledger.record(2, np.full((30, 2), 0.5))
-        table = build_bound_table(3, candidates, ledger, val, self.loss_cfg, **self.bound)
+        table = build_bound_table(3, candidates, ledger, val, HINGE, 0.3, **self.bound)
         expected = (10 * 0.1 + 30 * 0.5) / 40 + math.sqrt(math.log(30.0) / 80.0)
         assert table.bounds[1] == pytest.approx(expected, abs=1e-15)
         with pytest.raises(ValueError, match="empty evaluation window"):
             # nothing recorded yet
-            build_bound_table(3, candidates, LossLedger(3), val, self.loss_cfg, **self.bound)
+            build_bound_table(3, candidates, LossLedger(3), val, HINGE, 0.3, **self.bound)
 
     def test_empty_batch_in_the_window_raises(self):
         # batch 3 has no rows, and candidate 3 pools batch 3 alone at t = 4
@@ -200,7 +199,7 @@ class TestBuildBoundTable:
         ledger.record(2, np.full((5, 2), 0.2))
         ledger.record(3, np.zeros((0, 3)))
         with pytest.raises(ValueError, match="candidate 3 has an empty evaluation window"):
-            build_bound_table(4, candidates, ledger, val, self.loss_cfg, **self.bound)
+            build_bound_table(4, candidates, ledger, val, HINGE, 0.3, **self.bound)
 
     def test_candidates_must_cover_every_step(self):
         # abstention plus candidates 1..t: one entry short or over is refused
@@ -210,8 +209,17 @@ class TestBuildBoundTable:
         ledger.record(2, np.full((5, 2), 0.2))
         for count in (3, 5):
             with pytest.raises(ValueError, match="candidates 1..3"):
-                build_bound_table(3, constant_candidates(count - 1), ledger, val, self.loss_cfg,
+                build_bound_table(3, constant_candidates(count - 1), ledger, val, HINGE, 0.3,
                                   **self.bound)
+
+    @pytest.mark.parametrize("cost, step_margin",
+                             [(0.3, 0.05), (0.1, 0.012), (0.25, 0.03), (0.05, 0.0)])
+    def test_feasible_up_to_exactly_cost_plus_step_margin(self, cost, step_margin):
+        # the gate admits a bound at cost + step_margin (1e-12 of rounding
+        # slack included) and vetoes one just past it
+        edge = cost + step_margin
+        table = RiskBoundTable(2, np.array([cost, edge, edge + 1e-11]), np.zeros(3, dtype=int))
+        assert table.feasible(cost, step_margin).tolist() == [True, True, False]
 
     def test_feasible_mask_keeps_abstain(self):
         table = RiskBoundTable(2, np.array([0.3, 0.9, 0.25]), np.array([0, 1, 1]))
@@ -225,7 +233,7 @@ class TestBuildBoundTable:
         rng = np.random.default_rng(6)
         feats, labels = _all_plus(rng, 10)
         val = MonitoringBatch(feats, labels)
-        table = build_bound_table(1, candidates, LossLedger(1), val, self.loss_cfg, **self.bound)
+        table = build_bound_table(1, candidates, LossLedger(1), val, HINGE, 0.3, **self.bound)
         assert table.bounds[1] > 1.0
 
 
@@ -262,7 +270,7 @@ def test_table_matches_the_candidate_loop(t, window, seed):
         ledger.record(s, rng.random((int(rng.integers(1, 60)), s)))
     val = MonitoringBatch(*_all_plus(rng, 10))
     table = build_bound_table(t, constant_candidates(t), ledger, val,
-                              AugmentedLossConfig(HINGE, 0.3), alpha=0.1, window=window)
+                              HINGE, 0.3, alpha=0.1, window=window)
     want = loop_bounds(t, ledger, window, 0.1 / t)
     got = table.bounds[1:t].tolist()
     assert table.window_starts[1:t].tolist() == [window_start(t, j, window) for j in range(1, t)]

@@ -9,16 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from modelgate.cli import (
+from modelgate.cli import bound_curves, ingest, main, run
+from modelgate.config import (
     CONFIG_GRAMMAR,
     ConfigError,
     RunConfig,
     _SCHEMA,
-    bound_curves,
-    ingest,
     load_config,
-    main,
-    run,
     save_manifest,
 )
 from modelgate.sim import GRID4, GRID12, MIN_BAYES_RISK, ReplicateTrace, ScenarioKind
@@ -315,6 +312,16 @@ def test_each_check_rejects_the_first_value_past_its_edge(name):
         assert getattr(RunConfig(**base, **{field: accepted}), field) == accepted
         with pytest.raises(ConfigError, match=f"^{re.escape(name)}: {re.escape(repr(rejected))} is invalid"):
             RunConfig(**base, **{field: rejected})
+
+
+@pytest.mark.parametrize("key", [k for k in _SCHEMA if k.type.name in ("int", "finite float")],
+                         ids=lambda k: k.name)
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_in_a_number_field_names_its_key(key, value):
+    # a bool is an int to isinstance, but a manifest would write it as True
+    # or False, which no int or float key parses back
+    with pytest.raises(ConfigError, match=f"^{re.escape(key.name)}: {value!r} is invalid"):
+        RunConfig(ScenarioKind.INGESTED, data_path="in.csv", **{key.field: value})
 
 
 @settings(max_examples=150, deadline=None,

@@ -6,7 +6,6 @@ from hypothesis.extra import numpy as hnp
 from modelgate.bounds import LossLedger
 from modelgate.numerics import outside
 from modelgate.core import (
-    AugmentedLossConfig,
     CandidateModel,
     LossFunction,
     MonitoringBatch,
@@ -36,8 +35,8 @@ def constant_preds(values, n):
 
 
 def risk_of(weights, preds, labels, delta):
-    cfg = AugmentedLossConfig(HINGE, delta)
-    return float(deployed_risks([(preds, np.asarray(labels, dtype=float))], [weights], cfg)[0])
+    block = (preds, np.asarray(labels, dtype=float))
+    return float(deployed_risks([block], [weights], HINGE, delta)[0])
 
 
 def loss_at(loss, z, y):
@@ -46,12 +45,6 @@ def loss_at(loss, z, y):
 
 
 class TestAugmentedLoss:
-    def test_abstain_costs_exactly_delta(self):
-        assert AugmentedLossConfig(HINGE, 0.15).abstain_cost == 0.15
-        for bad in (0.0, 1.0, float("nan")):
-            with pytest.raises(ValueError):
-                AugmentedLossConfig(HINGE, bad)
-
     def test_hinge_zero_region(self):
         assert loss_at(HINGE, 1.0, 1.0) == 0.0
         assert loss_at(HINGE, 1.0, 1) == 0.0
@@ -151,8 +144,7 @@ class TestEnsemble:
         # renormalisation makes the ensemble depend only on weight ratios
         base = np.array([0.5, 0.25, 0.25])
         scaled = np.array([1.0 - scale * 0.5, scale * 0.25, scale * 0.25])
-        cfg = AugmentedLossConfig(HINGE, 0.25)
-        rb, rs = deployed_risks([(self.preds, self.labels)], [base, scaled], cfg)
+        rb, rs = deployed_risks([(self.preds, self.labels)], [base, scaled], HINGE, 0.25)
         model_part = lambda r, s: (r - s[0] * 0.25) / s[1:].sum()
         assert model_part(rs, scaled) == pytest.approx(model_part(rb, base))
 
@@ -179,7 +171,7 @@ class TestDeployedRisk:
         clipped = LossFunction("clipped_hinge", scale=1.5)
         preds = np.array([[0.2], [1.5]])
         got = deployed_risks([(preds, np.array([1.0, -1.0]))], [[0.5, 0.5]],
-                             AugmentedLossConfig(clipped, 0.3))
+                             clipped, 0.3)
         assert got[0] == pytest.approx(0.5 * 0.3 + 0.5 * (0.8 / 1.5 + 1.0) / 2)
 
     def test_jensen_mixing(self):
@@ -187,13 +179,12 @@ class TestDeployedRisk:
         rng = np.random.default_rng(5)
         preds = constant_preds(rng.uniform(-1, 1, size=3), 40)
         labels = np.where(rng.random(40) < 0.5, 1.0, -1.0)
-        cfg = AugmentedLossConfig(HINGE, 0.25)
         for _ in range(25):
             wa = rng.dirichlet(np.ones(4))
             wb = rng.dirichlet(np.ones(4))
             alpha = rng.random()
             mix = alpha * wa + (1 - alpha) * wb
-            ra, rb, rmix = deployed_risks([(preds, labels)], [wa, wb, mix], cfg)
+            ra, rb, rmix = deployed_risks([(preds, labels)], [wa, wb, mix], HINGE, 0.25)
             assert rmix <= alpha * ra + (1 - alpha) * rb + 1e-9
 
 
@@ -222,7 +213,7 @@ class TestAffineRisks:
         scores, labels, statuses = sample
         loss = LossFunction("clipped_hinge", scale=scale)
         got = mixture_risks(statuses, ledger_row(scores, labels, 0.3, loss))
-        want = deployed_risks([(scores, labels)], statuses, AugmentedLossConfig(loss, 0.3))
+        want = deployed_risks([(scores, labels)], statuses, loss, 0.3)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
 
     def test_pure_abstention_costs_exactly_delta(self):
@@ -283,7 +274,6 @@ class TestCandidateScores:
 class TestTypes:
     def test_status_validation(self):
         # both risk evaluators check the statuses they are given
-        cfg = AugmentedLossConfig(HINGE, 0.25)
         block = (constant_preds([0.5], 3), np.array([1.0, -1.0, 1.0]))
         for statuses in (
             [[0.5, 0.6]],                 # does not sum to one
@@ -296,7 +286,7 @@ class TestTypes:
             with pytest.raises(ValueError):
                 mixture_risks(statuses, [0.25, 0.25])
             with pytest.raises(ValueError):
-                deployed_risks([block], statuses, cfg)
+                deployed_risks([block], statuses, HINGE, 0.25)
 
     def test_batch_validation(self):
         with pytest.raises(ValueError):

@@ -240,6 +240,26 @@ class TestRiskBound:
         z2, _ = optimize_slack(inp, grid=400)
         assert abs(z1 - z2) <= 1e-3
 
+    @pytest.mark.parametrize("inputs, slack", [
+        (RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37), 0.1),
+        (RiskBoundInputs(0.1, 0.012, 0.1, 0.8, 0.05, 96, 200, batch_size=40, holdout_size=20), 0.3),
+        (RiskBoundInputs(0.35, 0.042, 0.7, 3.0, 0.1, 4, 10, batch_size=500, holdout_size=250), 0.05),
+    ])
+    def test_finite_batch_bound_equals_the_formula(self, inputs, slack):
+        # risk_bound's formula -(rate cost + ln(m)/T + rate^2/(8 n)) / c, with
+        # c from mgf_rate's docstring and the tail from tail_alpha's
+        rate, horizon, a1 = inputs.rate, inputs.horizon, inputs.cover_alpha
+        n, n_val = inputs.batch_size, inputs.holdout_size
+        a2 = min(1.0, (horizon - 1) * math.exp(-8 * slack**2 * n)
+                 + math.exp(-8 * slack**2 * n_val))
+        s = inputs.abstain_cost + inputs.step_margin + inputs.drift
+        term = lambda x: (math.exp(-rate * x) - 1.0) / x
+        c = max(0.0, 1.0 - a1 - a2) * term(s) + a1 * term(s + slack) + a2 * term(1.0)
+        numer = (rate * inputs.abstain_cost + math.log(inputs.n_strategies) / horizon
+                 + rate**2 / (8 * n))
+        assert 0.0 < a2 < 1.0 - a1
+        assert _bound_at(inputs, slack) == pytest.approx(-numer / c, rel=1e-12, abs=0.0)
+
     def test_infinite_batch_drops_quadratic_term(self):
         a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50, tail=0.0))
         b = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modelgate.cli import RunConfig
+from modelgate.config import RunConfig
 from modelgate.core import (
-    AugmentedLossConfig,
     CandidateModel,
     LossFunction,
     MonitoringBatch,
@@ -47,7 +46,6 @@ from modelgate.sim import (
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
-LOSS_CFG = AugmentedLossConfig(HINGE, 0.25)
 
 SMALL = dict(horizon=10, batch_size=40, eval_size=2000)
 FIXED_RATE = dict(rate_mode="fixed", rate=1.5)
@@ -804,7 +802,7 @@ class TestEmpiricalMmd:
     def test_zero_columns_rejected(self):
         with pytest.raises(ValueError, match="at least one candidate column"):
             verify_drift([np.ones(2)] * 3, budget=0.1, window=2, coefs=np.zeros((3, 0)),
-                         loss_cfg=LOSS_CFG, n_check=10)
+                         loss=HINGE, n_check=10)
 
 
 def per_model_mmd(sample_a, sample_b, coefs, loss):
@@ -819,7 +817,7 @@ def per_model_mmd(sample_a, sample_b, coefs, loss):
     return worst
 
 
-def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed):
+def per_model_drift_values(coeff_history, window, coefs, loss, n_check, seed):
     """The oracle: ``verify_drift``'s (T, window) discrepancies with its own
     sampler and ``per_model_mmd``."""
     rng = np.random.default_rng(seed)
@@ -837,7 +835,7 @@ def per_model_drift_values(coeff_history, window, coefs, loss_cfg, n_check, seed
             members = range(max(0, t - w), t)
             pooled = [draw(coeff_history[s], max(1, n_check // len(members))) for s in members]
             mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
-            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss_cfg.base)
+            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss)
     return values
 
 
@@ -870,7 +868,7 @@ class TestVerifyDrift:
         history = [beta] * 6
         coefs = column(np.concatenate([beta, [0.0]]))
         report = verify_drift(history, budget=0.25, window=3, coefs=coefs,
-                              loss_cfg=LOSS_CFG, n_check=4000, seed=1)
+                              loss=HINGE, n_check=4000, seed=1)
         assert report.ok
         assert report.max_value < 0.03
 
@@ -880,7 +878,7 @@ class TestVerifyDrift:
         history = [beta, beta, -beta, -beta]  # full flip: risk gap far above budget
         coefs = column(np.concatenate([beta, [0.0]]))
         report = verify_drift(history, budget=0.1, window=3, coefs=coefs,
-                              loss_cfg=LOSS_CFG, n_check=4000, seed=2)
+                              loss=HINGE, n_check=4000, seed=2)
         assert not report.ok
         assert any(t == 2 for t, _, _ in report.violations)
 
@@ -888,11 +886,10 @@ class TestVerifyDrift:
         # a budget below most windows' discrepancy, so there are violations to compare
         tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
         assert tr.shift_times
-        loss_cfg = AugmentedLossConfig(HINGE, tr.abstain_cost)
-        want = per_model_drift_values(tr.coeff_history, 3, tr.model_coefs, loss_cfg, 3000, 5)
+        want = per_model_drift_values(tr.coeff_history, 3, tr.model_coefs, HINGE, 3000, 5)
         budget = float(np.median(want))
         report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
-                              loss_cfg=loss_cfg, n_check=3000, tolerance=0.0, seed=5)
+                              loss=HINGE, n_check=3000, tolerance=0.0, seed=5)
         np.testing.assert_allclose(report.values, want, rtol=0.0, atol=1e-14)
         flagged = [(t, w) for t, w, _ in report.violations]
         assert flagged and flagged == [(t + 1, w + 1) for t, w in zip(*np.nonzero(want > budget))]
@@ -907,8 +904,7 @@ class TestVerifyDrift:
         budget = float(np.median(per_window_drift(tr.coeff_history, 1.0, *args)[0]))
         want, flagged = per_window_drift(tr.coeff_history, budget, *args)
         report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
-                              loss_cfg=AugmentedLossConfig(loss, tr.abstain_cost), n_check=3000,
-                              tolerance=0.0, seed=5)
+                              loss=loss, n_check=3000, tolerance=0.0, seed=5)
         assert bitwise_equal(report.values, want)
         assert flagged and report.violations == flagged
 
@@ -978,7 +974,7 @@ class TestRunReplicate:
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
         tr = run_replicate(sc, 0)
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
-                              coefs=tr.model_coefs, loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
+                              coefs=tr.model_coefs, loss=HINGE,
                               n_check=4000, seed=3)
         assert report.ok
 
@@ -991,13 +987,13 @@ class TestAdversarialDrift:
         n_models = tr.model_coefs.shape[1]
         picks = sorted(set(np.linspace(0, n_models - 1, 8, dtype=int).tolist()))
         report = verify_drift(tr.coeff_history, budget=tr.abstain_cost, window=3,
-                              coefs=tr.model_coefs[:, picks], loss_cfg=AugmentedLossConfig(HINGE, tr.abstain_cost),
+                              coefs=tr.model_coefs[:, picks], loss=HINGE,
                               n_check=8000, tolerance=0.025, seed=4)
         assert tr.shift_times, "the adversary should have fired at least once"
         assert report.ok, report.violations
 
 
-def whole_matrix_risks(coefs, x, y, statuses, cfg):
+def whole_matrix_risks(coefs, x, y, statuses, loss, abstain_cost):
     """Deployed risks from the (n, t) score matrix of the whole sample: every
     candidate's 2 sigmoid - 1 score, every live status's ensemble score in
     one product in the scores' dtype, and the sample mean of its loss,
@@ -1007,11 +1003,11 @@ def whole_matrix_risks(coefs, x, y, statuses, cfg):
     live = [k for k in range(len(statuses)) if mass[k] > 0.0]
     cols = np.column_stack([statuses[k, 1:] / mass[k] for k in live])
     ens = preds @ cols.astype(preds.dtype)
-    ens = cfg.base.of_array(ens, y[:, None]).mean(axis=0)
-    out = np.full(len(statuses), cfg.abstain_cost)
+    ens = loss.of_array(ens, y[:, None]).mean(axis=0)
+    out = np.full(len(statuses), abstain_cost)
     for i, k in enumerate(live):
         p0 = statuses[k, 0]
-        out[k] = p0 * cfg.abstain_cost + (1.0 - p0) * ens[i]
+        out[k] = p0 * abstain_cost + (1.0 - p0) * ens[i]
     return out
 
 
@@ -1040,10 +1036,9 @@ class TestBlockwiseEvaluator:
             "scaled_absolute"])
     def test_matches_whole_matrix_reference(self, n, loss):
         coefs, x, y, statuses = self.sample(n)
-        cfg = AugmentedLossConfig(loss, 0.3)
         c32 = coefs.astype(np.float32)
-        got = deployed_risks(_score_blocks(c32, x, y), statuses, cfg)
-        want = whole_matrix_risks(c32, x, y, statuses, cfg)
+        got = deployed_risks(_score_blocks(c32, x, y), statuses, loss, 0.3)
+        want = whole_matrix_risks(c32, x, y, statuses, loss, 0.3)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_sample_saturates_scores(self):
@@ -1057,7 +1052,7 @@ class TestBlockwiseEvaluator:
         coefs, x, y, statuses = self.sample(100_000)
         for delta in np.linspace(0.05, 0.95, 19):
             got = deployed_risks(_score_blocks(coefs.astype(np.float32), x, y), statuses,
-                                 AugmentedLossConfig(HINGE, delta))
+                                 HINGE, delta)
             assert got[-1] == delta
 
     def test_blocks_unused_without_model_mass(self):
@@ -1066,7 +1061,7 @@ class TestBlockwiseEvaluator:
             yield
 
         pure_abstain = np.tile(np.eye(1, 4), (2, 1))
-        got = deployed_risks(blocks(), pure_abstain, LOSS_CFG)
+        got = deployed_risks(blocks(), pure_abstain, HINGE, 0.25)
         assert got.tolist() == [0.25, 0.25]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
