@@ -249,7 +249,10 @@ _SCHEMA = (
          "per-step margin = mult * total"),
     _Key("meta", "rate_mode", "rate_mode", _choice("solve", "fixed")),
     _Key("meta", "rate", "rate", _FLOAT, _above(0), "used when rate_mode = fixed"),
-    _Key("loss", "kind", "loss_kind", _choice("clipped_hinge", "zero_one", "scaled_absolute")),
+    _Key("loss", "kind", "loss_kind", _choice("clipped_hinge", "zero_one", "scaled_absolute"),
+         help="under zero_one a simulated gate abstains at every step at the default "
+         "margins: the per-step margin (about 0.013) is far below the bounds' Hoeffding "
+         "half-widths (about 0.1), so every candidate is vetoed"),
     _Key("loss", "scale", "loss_scale", _FLOAT, _above(0)),
     _Key("data", "path", "data_path", _STR,
          help="required by the ingested scenario: a CSV file with a header row and finite "

@@ -68,6 +68,7 @@ __all__ = [
     "split_batch",
     "apply_shift",
     "verify_drift",
+    "exact_drift",
     "run_experiment",
     "run_replicate",
 ]
@@ -599,7 +600,8 @@ def _window_discrepancy(gen: GeneratorState, t_new: int, window: int, coefs: np.
     """The map from candidate coefficients for time ``t_new`` to their
     windowed risk change: the largest, over the candidate columns ``coefs``
     and the windows 1..``window``, of the gap between the new risk and the
-    window's mean risk.  Risks are ``_probe_risks`` on a fresh MMD_PROBE-row
+    window's mean risk (``_window_gaps``, which ``exact_drift`` also
+    certifies with).  Risks are ``_probe_risks`` on a fresh MMD_PROBE-row
     probe, drawn from ``gen.rng`` here; each distinct history entry is
     evaluated once."""
     risks = _probe_risks(coefs, gen.rng.standard_normal((MMD_PROBE, len(gen.coefficients))), loss)
@@ -609,9 +611,19 @@ def _window_discrepancy(gen: GeneratorState, t_new: int, window: int, coefs: np.
     betas = [gen.coeff_history[min(s, last)] for s in range(max(0, t_new - window), t_new)]
     distinct = {id(beta): beta for beta in betas}
     by_id = {key: risks(beta) for key, beta in distinct.items()}
-    history = np.array([by_id[id(beta)] for beta in betas])
+    gaps = _window_gaps(np.array([by_id[id(beta)] for beta in betas]), window)
+    return lambda beta: float(np.max(gaps(risks(beta))))
+
+
+def _window_gaps(history: np.ndarray, window: int):
+    """The map from a row of candidate risks to its windowed risk changes
+    against ``history``, a (steps, candidates) matrix of the same
+    candidates' risks under the distributions of the steps before, oldest
+    first: entry w - 1 is the largest, over the candidates, of the gap
+    between the row and the mean of the last w history rows (of all of
+    them when there are fewer), for w = 1..``window``."""
     means = np.array([history[-w:].mean(axis=0) for w in range(1, window + 1)])
-    return lambda beta: float(np.max(np.abs(risks(beta) - means)))
+    return lambda risks: np.max(np.abs(risks - means), axis=1)
 
 
 def _last_feasible(f, target: float, f_one: float) -> float:
@@ -881,6 +893,51 @@ def verify_drift(
         tolerance=tolerance,
         max_value=float(values.max()) if values.size else 0.0,
         violations=tuple(violations),
+        values=values,
+    )
+
+
+def exact_drift(
+    coeff_history: Sequence[np.ndarray],
+    model_coefs: np.ndarray,
+    budget: float,
+    window: int,
+    loss: LossFunction,
+) -> DriftReport:
+    """Certify a generator trace against the drift budget with exact risks.
+
+    The discrepancy at (t, w) is the windowed risk change that
+    ``apply_shift`` bounds (``_window_gaps``): the largest, over the
+    candidates registered by step t (the first t columns of
+    ``model_coefs``, one per step), of the gap between a candidate's risk
+    under ``coeff_history[t]`` and its mean risk under the w distributions
+    before t.  Candidate j's risk under beta is ``(1 - E[y z_j]) / scale``
+    with the expectation from ``label_score_means``, integrated once per
+    distinct coefficient vector of the history, so only an affine loss
+    (``LossFunction.affine``) has one; any other raises ValueError.  With
+    no sampling noise to allow for, the tolerance is 0: every value above
+    the budget is a violation.
+    """
+    if not loss.affine:
+        raise ValueError(f"exact drift needs an affine loss, not {loss}")
+    history = np.asarray(coeff_history, dtype=float)
+    horizon = len(history) - 1
+    if model_coefs.shape[1] < horizon:
+        raise ValueError("need one candidate column per step")
+    distinct, index = np.unique(history, axis=0, return_inverse=True)
+    means = np.array([label_score_means(beta, model_coefs) for beta in distinct])
+    risks = affine_loss_mean(means, loss.scale)[index.reshape(-1)]
+    values = np.zeros((horizon, window))
+    for t in range(1, horizon + 1):
+        values[t - 1] = _window_gaps(risks[max(0, t - window) : t, :t], window)(risks[t, :t])
+    violations = tuple(
+        (t + 1, w + 1, float(values[t, w])) for t, w in zip(*np.nonzero(values > budget))
+    )
+    return DriftReport(
+        budget=budget,
+        tolerance=0.0,
+        max_value=float(values.max()) if values.size else 0.0,
+        violations=violations,
         values=values,
     )
 

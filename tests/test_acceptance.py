@@ -21,6 +21,7 @@ from modelgate.meta import RiskBoundInputs, classical_ewaf_bound, max_learning_r
 from modelgate.sim import (
     FitConfig,
     ScenarioKind,
+    exact_drift,
     fit_logistic,
     logistic_objective,
     run_experiment,
@@ -295,6 +296,30 @@ def test_criterion_8_drift_certification(experiments):
         violations == 0 and elapsed < 120.0,
         f"0 budget violations expected, got {violations}; worst windowed "
         f"discrepancy {worst:.4f} vs budget ~0.27 (+0.02 tolerance); {elapsed:.0f}s (needs < 120 s)",
+    )
+
+
+def test_criterion_8b_exact_drift_certificate(experiments):
+    """Both shifting scenarios, every replicate: the exact windowed risk
+    change over the candidates registered by each step never exceeds the
+    budget, with zero tolerance."""
+    started = time.time()
+    worst, violations = {}, 0
+    for kind in (ScenarioKind.ADAPTIVE_SHIFTS, ScenarioKind.SMALL_FREQUENT_SHIFTS):
+        worst[kind] = 0.0
+        for tr in experiments[kind]:
+            # the bound table's default lookback, which every shift is checked against
+            rep = exact_drift(tr.coeff_history, tr.model_coefs, tr.abstain_cost, 3, HINGE)
+            worst[kind] = max(worst[kind], rep.max_value / rep.budget)
+            violations += len(rep.violations)
+    elapsed = time.time() - started
+    report(
+        "8b",
+        violations == 0 and elapsed < 10.0,
+        f"0 exact budget violations expected, got {violations}; worst windowed change "
+        f"{worst[ScenarioKind.ADAPTIVE_SHIFTS]:.3f} (adaptive_shifts) and "
+        f"{worst[ScenarioKind.SMALL_FREQUENT_SHIFTS]:.3f} (small_frequent_shifts) of budget; "
+        f"{elapsed:.1f}s (needs < 10 s)",
     )
 
 

@@ -27,6 +27,7 @@ from modelgate.sim import (
     apply_shift,
     bayes_hinge_risk,
     developer_propose,
+    exact_drift,
     fit_logistic,
     generate_batch,
     label_score_means,
@@ -43,6 +44,7 @@ from modelgate.sim import (
     _probe_risks,
     _sample_risks,
     _score_blocks,
+    _window_gaps,
 )
 
 HINGE = LossFunction("clipped_hinge", scale=2.0)
@@ -909,6 +911,107 @@ class TestVerifyDrift:
         assert flagged and report.violations == flagged
 
 
+def per_member_exact_values(coeff_history, model_coefs, window):
+    """The oracle: ``exact_drift``'s (T, window) values, each candidate's
+    risk integrated afresh for every window member."""
+    horizon = len(coeff_history) - 1
+    values = np.zeros((horizon, window))
+    for t in range(1, horizon + 1):
+        coefs = model_coefs[:, :t]
+        current = affine_loss_mean(label_score_means(coeff_history[t], coefs), 2.0)
+        for w in range(1, window + 1):
+            members = [affine_loss_mean(label_score_means(coeff_history[s], coefs), 2.0)
+                       for s in range(max(0, t - w), t)]
+            values[t - 1, w - 1] = np.max(np.abs(current - sum(members) / len(members)))
+    return values
+
+
+def monte_carlo_risks(rng, beta, coefs, rows=1_000_000, chunk=100_000):
+    """Each column's hinge risk under the law of ``beta`` and its standard
+    error, from ``rows`` float64 draws of features and labels."""
+    total, squares = np.zeros(coefs.shape[1]), np.zeros(coefs.shape[1])
+    for _ in range(rows // chunk):
+        x, y = _draw(rng, beta, chunk)
+        losses = HINGE.of_array(candidate_scores(coefs, x), y[:, None])
+        total += losses.sum(axis=0)
+        squares += (losses * losses).sum(axis=0)
+    mean = total / rows
+    return mean, np.sqrt((squares / rows - mean * mean) / rows)
+
+
+@pytest.fixture(scope="module")
+def small_shifts_trace():
+    tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
+    assert tr.shift_times
+    return tr
+
+
+class TestExactDrift:
+    @pytest.mark.parametrize("window", [1, 3, 7])
+    def test_window_gaps_equal_the_per_member_recompute(self, window):
+        rng = np.random.default_rng(31)
+        for steps in (1, 4, 9):
+            history, row = rng.uniform(0.0, 1.0, size=(steps, 5)), rng.uniform(0.0, 1.0, size=5)
+            want = []
+            for w in range(1, window + 1):
+                members = history[max(0, steps - w):]
+                want.append(max(abs(row[j] - math.fsum(members[:, j]) / len(members))
+                                for j in range(5)))
+            np.testing.assert_allclose(_window_gaps(history, window)(row), want, rtol=0.0, atol=1e-15)
+
+    def test_values_equal_the_per_member_recompute(self, small_shifts_trace):
+        tr = small_shifts_trace
+        want = per_member_exact_values(tr.coeff_history, tr.model_coefs, 3)
+        # a budget that flags about half the windows
+        budget = float(np.median(want))
+        report = exact_drift(tr.coeff_history, tr.model_coefs, budget, 3, HINGE)
+        np.testing.assert_allclose(report.values, want, rtol=0.0, atol=1e-15)
+        assert report.tolerance == 0.0 and report.max_value == report.values.max()
+        flagged = [(t, w) for t, w, _ in report.violations]
+        assert flagged and flagged == [(t + 1, w + 1) for t, w in zip(*np.nonzero(want > budget))]
+
+    def test_matches_float64_monte_carlo(self, small_shifts_trace):
+        # at the worst step, every window's value against 10^6 labelled rows
+        # per distribution: each candidate's Monte Carlo gap is within five
+        # standard errors of its exact gap, so the largest is too
+        tr = small_shifts_trace
+        report = exact_drift(tr.coeff_history, tr.model_coefs, tr.abstain_cost, 3, HINGE)
+        t = int(np.argmax(report.values.max(axis=1))) + 1
+        rng = np.random.default_rng(32)
+        coefs = tr.model_coefs[:, :t]
+        current, current_se = monte_carlo_risks(rng, tr.coeff_history[t], coefs)
+        members = [monte_carlo_risks(rng, tr.coeff_history[s], coefs) for s in range(max(0, t - 3), t)]
+        for w in range(1, 4):
+            means, ses = zip(*members[-w:])
+            gap = current - sum(means) / w
+            se = np.sqrt(current_se**2 + sum(e**2 for e in ses) / w**2)
+            assert abs(report.values[t - 1, w - 1] - np.max(np.abs(gap))) <= 5.0 * se.max()
+
+    def test_counts_only_the_candidates_registered_by_each_step(self):
+        # a full flip at step 3: the model aligned with the old law is hurt
+        # the most, but it is only measured from the step it is registered at
+        beta = solve_signal_scale(0.1) * np.eye(1, 6, 0).ravel()
+        history = np.array([beta, beta, beta, -beta])
+        aligned, blind = np.append(beta, 0.0), np.zeros(7)
+        late = exact_drift(history, np.column_stack([blind, blind, blind, aligned]), 0.1, 2, HINGE)
+        assert late.ok and late.max_value == 0.0
+        early = exact_drift(history, np.column_stack([blind, blind, aligned]), 0.1, 2, HINGE)
+        assert [(t, w) for t, w, _ in early.violations] == [(3, 1), (3, 2)]
+
+    @pytest.mark.parametrize("loss", [LossFunction("zero_one"), LossFunction("scaled_absolute", scale=2.0),
+                                      LossFunction("clipped_hinge", scale=1.5)],
+                             ids=["zero_one", "scaled_absolute", "clipped_hinge_scale1.5"])
+    def test_non_affine_loss_raises(self, loss, small_shifts_trace):
+        tr = small_shifts_trace
+        with pytest.raises(ValueError, match="affine loss"):
+            exact_drift(tr.coeff_history, tr.model_coefs, tr.abstain_cost, 3, loss)
+
+    def test_needs_a_candidate_per_step(self, small_shifts_trace):
+        tr = small_shifts_trace
+        with pytest.raises(ValueError, match="one candidate column per step"):
+            exact_drift(tr.coeff_history, tr.model_coefs[:, :-1], tr.abstain_cost, 3, HINGE)
+
+
 class TestRunReplicate:
     def test_bit_identical_reruns(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=77,
@@ -970,6 +1073,34 @@ class TestRunReplicate:
             assert np.array_equal(CandidateModel(tr.model_coefs[:, t - 1]).predict(x), out)
             assert np.array_equal(candidate_scores(tr.model_coefs[:, t - 1 : t], x)[:, 0], out)
 
+    def test_no_deployed_status_weights_a_vetoed_candidate(self, monkeypatch):
+        # the gate's veto: a candidate whose bound is above cost + step_margin
+        # (past feasible's 1e-12 of rounding slack) gets no weight in any
+        # strategy's status nor in the meta-forecaster's mixture of them
+        import modelgate.sim as sim
+
+        seen = []
+        real = sim.strategy_statuses
+
+        def recording(meta, table):
+            statuses = real(meta, table)
+            seen.append((table.bounds.copy(), statuses.copy()))
+            return statuses
+
+        monkeypatch.setattr(sim, "strategy_statuses", recording)
+        cfg = RunConfig(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=5, horizon=12, **FIXED_RATE)
+        tr = run_replicate(cfg, 0)
+        threshold = tr.abstain_cost * (1.0 + cfg.margin_mult * cfg.step_margin_mult)
+        assert len(seen) == cfg.horizon
+        vetoed = weighted = 0
+        for (bounds, statuses), weights in zip(seen, tr.meta_weights):
+            veto = bounds[1:] > threshold + 1e-12
+            deployed = np.vstack([statuses, weights @ statuses])[:, 1:]
+            assert np.all(deployed[:, veto] == 0.0)
+            vetoed += int(veto.sum())
+            weighted += int((deployed > 0.0).any(axis=0).sum())
+        assert vetoed and weighted
+
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
         tr = run_replicate(sc, 0)
@@ -991,6 +1122,8 @@ class TestAdversarialDrift:
                               n_check=8000, tolerance=0.025, seed=4)
         assert tr.shift_times, "the adversary should have fired at least once"
         assert report.ok, report.violations
+        exact = exact_drift(tr.coeff_history, tr.model_coefs, tr.abstain_cost, 3, HINGE)
+        assert exact.ok, exact.violations
 
 
 def whole_matrix_risks(coefs, x, y, statuses, loss, abstain_cost):
