@@ -10,7 +10,7 @@ batch, is scored on the held-out part instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,33 +28,35 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RiskBoundTable:
-    """Upper confidence bounds for every live candidate at one time step.
+    """Upper confidence bounds for every live candidate at one time step,
+    and the veto they imply.
 
     Index 0 is the abstain option, whose cost is known exactly, so
-    ``bounds[0]`` equals the abstain cost.  Bounds are left unclipped; the
-    feasibility comparison downstream uses the raw values.
+    ``bounds[0]`` equals the abstain cost.  Bounds are left unclipped.
+    ``feasible`` marks the candidates whose bound is within the abstain
+    cost plus ``step_margin`` (1e-12 of rounding slack); the abstain entry
+    always qualifies, so the mask is never all-false.  It is the one
+    veto every approval strategy obeys.
     """
 
-    time_index: int
     bounds: np.ndarray
-    window_starts: np.ndarray
+    step_margin: float
+    feasible: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "bounds", np.asarray(self.bounds, dtype=float))
-        object.__setattr__(self, "window_starts", np.asarray(self.window_starts, dtype=int))
-        if len(self.bounds) != self.time_index + 1:
-            raise ValueError("bounds must have length time_index + 1")
-        if len(self.window_starts) != len(self.bounds):
-            raise ValueError("window_starts must match bounds length")
-
-    def feasible(self, abstain_cost: float, step_margin: float) -> np.ndarray:
-        """Mask of candidates whose bound is within the per-step margin.
-
-        The abstain entry always qualifies, so the mask is never all-false.
-        """
-        mask = self.bounds <= abstain_cost + step_margin + 1e-12
+        bounds = np.asarray(self.bounds, dtype=float)
+        object.__setattr__(self, "bounds", bounds)
+        if not 0.0 < bounds[0] < 1.0:
+            raise ValueError("abstain_cost must lie in (0, 1)")
+        if not self.step_margin >= 0.0:
+            raise ValueError("step_margin must be >= 0")
+        mask = bounds <= bounds[0] + self.step_margin + 1e-12
         mask[0] = True
-        return mask
+        object.__setattr__(self, "feasible", mask)
+
+    @property
+    def time_index(self) -> int:
+        return len(self.bounds) - 1
 
 
 def window_start(t: int, j: int, window: int) -> int:
@@ -121,6 +123,7 @@ def build_bound_table(
     *,
     alpha: float,
     window: int,
+    step_margin: float,
 ) -> RiskBoundTable:
     """Construct the bound table for decision time t.
 
@@ -134,6 +137,8 @@ def build_bound_table(
     is a Hoeffding UCB at level alpha/t, so simultaneous coverage holds at
     level alpha by the union bound.  Batches are pooled with equal weight
     per observation, matching a uniform mixture when batch sizes are equal.
+    The table vetoes every candidate whose bound exceeds
+    ``abstain_cost + step_margin``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -142,9 +147,7 @@ def build_bound_table(
     level = alpha / t
 
     bounds = np.empty(t + 1)
-    starts = np.empty(t + 1, dtype=int)
     bounds[0] = abstain_cost
-    starts[0] = max(0, t - window)
 
     # candidate j pools batches max(j, lo)..t-1 (``window_start``): one
     # slice of the ledger, masked where s < j.  A masked cell adds 0.0 and
@@ -156,12 +159,10 @@ def build_bound_table(
     if not counts.all():
         raise ValueError(f"candidate {older[counts == 0][0]} has an empty evaluation window")
     sums = np.where(pooled, ledger.sums[lo:t, 1:t], 0.0).sum(axis=0)
-    starts[1:t] = np.maximum(older, lo)
 
     # the newest candidate's one batch is its validation rows
     val_losses = loss.of_array(candidates[t].predict(validation.features), validation.labels)
     sums = np.append(sums, val_losses.sum())
     counts = np.append(counts, val_losses.size)
     bounds[1:] = hoeffding_ucb(sums / counts, counts, level)
-    starts[t] = window_start(t, t, window)
-    return RiskBoundTable(t, bounds, starts)
+    return RiskBoundTable(bounds, step_margin)

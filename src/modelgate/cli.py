@@ -411,6 +411,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_ingest_check(args) -> int:
+    _require("--batch-size", args.batch_size, _INT, _at_least(2))  # as data.batch_size
     stream = ingest(args.csv, args.batch_by, args.batch_size,
                     args.timestamp_col, args.label_col, strict_sorted=args.strict)
     for k, size in enumerate(stream.sizes):

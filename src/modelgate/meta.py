@@ -76,12 +76,7 @@ class MetaState:
         return np.exp(log_normalize(self.log_weights))
 
 
-def init_meta(
-    rows: Sequence[Sequence[float]],
-    meta_rate: float,
-    abstain_cost: float,
-    step_margin: float,
-) -> MetaState:
+def init_meta(rows: Sequence[Sequence[float]], meta_rate: float) -> MetaState:
     """Uniform weights over the given (approve_prob, optimism, learn_rate) rows.
 
     Row 0 must be the all-zero fail-safe.
@@ -89,7 +84,7 @@ def init_meta(
     if len(rows) < 1:
         raise ValueError("need at least one strategy row")
     m = len(rows)
-    return MetaState(np.full(m, -math.log(m)), meta_rate, init_bank(rows, abstain_cost, step_margin))
+    return MetaState(np.full(m, -math.log(m)), meta_rate, init_bank(rows))
 
 
 def strategy_statuses(state: MetaState, table: RiskBoundTable) -> np.ndarray:
@@ -129,9 +124,7 @@ def meta_advance(
 ) -> MetaState:
     """Absorb the step's batch: update the weights, advance the bank."""
     updated = meta_update(state, strategy_batch_risks)
-    bank = state.bank
-    mask = table.feasible(bank.abstain_cost, bank.step_margin)
-    return replace(updated, bank=strategy_advance(bank, batch_losses, mask))
+    return replace(updated, bank=strategy_advance(state.bank, batch_losses, table))
 
 
 # ---------------------------------------------------------------------------

@@ -1111,8 +1111,8 @@ def run_replicate(
         )
         rate = max_learning_rate(delta + margin, inputs)
 
-    meta = init_meta(cfg.rows, rate, delta, step_margin)
-    shadow = init_bank([REPEATED_TTEST], delta, step_margin)
+    meta = init_meta(cfg.rows, rate)
+    shadow = init_bank([REPEATED_TTEST])
 
     m = len(cfg.rows)
     trace = ReplicateTrace(
@@ -1146,7 +1146,8 @@ def run_replicate(
             candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
         coefs = coef_mat[:, :t]
         table = build_bound_table(t, candidates, ledger, validation, loss, delta,
-                                  alpha=cfg.bound_alpha, window=cfg.bound_window)
+                                  alpha=cfg.bound_alpha, window=cfg.bound_window,
+                                  step_margin=step_margin)
 
         # the distribution for step t is realized now, before any data from
         # step t is drawn; the shift function may react to the approval the
@@ -1217,7 +1218,7 @@ def run_replicate(
         if t < horizon:
             meta = meta_advance(meta, table, blosses, strat_risks)
             if cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
-                shadow = strategy_advance(shadow, blosses, table.feasible(delta, step_margin))
+                shadow = strategy_advance(shadow, blosses, table)
 
     if not ingested:
         trace.coeff_history = np.stack(gen.coeff_history[: horizon + 1])

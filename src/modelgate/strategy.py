@@ -60,35 +60,35 @@ class StrategyBank:
 
     Row i of ``log_weights`` (shape (m, time_index + 1)) is strategy i's
     pre-optimism probability over {abstain, candidates}; ``approve_prob``,
-    ``optimism`` and ``learn_rate`` hold its row of hyperparameters.
+    ``optimism`` and ``learn_rate`` hold its row of hyperparameters.  The
+    abstain cost and the veto come from each step's ``RiskBoundTable``.
     """
 
-    time_index: int
     log_weights: np.ndarray
     approve_prob: np.ndarray
     optimism: np.ndarray
     learn_rate: np.ndarray
-    abstain_cost: float
-    step_margin: float
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
         object.__setattr__(self, "log_weights", lw)
         for name in ("approve_prob", "optimism", "learn_rate"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if lw.ndim != 2 or lw.shape[1] != self.time_index + 1:
+        if lw.ndim != 2:
             raise ValueError("log_weights must have shape (m, time_index + 1)")
         if any(len(p) != len(lw) for p in (self.approve_prob, self.optimism, self.learn_rate)):
             raise ValueError("one approve_prob, optimism and learn_rate per row required")
         if outside(self.approve_prob, 0.0, 1.0):
             raise ValueError("approve_prob must lie in [0, 1]")
-        if outside(np.r_[self.optimism, self.learn_rate, self.step_margin], 0.0, np.inf):
-            raise ValueError("optimism, learn_rate and step_margin must be >= 0")
-        if not 0.0 < self.abstain_cost < 1.0:
-            raise ValueError("abstain_cost must lie in (0, 1)")
+        if outside(np.r_[self.optimism, self.learn_rate], 0.0, np.inf):
+            raise ValueError("optimism and learn_rate must be >= 0")
         err = np.abs(np.exp(logsumexp(lw)) - 1.0)
         if outside(err, 0.0, RENORM_TOL):
             raise ValueError(f"weights are not normalised (error {np.max(err):.2e})")
+
+    @property
+    def time_index(self) -> int:
+        return self.log_weights.shape[1] - 1
 
     @property
     def weights(self) -> np.ndarray:
@@ -115,7 +115,7 @@ def transition_matrix(t: int, approve_prob: float) -> np.ndarray:
     return A
 
 
-def init_bank(rows: Sequence[Sequence[float]], abstain_cost: float, step_margin: float) -> StrategyBank:
+def init_bank(rows: Sequence[Sequence[float]]) -> StrategyBank:
     """Bank entering t = 1, one strategy per (approve_prob, optimism, learn_rate) row.
 
     The all-zero row is the fail-safe and starts on abstention, (1, 0); any
@@ -125,7 +125,7 @@ def init_bank(rows: Sequence[Sequence[float]], abstain_cost: float, step_margin:
     log_weights = np.full((len(params), 2), np.log(0.5))
     log_weights[~params.any(axis=1)] = (0.0, NEG_INF)
     a, o, l = params.T
-    return StrategyBank(1, log_weights, a, o, l, abstain_cost, step_margin)
+    return StrategyBank(log_weights, a, o, l)
 
 
 def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
@@ -133,40 +133,40 @@ def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
     reweighted by the bounds.
 
     Each entry is proportional to w_j * exp(-optimism * bound_j), with
-    candidates failing the bound constraint zeroed.  Abstention always
+    the candidates the table vetoes zeroed.  Abstention always
     passes, so a row is well defined unless the prior itself puts no mass
     on any feasible entry, in which case the only feasible act is pure
     abstention.
     """
     if table.time_index != bank.time_index:
         raise ValueError("bound table and bank refer to different times")
-    mask = table.feasible(bank.abstain_cost, bank.step_margin)
     logw = bank.log_weights - bank.optimism[:, None] * table.bounds
-    return softmax(np.where(mask, logw, NEG_INF))
+    return softmax(np.where(table.feasible, logw, NEG_INF))
 
 
-def advance(bank: StrategyBank, batch_losses: np.ndarray, mask: np.ndarray) -> StrategyBank:
+def advance(bank: StrategyBank, batch_losses: np.ndarray, table: RiskBoundTable) -> StrategyBank:
     """Move to time t+1: loss update, then the prior's transition.
 
     ``batch_losses`` holds the empirical augmented risk of every entry on
     the step's monitoring batch (index 0 is the abstain cost).  Each row is
-    reweighted by exp(-learn_rate * loss); ``mask``, the step's
-    ``RiskBoundTable.feasible`` mask, zeroes the entries that violated the
-    bound constraint first, keeping the recursion consistent with the
-    sequence-level constraints (a row left with no mass abstains).  The
-    transition is
+    reweighted by exp(-learn_rate * loss); the step's ``table.feasible``
+    zeroes the entries that violated the bound constraint first, keeping
+    the recursion consistent with the sequence-level constraints (a row
+    left with no mass abstains).  The transition is
     ``nxt[k] = (1 - a) v[k] + sum_{i<k} a v[i] / (t + 1 - i)``.
     """
     losses = np.asarray(batch_losses, dtype=float)
     t = bank.time_index
+    if table.time_index != t:
+        raise ValueError("bound table and bank refer to different times")
     if losses.shape != (t + 1,):
         raise ValueError("batch_losses must have length time_index + 1")
     if outside(losses, -1e-12, 1.0 + 1e-12):
         raise ValueError("losses must lie in [0, 1]")
-    if abs(losses[0] - bank.abstain_cost) > 1e-9:
+    if abs(losses[0] - table.bounds[0]) > 1e-9:
         raise ValueError("entry 0 of batch_losses must equal the abstain cost")
     logv = bank.log_weights - bank.learn_rate[:, None] * losses
-    v = softmax(np.where(mask, logv, NEG_INF))
+    v = softmax(np.where(table.feasible, logv, NEG_INF))
     a = bank.approve_prob[:, None]
     nxt = np.zeros((len(v), t + 2))
     nxt[:, : t + 1] = (1.0 - a) * v
@@ -174,7 +174,7 @@ def advance(bank: StrategyBank, batch_losses: np.ndarray, mask: np.ndarray) -> S
     total = nxt.sum(axis=1, keepdims=True)
     if outside(total, 1.0 - RENORM_TOL, 1.0 + RENORM_TOL):
         raise ValueError("advanced weights are not normalised")
-    return replace(bank, time_index=t + 1, log_weights=safe_log(nxt / total))
+    return replace(bank, log_weights=safe_log(nxt / total))
 
 
 def step(
@@ -184,13 +184,10 @@ def step(
 ) -> tuple[np.ndarray, StrategyBank]:
     """One full decision step: emit the statuses, then absorb the batch.
 
-    The constraint mask derived from the step's bound table is applied both
-    to the emitted statuses and to the carried weights, so masked
-    candidates forfeit their accumulated mass.
+    The table's veto is applied both to the emitted statuses and to the
+    carried weights, so vetoed candidates forfeit their accumulated mass.
     """
-    statuses = optimistic_step(bank, table)
-    mask = table.feasible(bank.abstain_cost, bank.step_margin)
-    return statuses, advance(bank, batch_losses, mask)
+    return optimistic_step(bank, table), advance(bank, batch_losses, table)
 
 
 def brute_force_status(
@@ -198,8 +195,6 @@ def brute_force_status(
     losses_by_time: Sequence[np.ndarray],
     tables: Sequence[RiskBoundTable],
     row: Sequence[float],
-    abstain_cost: float,
-    step_margin: float,
     initial: tuple[float, float],
     cap: int = BRUTE_FORCE_CAP,
 ) -> np.ndarray:
@@ -212,8 +207,8 @@ def brute_force_status(
         prior(s) * exp(-learn_rate * sum of its batch losses through t-1
                        - optimism * bound_t[s_t])
 
-    and dropped entirely if any visited state violates that step's bound
-    constraint.  Aggregating sequence weights by final state reproduces the
+    and dropped entirely if any visited state is vetoed by that step's
+    table.  Aggregating sequence weights by final state reproduces the
     recursion's output; this is the test oracle for the recursion and is
     deliberately independent of it.
     """
@@ -225,7 +220,6 @@ def brute_force_status(
         raise ValueError("tables must cover steps 1..t")
 
     approve_prob, optimism, learn_rate = (float(v) for v in row)
-    masks = [tb.feasible(abstain_cost, step_margin) for tb in tables]
     log_init = safe_log(np.array(initial))
     log_trans = [safe_log(transition_matrix(s, approve_prob)) for s in range(2, t + 1)]
 
@@ -235,7 +229,7 @@ def brute_force_status(
         for s in range(2, t + 1):
             logw += log_trans[s - 2][seq[s - 1], seq[s - 2]]
         for s, state_k in enumerate(seq, start=1):
-            if not masks[s - 1][state_k]:
+            if not tables[s - 1].feasible[state_k]:
                 logw = NEG_INF
                 break
         if logw == NEG_INF:

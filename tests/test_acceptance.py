@@ -77,19 +77,19 @@ def test_criterion_1_recursion_matches_enumeration():
             float(rng.choice([0.0, 0.5, 2.0, 10.0])),
         )
         margin = float(rng.uniform(0.0, 0.2))
-        bank = init_bank([row], delta, margin)
+        bank = init_bank([row])
         tables, losses_hist, status = [], [], None
         for t in range(1, t_max + 1):
             bounds = np.empty(t + 1)
             bounds[0] = delta
             # spread around the feasibility threshold so masks activate
             bounds[1:] = rng.uniform(delta - 0.2, delta + margin + 0.25, size=t)
-            table = RiskBoundTable(t, bounds, np.zeros(t + 1, dtype=int))
+            table = RiskBoundTable(bounds, margin)
             losses = np.concatenate([[delta], rng.uniform(0.0, 1.0, size=t)])
             tables.append(table)
             losses_hist.append(losses)
             status, bank = step(bank, table, losses)
-        oracle = brute_force_status(t_max, losses_hist[:-1], tables, row, delta, margin, (0.5, 0.5))
+        oracle = brute_force_status(t_max, losses_hist[:-1], tables, row, (0.5, 0.5))
         worst = max(worst, float(np.max(np.abs(status[0] - oracle))))
     elapsed = time.time() - started
     report(
@@ -263,7 +263,7 @@ def test_criterion_7_simultaneous_coverage():
         preds = np.column_stack([model(b.features) for model in models[:s]])
         ledger.record(s, HINGE.of_array(preds, b.labels[:, None]))
     table = build_bound_table(
-        4, candidates, ledger, val, HINGE, 0.25, alpha=alpha, window=window,
+        4, candidates, ledger, val, HINGE, 0.25, alpha=alpha, window=window, step_margin=0.0,
     )
     for j in range(1, 4):
         pooled = np.concatenate([

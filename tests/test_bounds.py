@@ -93,7 +93,7 @@ class TestHoeffdingUcb:
 
 class TestBuildBoundTable:
     def setup_method(self):
-        self.bound = dict(alpha=0.1, window=3)
+        self.bound = dict(alpha=0.1, window=3, step_margin=0.05)
 
     def test_t1_layout(self):
         candidates = [None, constant_model(1.0)]
@@ -133,35 +133,6 @@ class TestBuildBoundTable:
         # model 1 pools batches 1..3 (60 obs of loss .25) at level alpha/4
         expected = 0.25 + math.sqrt(math.log(40.0) / 120.0)
         assert table.bounds[1] == pytest.approx(expected)
-
-    def test_window_starts_follow_rule(self):
-        rng = np.random.default_rng(4)
-        candidates = [None]
-        batches = []
-        for t in range(1, 7):
-            candidates.append(constant_model(0.5))
-            if t < 6:
-                batches.append(iid_batch(rng))
-        val = batches[-1]
-        ledger = ledger_of(candidates, batches, 6)
-        table = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, **self.bound)
-        assert table.window_starts[1] == 3  # max(1, 6-3)
-        assert table.window_starts[5] == 5
-        assert table.window_starts[6] == 5  # newest: previous step
-
-    def test_wider_window_never_shrinks_pool(self):
-        rng = np.random.default_rng(5)
-        candidates = [None]
-        batches = []
-        for t in range(1, 7):
-            candidates.append(constant_model(0.5))
-            if t < 6:
-                batches.append(iid_batch(rng))
-        val = batches[-1]
-        ledger = ledger_of(candidates, batches, 6)
-        narrow = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, alpha=0.1, window=2)
-        wide = build_bound_table(6, candidates, ledger, val, HINGE, 0.3, alpha=0.1, window=5)
-        assert np.all(wide.window_starts[1:] <= narrow.window_starts[1:])
 
     def test_only_the_newest_candidate_is_scored(self):
         # older candidates' bounds come from the ledger alone
@@ -218,15 +189,27 @@ class TestBuildBoundTable:
         # the gate admits a bound at cost + step_margin (1e-12 of rounding
         # slack included) and vetoes one just past it
         edge = cost + step_margin
-        table = RiskBoundTable(2, np.array([cost, edge, edge + 1e-11]), np.zeros(3, dtype=int))
-        assert table.feasible(cost, step_margin).tolist() == [True, True, False]
+        table = RiskBoundTable(np.array([cost, edge, edge + 1e-11]), step_margin)
+        assert table.feasible.tolist() == [True, True, False]
+
+    def test_step_margin_reaches_the_veto(self):
+        # a pooled bound strictly between the cost and the cost plus the
+        # margin is admitted with the margin and vetoed without it
+        candidates = [None, constant_model(1.0)]
+        val = MonitoringBatch(*_all_plus(np.random.default_rng(11), 10))  # loss 0
+        args = (1, candidates, LossLedger(1), val, HINGE, 0.3)
+        admitted = build_bound_table(*args, alpha=0.1, window=3, step_margin=0.05)
+        vetoed = build_bound_table(*args, alpha=0.1, window=3, step_margin=0.0)
+        assert 0.3 < admitted.bounds[1] < 0.35  # sqrt(ln(10) / 20) = 0.339
+        assert admitted.bounds.tolist() == vetoed.bounds.tolist()
+        assert admitted.feasible.tolist() == [True, True]
+        assert vetoed.feasible.tolist() == [True, False]
 
     def test_feasible_mask_keeps_abstain(self):
-        table = RiskBoundTable(2, np.array([0.3, 0.9, 0.25]), np.array([0, 1, 1]))
-        mask = table.feasible(0.3, 0.05)
-        assert mask.tolist() == [True, False, True]
-        all_bad = RiskBoundTable(1, np.array([0.3, 2.0]), np.array([0, 0]))
-        assert all_bad.feasible(0.3, 0.0).tolist() == [True, False]
+        table = RiskBoundTable(np.array([0.3, 0.9, 0.25]), 0.05)
+        assert table.feasible.tolist() == [True, False, True]
+        all_bad = RiskBoundTable(np.array([0.3, 2.0]), 0.0)
+        assert all_bad.feasible.tolist() == [True, False]
 
     def test_bounds_not_clipped(self):
         candidates = [None, constant_model(-1.0)]  # always wrong on +1 labels: loss 1
@@ -270,10 +253,9 @@ def test_table_matches_the_candidate_loop(t, window, seed):
         ledger.record(s, rng.random((int(rng.integers(1, 60)), s)))
     val = MonitoringBatch(*_all_plus(rng, 10))
     table = build_bound_table(t, constant_candidates(t), ledger, val,
-                              HINGE, 0.3, alpha=0.1, window=window)
+                              HINGE, 0.3, alpha=0.1, window=window, step_margin=0.05)
     want = loop_bounds(t, ledger, window, 0.1 / t)
     got = table.bounds[1:t].tolist()
-    assert table.window_starts[1:t].tolist() == [window_start(t, j, window) for j in range(1, t)]
     if window <= 7:
         # at most 7 batches: a 1-D sum adds them in order, as the table does
         assert got == want

@@ -680,6 +680,14 @@ class TestMainExitCodes:
         assert main(["ingest-check", str(path), "--batch-size", "2"]) == 0
         assert "2 batches" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("size", ["0", "1"])
+    def test_bad_ingest_check_batch_size_is_exit_2(self, tmp_path, capsys, size):
+        path = toy_csv(tmp_path, ["1,0.5,1.0,1", "2,0.25,-1.0,0", "3,0.1,0.2,1", "4,0.3,0.4,0"])
+        assert main(["ingest-check", str(path), "--batch-size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: --batch-size: ")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
     def test_ingest_check_bad_file_is_exit_2(self, tmp_path, capsys):
         path = toy_csv(tmp_path, ["1,oops,1,1"])
         assert main(["ingest-check", str(path)]) == 2

@@ -28,7 +28,7 @@ ROWS = ((0.0, 0.0, 0.0), (0.99, 0.0, 0.0), (0.5, 1e4, 0.0), (0.3, 0.0, 1.5))
 
 def open_table(t):
     bounds = np.array([DELTA] + [DELTA - 0.1] * t)
-    return RiskBoundTable(t, bounds, np.zeros(t + 1, dtype=int))
+    return RiskBoundTable(bounds, 0.05)
 
 
 def headline_inputs(rate, delta=0.15, eps_t=0.0):
@@ -43,40 +43,40 @@ def headline_inputs(rate, delta=0.15, eps_t=0.0):
 
 class TestMetaForecaster:
     def test_init_uniform_and_fail_safe_enforced(self):
-        state = init_meta(ROWS, 1.0, DELTA, 0.05)
+        state = init_meta(ROWS, 1.0)
         assert np.allclose(state.weights, 0.25)
         with pytest.raises(ValueError):
-            init_meta(((0.3, 0, 1.5),), 1.0, DELTA, 0.05)
+            init_meta(((0.3, 0, 1.5),), 1.0)
 
     def test_equal_risks_keep_weights(self):
-        state = init_meta(ROWS, 1.0, DELTA, 0.05)
+        state = init_meta(ROWS, 1.0)
         nxt = meta_update(state, np.full(4, 0.3))
         assert np.allclose(nxt.weights, state.weights)
 
     def test_scalar_arithmetic_oracle(self):
         # two strategies, risks (0.1, 0.9), rate 1:
         # w0 = e^{-0.1} / (e^{-0.1} + e^{-0.9}) = 1/(1+e^{-0.8})
-        state = init_meta(((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)), 1.0, DELTA, 0.05)
+        state = init_meta(((0.0, 0.0, 0.0), (0.3, 0.0, 1.5)), 1.0)
         nxt = meta_update(state, np.array([0.1, 0.9]))
         assert nxt.weights[0] == pytest.approx(1.0 / (1.0 + math.exp(-0.8)), abs=1e-12)
         assert nxt.weights[0] == pytest.approx(0.6900, abs=1e-4)
 
     def test_zero_rate_never_moves(self):
-        state = init_meta(ROWS, 0.0, DELTA, 0.05)
+        state = init_meta(ROWS, 0.0)
         rng = np.random.default_rng(0)
         for _ in range(5):
             state = meta_update(state, rng.random(4))
         assert np.allclose(state.weights, 0.25)
 
     def test_shift_invariance(self):
-        state = init_meta(ROWS, 2.0, DELTA, 0.05)
+        state = init_meta(ROWS, 2.0)
         risks = np.array([0.1, 0.4, 0.2, 0.6])
         a = meta_update(state, risks).weights
         b = meta_update(state, np.clip(risks + 0.3, 0, 1)).weights
         assert np.allclose(a, b, atol=1e-12)
 
     def test_risk_validation(self):
-        state = init_meta(ROWS, 1.0, DELTA, 0.05)
+        state = init_meta(ROWS, 1.0)
         with pytest.raises(ValueError):
             meta_update(state, np.array([0.1, 0.2, 0.3, 1.4]))
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ class TestMetaForecaster:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_risks_rejected(self, bad):
-        state = init_meta(ROWS[:2], 1.0, DELTA, 0.05)
+        state = init_meta(ROWS[:2], 1.0)
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             meta_update(state, np.array([0.1, bad]))
 
@@ -92,7 +92,7 @@ class TestMetaForecaster:
         # adversarial risks: fail-safe always worst; its weight still obeys
         # the multiplicative lower bound w0 * e^{-rate*T} / normaliser
         rate, horizon = 1.5, 30
-        state = init_meta(ROWS, rate, DELTA, 0.05)
+        state = init_meta(ROWS, rate)
         for t in range(1, horizon + 1):
             risks = np.array([1.0, 0.0, 0.0, 0.0])
             table = open_table(state.time_index)
@@ -129,7 +129,7 @@ class TestMetaForecaster:
             combine([b, b], np.array([0.2, 0.3, 0.5]))
 
     def test_equal_risk_history_gives_uniform_mixture(self):
-        state = init_meta(ROWS, 1.3, DELTA, 0.05)
+        state = init_meta(ROWS, 1.3)
         rng = np.random.default_rng(2)
         for _ in range(4):
             t = state.time_index

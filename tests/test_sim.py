@@ -1101,6 +1101,31 @@ class TestRunReplicate:
             weighted += int((deployed > 0.0).any(axis=0).sum())
         assert vetoed and weighted
 
+    def test_tables_veto_at_cost_plus_the_configured_step_margin(self, monkeypatch):
+        # every step's table carries step_margin = step_margin_mult *
+        # margin_mult * cost, and some candidate is admitted only by it
+        import modelgate.sim as sim
+
+        tables = []
+        real = sim.strategy_statuses
+
+        def recording(meta, table):
+            tables.append(table)
+            return real(meta, table)
+
+        monkeypatch.setattr(sim, "strategy_statuses", recording)
+        cfg = RunConfig(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=5, horizon=12, **FIXED_RATE)
+        tr = run_replicate(cfg, 0)
+        step_margin = cfg.step_margin_mult * (cfg.margin_mult * tr.abstain_cost)
+        assert len(tables) == cfg.horizon
+        by_margin = 0
+        for table in tables:
+            assert table.step_margin == step_margin
+            bounds = table.bounds[1:]
+            assert np.array_equal(table.feasible[1:], bounds <= tr.abstain_cost + step_margin + 1e-12)
+            by_margin += int(np.sum((bounds > tr.abstain_cost) & table.feasible[1:]))
+        assert by_margin
+
     def test_generated_trace_passes_drift_check(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=81, horizon=12)
         tr = run_replicate(sc, 0)

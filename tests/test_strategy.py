@@ -20,14 +20,12 @@ DELTA = 0.25
 EVEN = (0.5, 0.5)
 
 
-def bank_with(approve=0.3, optimism=0.0, learn=1.0, margin=0.05, cost=DELTA):
-    return init_bank([(approve, optimism, learn)], cost, margin)
+def bank_with(approve=0.3, optimism=0.0, learn=1.0):
+    return init_bank([(approve, optimism, learn)])
 
 
-def table_from(bounds):
-    bounds = np.asarray(bounds, dtype=float)
-    t = len(bounds) - 1
-    return RiskBoundTable(t, bounds, np.zeros(t + 1, dtype=int))
+def table_from(bounds, margin=0.05):
+    return RiskBoundTable(np.asarray(bounds, dtype=float), margin)
 
 
 def open_table(t):
@@ -40,16 +38,17 @@ def random_table(rng, t, margin):
     bounds = np.empty(t + 1)
     bounds[0] = DELTA
     bounds[1:] = rng.uniform(DELTA - 0.2, DELTA + margin + 0.25, size=t)
-    return table_from(bounds)
+    return table_from(bounds, margin)
 
 
 def losses_vec(*model_losses):
     return np.array([DELTA, *model_losses])
 
 
-def advance_open(bank, losses):
-    """``advance`` with every entry feasible: an all-true mask."""
-    return advance(bank, losses, np.ones(len(losses), dtype=bool))
+def advance_open(bank, losses, cost=DELTA):
+    """``advance`` under a table that vetoes nothing: abstain cost ``cost``
+    and every candidate's bound at it."""
+    return advance(bank, losses, table_from(np.full(bank.time_index + 1, cost)))
 
 
 class TestTransitionMatrix:
@@ -97,7 +96,7 @@ class TestLossUpdate:
 
     def test_scalar_arithmetic_oracle(self):
         # v0 = e^{-0.2} / (e^{-0.2} + e^{-0.8}) = 1/(1+e^{-0.6})
-        nxt = advance_open(bank_with(approve=0.0, learn=1.0, cost=0.2), np.array([0.2, 0.8]))
+        nxt = advance_open(bank_with(approve=0.0, learn=1.0), np.array([0.2, 0.8]), cost=0.2)
         v0 = nxt.weights[0, 0]
         assert v0 == pytest.approx(1.0 / (1.0 + np.exp(-0.6)), abs=1e-12)
         assert v0 == pytest.approx(0.6457, abs=1e-4)
@@ -122,8 +121,8 @@ class TestLossUpdate:
         # adding a constant to every loss, the abstain cost included, cannot
         # change the posterior
         base = np.array([0.5, 0.3])
-        a = advance_open(bank_with(approve=0.0, learn=2.0, cost=0.5), base)
-        b = advance_open(bank_with(approve=0.0, learn=2.0, cost=0.5 + shift), base + shift)
+        a = advance_open(bank_with(approve=0.0, learn=2.0), base, cost=0.5)
+        b = advance_open(bank_with(approve=0.0, learn=2.0), base + shift, cost=0.5 + shift)
         assert np.allclose(a.weights, b.weights, atol=1e-12)
 
 
@@ -162,7 +161,7 @@ class TestAdvance:
         rng = np.random.default_rng(t)
         rows = [(a, 0.0, 0.0) for a in (0.0, 0.3, 1.0)]
         logw = np.log(rng.dirichlet(np.ones(t), size=len(rows)))
-        bank = StrategyBank(t - 1, logw, *np.array(rows).T, DELTA, 0.05)
+        bank = StrategyBank(logw, *np.array(rows).T)
         nxt = advance_open(bank, np.r_[DELTA, rng.random(t - 1)])
         v = softmax(logw)
         for i, (a, _, _) in enumerate(rows):
@@ -178,12 +177,12 @@ class TestBank:
             (float(rng.uniform(0, 1)), float(rng.choice([0.0, 1.0, 1e2])), float(rng.uniform(0, 10)))
             for _ in range(6)
         ]
-        bank = init_bank(rows, DELTA, margin)
-        singles = [init_bank([row], DELTA, margin) for row in rows]
+        bank = init_bank(rows)
+        singles = [init_bank([row]) for row in rows]
         masked = 0
         for t in range(1, 9):
             table = random_table(rng, t, margin)
-            masked += int(not table.feasible(DELTA, margin).all())
+            masked += int(not table.feasible.all())
             losses = np.r_[DELTA, rng.random(t)]
             statuses, bank = step(bank, table, losses)
             for i, single in enumerate(singles):
@@ -195,7 +194,7 @@ class TestBank:
     def test_row_without_feasible_mass_deploys_pure_abstention(self):
         # approve_prob 1 moves all abstention mass to the models at t = 2;
         # when every model is then infeasible, no feasible entry has weight
-        bank = init_bank([(1.0, 0.0, 1.0), (0.3, 0.0, 1.0)], DELTA, 0.05)
+        bank = init_bank([(1.0, 0.0, 1.0), (0.3, 0.0, 1.0)])
         bank = advance_open(bank, losses_vec(0.3))
         assert bank.weights[0, 0] == 0.0
         closed = table_from([DELTA, 0.9, 0.9])
@@ -204,16 +203,16 @@ class TestBank:
         assert statuses[1, 0] == 1.0
         # the carried weights of the dead row restart from abstention, which
         # approve_prob 1 then spreads evenly over the three candidates
-        nxt = advance(bank, losses_vec(0.3, 0.3), closed.feasible(DELTA, 0.05))
+        nxt = advance(bank, losses_vec(0.3, 0.3), closed)
         assert nxt.weights[0] == pytest.approx([0.0, 1 / 3, 1 / 3, 1 / 3])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_hyperparameters_rejected(self, bad):
         with pytest.raises(ValueError, match=r"approve_prob must lie in \[0, 1\]"):
-            init_bank([(0.3, 0.0, 1.0), (bad, 0.0, 1.0)], DELTA, 0.05)
+            init_bank([(0.3, 0.0, 1.0), (bad, 0.0, 1.0)])
         if bad != np.inf:
             with pytest.raises(ValueError, match="must be >= 0"):
-                init_bank([(0.3, bad, 1.0)], DELTA, 0.05)
+                init_bank([(0.3, bad, 1.0)])
 
     def test_unnormalised_advance_is_a_value_error(self):
         # an explicit check, not an assert, so it holds under python -O too
@@ -224,11 +223,11 @@ class TestBank:
 
     def test_shape_and_normalisation_checked(self):
         with pytest.raises(ValueError):
-            StrategyBank(2, np.log([[0.5, 0.5]]), [0.3], [0.0], [1.0], DELTA, 0.05)
+            StrategyBank(np.log([0.5, 0.5]), [0.3], [0.0], [1.0])
         with pytest.raises(ValueError):
-            StrategyBank(1, np.log([[0.5, 0.4]]), [0.3], [0.0], [1.0], DELTA, 0.05)
+            StrategyBank(np.log([[0.5, 0.4]]), [0.3], [0.0], [1.0])
         with pytest.raises(ValueError):
-            StrategyBank(1, np.log([[0.5, 0.5]]), [0.3, 0.3], [0.0], [1.0], DELTA, 0.05)
+            StrategyBank(np.log([[0.5, 0.5]]), [0.3, 0.3], [0.0], [1.0])
 
 
 class TestOptimisticStep:
@@ -241,24 +240,27 @@ class TestOptimisticStep:
         assert status.tolist() == [[1.0, 0.0]]
 
     def test_huge_optimism_selects_argmin_bound(self):
-        bank = bank_with(optimism=1e6, margin=0.3)
+        bank = bank_with(optimism=1e6)
         for t in range(1, 4):
-            bank = advance(bank, np.concatenate([[DELTA], np.full(t, 0.2)]),
-                           np.ones(t + 1, dtype=bool))
+            bank = advance_open(bank, np.concatenate([[DELTA], np.full(t, 0.2)]))
         bounds = np.array([DELTA, 0.21, 0.18, 0.24, 0.3])
-        status = optimistic_step(bank, table_from(bounds))
+        status = optimistic_step(bank, table_from(bounds, margin=0.3))
         assert status[0, 2] == pytest.approx(1.0, abs=1e-9)
 
     def test_time_mismatch_rejected(self):
         with pytest.raises(ValueError):
             optimistic_step(bank_with(), open_table(3))
 
+    def test_advance_rejects_a_table_of_another_time(self):
+        with pytest.raises(ValueError, match="different times"):
+            advance(bank_with(), losses_vec(0.3), open_table(2))
+
 
 class TestSpecials:
     """Corner cases of the strategy family, built from their rows."""
 
     def test_abstain_only_is_pure_abstention_forever(self):
-        bank = init_bank([(0, 0, 0)], DELTA, 0.05)
+        bank = init_bank([(0, 0, 0)])
         assert (bank.approve_prob[0], bank.optimism[0], bank.learn_rate[0]) == (0.0, 0.0, 0.0)
         rng = np.random.default_rng(3)
         for t in range(1, 7):
@@ -266,7 +268,7 @@ class TestSpecials:
             assert status[0, 0] == 1.0
 
     def test_repeated_ttest_concentrates_on_lowest_ucb(self):
-        bank = init_bank([REPEATED_TTEST], DELTA, 0.05)
+        bank = init_bank([REPEATED_TTEST])
         assert (bank.approve_prob[0], bank.optimism[0], bank.learn_rate[0]) == (0.5, 1e4, 0.0)
         assert np.allclose(bank.weights, [EVEN])
         _, bank = step(bank, table_from([DELTA, 0.2]), losses_vec(0.2))
@@ -274,7 +276,7 @@ class TestSpecials:
         assert status[0, 2] > 0.999
 
     def test_blind_prefers_newest_unmasked(self):
-        bank = init_bank([(0.99, 0.0, 0.0)], DELTA, 0.05)
+        bank = init_bank([(0.99, 0.0, 0.0)])
         assert bank.approve_prob[0] == 0.99
         rng = np.random.default_rng(4)
         for t in range(1, 5):
@@ -283,13 +285,13 @@ class TestSpecials:
         assert status[-1] >= status[1:-1].max()
 
     def test_fail_safe_row_gets_abstain_prior(self):
-        bank = init_bank([(0, 0, 0), (0.3, 0, 1.0)], DELTA, 0.05)
+        bank = init_bank([(0, 0, 0), (0.3, 0, 1.0)])
         assert bank.weights.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 class TestBruteForceOracle:
     def run_both(self, rng, t_max, row, margin):
-        bank = init_bank([row], DELTA, margin)
+        bank = init_bank([row])
         tables, losses_hist, status = [], [], None
         for t in range(1, t_max + 1):
             table = random_table(rng, t, margin)
@@ -297,14 +299,14 @@ class TestBruteForceOracle:
             tables.append(table)
             losses_hist.append(blosses)
             status, bank = step(bank, table, blosses)
-        oracle = brute_force_status(t_max, losses_hist[:-1], tables, row, DELTA, margin, EVEN)
+        oracle = brute_force_status(t_max, losses_hist[:-1], tables, row, EVEN)
         return status[0], oracle
 
     def test_t1_matches_directly(self):
         row = (0.3, 2.0, 1.0)
         table = table_from([DELTA, DELTA - 0.05])
-        status = optimistic_step(init_bank([row], DELTA, 0.05), table)[0]
-        oracle = brute_force_status(1, [], [table], row, DELTA, 0.05, EVEN)
+        status = optimistic_step(init_bank([row]), table)[0]
+        oracle = brute_force_status(1, [], [table], row, EVEN)
         assert np.allclose(status, oracle, atol=1e-12)
 
     def test_randomised_equivalence(self):
@@ -325,21 +327,21 @@ class TestBruteForceOracle:
         # must carry zero mass in both computations
         row = (0.5, 0.0, 1.0)
         tables = [
-            table_from([DELTA, DELTA - 0.05]),
-            table_from([DELTA, DELTA + 0.4, DELTA - 0.05]),
-            table_from([DELTA, DELTA - 0.05, DELTA - 0.05, DELTA - 0.05]),
+            table_from([DELTA, DELTA - 0.05], margin=0.0),
+            table_from([DELTA, DELTA + 0.4, DELTA - 0.05], margin=0.0),
+            table_from([DELTA, DELTA - 0.05, DELTA - 0.05, DELTA - 0.05], margin=0.0),
         ]
         losses = [losses_vec(0.3), losses_vec(0.3, 0.3), losses_vec(0.3, 0.3, 0.3)]
-        bank = init_bank([row], DELTA, 0.0)
+        bank = init_bank([row])
         status = None
         for table, bl in zip(tables, losses):
             status, bank = step(bank, table, bl)
-        oracle = brute_force_status(3, losses[:-1], tables, row, DELTA, 0.0, EVEN)
+        oracle = brute_force_status(3, losses[:-1], tables, row, EVEN)
         assert np.max(np.abs(status[0] - oracle)) < 1e-12
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
-            brute_force_status(7, [], [], (0.3, 0.0, 1.0), DELTA, 0.05, EVEN)
+            brute_force_status(7, [], [], (0.3, 0.0, 1.0), EVEN)
 
 
 class TestReductions:
@@ -359,9 +361,9 @@ class TestReductions:
             bank = advance_open(bank, losses)
 
     def test_masked_model_can_reenter_via_transitions(self):
-        bank = bank_with(approve=0.5, learn=0.0, margin=0.0)
+        bank = bank_with(approve=0.5, learn=0.0)
         # model 1 masked at t = 1: its carried mass dies
-        _, bank = step(bank, table_from([DELTA, DELTA + 0.5]), losses_vec(0.5))
+        _, bank = step(bank, table_from([DELTA, DELTA + 0.5], margin=0.0), losses_vec(0.5))
         assert bank.weights[0, 1] > 0.0  # re-seeded by the transition
         status = optimistic_step(bank, open_table(2))
         assert status[0, 1] > 0.0
