@@ -604,19 +604,29 @@ def _window_discrepancy(gen: GeneratorState, t_new: int, window: int, coefs: np.
     """The map from candidate coefficients for time ``t_new`` to their
     windowed risk change: the largest, over the candidate columns ``coefs``
     and the windows 1..``window``, of the gap between the new risk and the
-    window's mean risk (``_window_gaps``, which ``exact_drift`` also
-    certifies with).  Risks are ``_probe_risks`` on a fresh MMD_PROBE-row
-    probe, drawn from ``gen.rng`` here; each distinct history entry is
-    evaluated once."""
+    window's mean risk (``_window_gaps``, which the drift certificates also
+    use).  Risks are ``_probe_risks`` on a fresh MMD_PROBE-row probe, drawn
+    from ``gen.rng`` here; each distinct history entry is evaluated once
+    (``_per_distinct``)."""
     risks = _probe_risks(coefs, gen.rng.standard_normal((MMD_PROBE, len(gen.coefficients))), loss)
     # a short history means the distribution has been sitting at its latest
     # value since then
     last = len(gen.coeff_history) - 1
     betas = [gen.coeff_history[min(s, last)] for s in range(max(0, t_new - window), t_new)]
-    distinct = {id(beta): beta for beta in betas}
-    by_id = {key: risks(beta) for key, beta in distinct.items()}
-    gaps = _window_gaps(np.array([by_id[id(beta)] for beta in betas]), window)
+    gaps = _window_gaps(_per_distinct(betas, risks), window)
     return lambda beta: float(np.max(gaps(risks(beta))))
+
+
+def _per_distinct(betas: Sequence[np.ndarray], evaluate) -> np.ndarray:
+    """``evaluate(beta)`` for every coefficient vector of ``betas``, one row
+    each, with each distinct vector evaluated once, in order of first
+    appearance: a later repeat reuses the first one's row."""
+    rows = {}
+    for beta in betas:
+        key = beta.tobytes()
+        if key not in rows:
+            rows[key] = evaluate(beta)
+    return np.array([rows[beta.tobytes()] for beta in betas])
 
 
 def _window_gaps(history: np.ndarray, window: int):
@@ -845,6 +855,25 @@ class DriftReport:
         return not self.violations
 
 
+def _certify(coeff_history, evaluate, budget: float, tolerance: float, window: int, by_step: bool) -> DriftReport:
+    """The drift certificate of a generator trace: risks ``evaluate(beta)``
+    (a row of candidate risks) once per distinct distribution of the
+    history (``_per_distinct``), and at each (t, w) the windowed risk
+    change ``_window_gaps`` over the candidates: the first t of them when
+    ``by_step``, else all.  A value above ``budget + tolerance`` is a
+    violation."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
+    risks = _per_distinct(np.asarray(coeff_history, dtype=float), evaluate)
+    values = np.zeros((len(risks) - 1, window))
+    for t in range(1, len(risks)):
+        cols = t if by_step else None
+        values[t - 1] = _window_gaps(risks[max(0, t - window) : t, :cols], window)(risks[t, :cols])
+    flagged = zip(*np.nonzero(values > budget + tolerance))
+    violations = tuple((int(t) + 1, int(w) + 1, float(values[t, w])) for t, w in flagged)
+    return DriftReport(budget, tolerance, float(values.max(initial=0.0)), violations, values)
+
+
 def verify_drift(
     coeff_history: Sequence[np.ndarray],
     budget: float,
@@ -857,48 +886,23 @@ def verify_drift(
 ) -> DriftReport:
     """Empirically check every windowed discrepancy against the budget.
 
-    For each time t, draws ``n_check`` labelled rows from the realized
-    distribution at t; for each lookback w, the same number (split equally)
-    from the pooled window.  The discrepancy at (t, w) is the largest
-    absolute difference of a candidate column's mean loss on the two
-    samples, over the columns ``coefs`` (shape (d + 1, k), k >= 1;
-    ``ValueError`` otherwise): a finite-class lower bound on the population
-    discrepancy.  Abstention costs the same on both samples and contributes
-    nothing.  The sample at t is scored once and serves all w lookbacks.
-    A value above budget + tolerance is a violation; the tolerance is the
-    pre-registered allowance for sampling noise at the default ``n_check``.
+    Draws one ``n_check``-row labelled sample per distinct distribution of
+    the history, in order of first appearance, and takes each candidate
+    column's mean loss on it, over the columns ``coefs`` (shape (d + 1, k),
+    k >= 1; ``ValueError`` otherwise).  The discrepancy at (t, w) is the
+    largest, over the columns, of the gap between a column's risk at t and
+    its mean risk over the w steps before t (all of them when t < w), as
+    ``_window_gaps`` takes it: a finite-class lower bound on the population
+    discrepancy.  Abstention costs the same under every distribution and
+    contributes nothing.  A value above budget + tolerance is a violation;
+    the tolerance is the pre-registered allowance for sampling noise at the
+    default ``n_check``.  A window below 1 raises ValueError.
     """
     if coefs.shape[1] == 0:
         raise ValueError("need at least one candidate column")
     rng = np.random.default_rng(seed)
-    horizon = len(coeff_history) - 1
-    values = np.zeros((horizon, window))
-    violations = []
-
-    for t in range(1, horizon + 1):
-        current = _sample_risks(coefs, *_draw(rng, coeff_history[t], n_check), loss)
-        for w in range(1, window + 1):
-            lo = max(0, t - w)
-            members = list(range(lo, t))
-            per = max(1, n_check // len(members))
-            pooled = [_draw(rng, coeff_history[s], per) for s in members]
-            mixed = _sample_risks(
-                coefs,
-                np.vstack([x for x, _ in pooled]),
-                np.concatenate([y for _, y in pooled]),
-                loss,
-            )
-            val = float(np.max(np.abs(current - mixed)))
-            values[t - 1, w - 1] = val
-            if val > budget + tolerance:
-                violations.append((t, w, val))
-    return DriftReport(
-        budget=budget,
-        tolerance=tolerance,
-        max_value=float(values.max()) if values.size else 0.0,
-        violations=tuple(violations),
-        values=values,
-    )
+    risks = lambda beta: _sample_risks(coefs, *_draw(rng, beta, n_check), loss)
+    return _certify(coeff_history, risks, budget, tolerance, window, by_step=False)
 
 
 def exact_drift(
@@ -919,31 +923,16 @@ def exact_drift(
     beta is ``(1 - E[y z_j]) / scale``, with the expectation from
     ``label_score_means`` integrated once per distinct coefficient vector
     of the history; that form needs an affine loss (``LossFunction.affine``),
-    and any other raises ValueError.  With no sampling noise to allow for,
-    the tolerance is 0: every value above the budget is a violation.
+    and any other raises ValueError, as does a window below 1.  With no
+    sampling noise to allow for, the tolerance is 0: every value above the
+    budget is a violation.
     """
     if not loss.affine:
         raise ValueError(f"exact drift needs an affine loss, not {loss}")
-    history = np.asarray(coeff_history, dtype=float)
-    horizon = len(history) - 1
-    if model_coefs.shape[1] < horizon:
+    if model_coefs.shape[1] < len(coeff_history) - 1:
         raise ValueError("need one candidate column per step")
-    distinct, index = np.unique(history, axis=0, return_inverse=True)
-    means = np.array([label_score_means(beta, model_coefs) for beta in distinct])
-    risks = affine_loss_mean(means, loss.scale)[index.reshape(-1)]
-    values = np.zeros((horizon, window))
-    for t in range(1, horizon + 1):
-        values[t - 1] = _window_gaps(risks[max(0, t - window) : t, :t], window)(risks[t, :t])
-    violations = tuple(
-        (t + 1, w + 1, float(values[t, w])) for t, w in zip(*np.nonzero(values > budget))
-    )
-    return DriftReport(
-        budget=budget,
-        tolerance=0.0,
-        max_value=float(values.max()) if values.size else 0.0,
-        violations=violations,
-        values=values,
-    )
+    risks = lambda beta: affine_loss_mean(label_score_means(beta, model_coefs), loss.scale)
+    return _certify(coeff_history, risks, budget, 0.0, window, by_step=True)
 
 
 # ---------------------------------------------------------------------------

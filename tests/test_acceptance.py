@@ -293,9 +293,9 @@ def test_criterion_8_drift_certification(experiments):
     elapsed = time.time() - started
     report(
         8,
-        violations == 0 and elapsed < 120.0,
+        violations == 0 and elapsed < 10.0,
         f"0 budget violations expected, got {violations}; worst windowed "
-        f"discrepancy {worst:.4f} vs budget ~0.27 (+0.02 tolerance); {elapsed:.0f}s (needs < 120 s)",
+        f"discrepancy {worst:.4f} vs budget ~0.27 (+0.02 tolerance); {elapsed:.1f}s (needs < 10 s)",
     )
 
 

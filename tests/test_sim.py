@@ -819,45 +819,37 @@ def per_model_mmd(sample_a, sample_b, coefs, loss):
     return worst
 
 
-def per_model_drift_values(coeff_history, window, coefs, loss, n_check, seed):
-    """The oracle: ``verify_drift``'s (T, window) discrepancies with its own
-    sampler and ``per_model_mmd``."""
+@pytest.fixture(scope="module")
+def small_shifts_trace():
+    tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
+    assert tr.shift_times
+    return tr
+
+
+def per_model_risks(coefs, x, y, loss):
+    """Each candidate's mean loss on ``(x, y)``, scored on its own by ``predict``."""
+    return np.array([loss.of_array(CandidateModel(coef.copy()).predict(x), y).mean() for coef in coefs.T])
+
+
+def per_distribution_drift(coeff_history, budget, window, coefs, loss, n_check, tolerance, seed,
+                           score=_sample_risks):
+    """The oracle: ``verify_drift``'s values and violations.  One ``n_check``-row
+    sample per distinct distribution of the history, drawn by ``sim._draw`` in
+    order of first appearance and scored by ``score``; each (t, w) value is
+    composed from the members of its own window."""
     rng = np.random.default_rng(seed)
-
-    def draw(beta, count):
-        x = rng.standard_normal((count, len(beta)))
-        y = np.where(rng.random(count) < sigmoid(x @ beta), 1.0, -1.0)
-        return x, y
-
-    horizon = len(coeff_history) - 1
-    values = np.zeros((horizon, window))
-    for t in range(1, horizon + 1):
-        current = draw(coeff_history[t], n_check)
-        for w in range(1, window + 1):
-            members = range(max(0, t - w), t)
-            pooled = [draw(coeff_history[s], max(1, n_check // len(members))) for s in members]
-            mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
-            values[t - 1, w - 1] = per_model_mmd(current, mixed, coefs, loss)
-    return values
-
-
-def per_window_drift(coeff_history, budget, window, coefs, loss, n_check, tolerance, seed):
-    """The oracle: ``verify_drift``'s values and violations composed per
-    window: both samples are drawn by ``sim._draw`` in the same order and
-    their risks taken by ``sim._sample_risks`` at every (t, w), so the sample
-    at t is scored once per window."""
-    rng = np.random.default_rng(seed)
+    by_value = {}
+    for beta in coeff_history:
+        key = tuple(beta.tolist())
+        if key not in by_value:
+            by_value[key] = score(coefs, *_draw(rng, beta, n_check), loss)
+    risks = np.array([by_value[tuple(beta.tolist())] for beta in coeff_history])
     horizon = len(coeff_history) - 1
     values = np.zeros((horizon, window))
     violations = []
     for t in range(1, horizon + 1):
-        current = _draw(rng, coeff_history[t], n_check)
         for w in range(1, window + 1):
-            members = range(max(0, t - w), t)
-            pooled = [_draw(rng, coeff_history[s], max(1, n_check // len(members))) for s in members]
-            mixed = (np.vstack([x for x, _ in pooled]), np.concatenate([y for _, y in pooled]))
-            risks = [_sample_risks(coefs, x, y, loss) for x, y in (current, mixed)]
-            val = float(np.max(np.abs(risks[0] - risks[1])))
+            val = float(np.max(np.abs(risks[t] - risks[max(0, t - w) : t].mean(axis=0))))
             values[t - 1, w - 1] = val
             if val > budget + tolerance:
                 violations.append((t, w, val))
@@ -884,12 +876,15 @@ class TestVerifyDrift:
         assert not report.ok
         assert any(t == 2 for t, _, _ in report.violations)
 
-    def test_shifting_trace_matches_the_per_model_loop(self):
+    def test_shifting_trace_matches_the_per_model_loop(self, small_shifts_trace):
         # a budget below most windows' discrepancy, so there are violations to compare
-        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
-        assert tr.shift_times
-        want = per_model_drift_values(tr.coeff_history, 3, tr.model_coefs, HINGE, 3000, 5)
-        budget = float(np.median(want))
+        tr = small_shifts_trace
+        args = (3, tr.model_coefs, HINGE, 3000, 0.0, 5)
+        want = per_distribution_drift(tr.coeff_history, 1.0, *args, score=per_model_risks)[0]
+        # windows with the same members tie, so the budget sits midway
+        # between the two middle distinct values, clear of rounding
+        levels = np.unique(want)
+        budget = float(levels[len(levels) // 2 - 1 : len(levels) // 2 + 1].mean())
         report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
                               loss=HINGE, n_check=3000, tolerance=0.0, seed=5)
         np.testing.assert_allclose(report.values, want, rtol=0.0, atol=1e-14)
@@ -898,17 +893,75 @@ class TestVerifyDrift:
 
     @pytest.mark.parametrize("loss", [HINGE, LossFunction("clipped_hinge", scale=1.5)],
                              ids=["clipped_hinge", "clipped_hinge_scale1.5"])
-    def test_values_equal_the_per_window_composition_bit_for_bit(self, loss):
-        tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
-        assert tr.shift_times
+    def test_values_equal_the_per_window_composition_bit_for_bit(self, loss, small_shifts_trace):
+        tr = small_shifts_trace
         args = (3, tr.model_coefs, loss, 3000, 0.0, 5)
         # a budget that flags about half the windows
-        budget = float(np.median(per_window_drift(tr.coeff_history, 1.0, *args)[0]))
-        want, flagged = per_window_drift(tr.coeff_history, budget, *args)
+        budget = float(np.median(per_distribution_drift(tr.coeff_history, 1.0, *args)[0]))
+        want, flagged = per_distribution_drift(tr.coeff_history, budget, *args)
         report = verify_drift(tr.coeff_history, budget=budget, window=3, coefs=tr.model_coefs,
                               loss=loss, n_check=3000, tolerance=0.0, seed=5)
         assert bitwise_equal(report.values, want)
         assert flagged and report.violations == flagged
+
+    def test_a_window_of_one_distribution_gives_zero(self, small_shifts_trace):
+        # each distribution is sampled once, so a step whose window holds
+        # only its own distribution compares a sample with itself
+        tr = small_shifts_trace
+        report = verify_drift(tr.coeff_history, budget=1.0, window=3, coefs=tr.model_coefs,
+                              loss=HINGE, n_check=3000, seed=5)
+        still = moved = 0
+        for t in range(1, len(tr.coeff_history)):
+            for w in range(1, 4):
+                window = tr.coeff_history[max(0, t - w) : t + 1]
+                if np.all(window == window[0]):
+                    assert report.values[t - 1, w - 1] <= 1e-15, (t, w)
+                    still += 1
+                else:
+                    moved += report.values[t - 1, w - 1] > 1e-3
+        assert still and moved
+
+    def test_agrees_with_the_exact_certificate(self, small_shifts_trace):
+        # each step's values over the candidates registered by then; the
+        # hinge loss lies in [0, 1], so a sample risk's standard error is at
+        # most 1 / (2 sqrt(n)), and a gap's error is a fixed combination of
+        # those of the distinct distributions it weighs
+        tr = small_shifts_trace
+        n = 20000
+        exact = exact_drift(tr.coeff_history, tr.model_coefs, 1.0, 3, HINGE)
+        which = np.unique(tr.coeff_history, axis=0, return_inverse=True)[1].reshape(-1)
+        for t in range(1, len(tr.coeff_history)):
+            sampled = verify_drift(tr.coeff_history[: t + 1], budget=1.0, window=3,
+                                   coefs=tr.model_coefs[:, :t], loss=HINGE, n_check=n, seed=6)
+            for w in range(1, 4):
+                members = which[max(0, t - w) : t]
+                weight = np.bincount([which[t]], minlength=which.max() + 1) - np.bincount(
+                    members, minlength=which.max() + 1) / len(members)
+                se = 0.5 * float(np.linalg.norm(weight)) / math.sqrt(n)
+                gap = abs(sampled.values[t - 1, w - 1] - exact.values[t - 1, w - 1])
+                assert gap <= 5.0 * se + 1e-15, (t, w)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_raises(self, window, small_shifts_trace):
+        tr = small_shifts_trace
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            verify_drift(tr.coeff_history, budget=0.1, window=window, coefs=tr.model_coefs,
+                         loss=HINGE, n_check=10)
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            exact_drift(tr.coeff_history, tr.model_coefs, 0.1, window, HINGE)
+
+    def test_violations_hold_python_numbers(self, small_shifts_trace):
+        tr = small_shifts_trace
+        reports = (
+            verify_drift(tr.coeff_history, budget=0.0, window=3, coefs=tr.model_coefs,
+                         loss=HINGE, n_check=500, tolerance=0.0),
+            exact_drift(tr.coeff_history, tr.model_coefs, 0.0, 3, HINGE),
+        )
+        for report in reports:
+            assert report.violations
+            for t, w, value in report.violations:
+                assert type(t) is int and type(w) is int and type(value) is float
+            assert repr(report.violations[0]).startswith(f"({report.violations[0][0]}, ")
 
 
 def per_member_exact_values(coeff_history, model_coefs, window):
@@ -937,13 +990,6 @@ def monte_carlo_risks(rng, beta, coefs, rows=1_000_000, chunk=100_000):
         squares += (losses * losses).sum(axis=0)
     mean = total / rows
     return mean, np.sqrt((squares / rows - mean * mean) / rows)
-
-
-@pytest.fixture(scope="module")
-def small_shifts_trace():
-    tr = run_replicate(small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=83, horizon=12), 0)
-    assert tr.shift_times
-    return tr
 
 
 class TestExactDrift:
