@@ -1,15 +1,19 @@
 """Non-stationary stream generators, the model developer, and the full loop.
 
 Four synthetic scenarios drive a binary-classification stream whose
-label law is logistic in the features.  Distribution shifts perturb the
-generating coefficients and are rejection-checked against the drift
-budget, measured as the largest risk change over the live candidate
-models (a finite-class stand-in for the worst case over all predictors).
+label law is logistic in the features.  A distribution shift moves the
+generating coefficients as far as the drift budget allows: its windowed
+risk change over the live candidate models (``_window_gaps``, a
+finite-class stand-in for the worst case over all predictors) stays
+within SHIFT_SAFETY x budget.  A rotation stops at the last feasible
+multiple of 2**-SHIFT_GRID_BITS along its path (``_budgeted_move``); a
+sign flip keeps the longest feasible prefix of its coordinates
+(``_flip_subset``).
 
-The experiment loop wires everything together: propose a model, build
-the bound table, let every strategy and the meta-forecaster deploy,
-observe a fresh batch, update.  Everything is deterministic given
-(seed, replicate).
+The experiment loop reads one stream, replayed or generated, and wires
+everything together: propose a model, build the bound table, let every
+strategy and the meta-forecaster deploy, observe the stream's batch,
+update.  Everything is deterministic given (seed, replicate).
 """
 
 from __future__ import annotations
@@ -982,6 +986,141 @@ def _score_blocks(coefs: np.ndarray, x: np.ndarray, labels: np.ndarray):
         yield candidate_scores(coefs, x[lo:hi]), labels[lo:hi]
 
 
+class _Stream:
+    """Where a replicate's monitoring data and true risks come from.  Each
+    kind sets ``initial`` (the batch the initial model is fitted on),
+    ``horizon``, ``dim``, ``capacity`` (training rows over the run) and
+    ``solver_batch`` (the rate solver's batch size), and its ``step(t,
+    table, coefs, deployed)`` returns step t's true deployed risks (None
+    when the batch is its own evaluation sample) and batch."""
+
+    def costs(self, first: CandidateModel) -> tuple[float, float]:
+        """``(abstain cost, drift budget)``: ``cfg.abstain_cost`` when set,
+        else the initial model's risk at step 1, kept in [1e-6, 1 - 1e-6];
+        and ``cfg.drift`` when set, else that cost."""
+        cost = self.cfg.abstain_cost
+        cost = min(max(self._first_risk(first) if cost is None else cost, 1e-6), 1.0 - 1e-6)
+        return cost, self.cfg.drift if self.cfg.drift is not None else cost
+
+    def observe(self, table, batch_losses: np.ndarray) -> None:
+        """Take a finished step's bound table and batch loss row."""
+
+
+class _Replay(_Stream):
+    """The given batches: batch 0 fits the initial model and batch t is step
+    t's only evidence, so its risks are the step's true ones."""
+
+    def __init__(self, cfg: RunConfig, batches: Sequence[MonitoringBatch]):
+        if len(batches) < 2:
+            raise ValueError("an ingested stream needs at least two batches")
+        self.cfg, self.loss, self.batches, self.initial = cfg, cfg.loss, batches, batches[0]
+        self.horizon, self.dim = len(batches) - 1, batches[0].dim
+        self.capacity = sum(b.size for b in batches[1:])
+        self.solver_batch = min(b.size for b in batches[1:])
+
+    def _first_risk(self, first: CandidateModel) -> float:
+        batch = self.batches[1]
+        return float(np.mean(self.loss.of_array(first.predict(batch.features), batch.labels)))
+
+    def step(self, t, table, coefs, deployed):
+        return None, self.batches[t]
+
+    def history(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        return np.zeros((0, self.dim)), ()
+
+
+class _Generated(_Stream):
+    """A simulated scenario, drawn from the replicate's rng, scaled so that
+    the 64-node rule of ``bayes_hinge_risk`` gives ``cfg.bayes_risk`` (the
+    exact risk is higher: 0.1036 at the default 0.10).  The initial model
+    sees ``cfg.initial_batches`` batches of the first distribution, which
+    step 1 keeps (no shift fires inside the warm-up).  The adaptive
+    scenario's shadow tester lives here: only the shift reacts to it."""
+
+    def __init__(self, cfg: RunConfig, rng: np.random.Generator):
+        self.cfg, self.loss, self.horizon, self.dim = cfg, cfg.loss, cfg.horizon, cfg.dim
+        self.capacity, self.solver_batch = cfg.horizon * cfg.batch_size, cfg.batch_size
+        b0 = rng.standard_normal(cfg.dim)
+        beta0 = solve_signal_scale(cfg.bayes_risk) * b0 / np.linalg.norm(b0)
+        self.gen = GeneratorState(coeff_history=[beta0], rng=rng)
+        self.initial = MonitoringBatch(*_draw(rng, beta0, cfg.initial_batches * cfg.batch_size))
+        adaptive = cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS
+        self.shadow = init_bank([REPEATED_TTEST]) if adaptive else None
+
+    def costs(self, first: CandidateModel) -> tuple[float, float]:
+        self.cost, self.gen.budget = super().costs(first)
+        return self.cost, self.gen.budget
+
+    def step(self, t, table, coefs, deployed):
+        # the distribution for step t is realized before any data from step
+        # t is drawn; the shift may react to the approval the shadow tester
+        # is about to make, since that decision only uses data through t - 1
+        approved = False
+        if self.shadow is not None:
+            top = int(np.argmax(optimistic_step(self.shadow, table)[0]))
+            approved = top > 0 and top != self.gen.shadow_top
+            if top > 0:
+                self.gen.shadow_top = top
+        shifted = apply_shift(self.gen, self.cfg, t, approved, coefs, self.loss)
+        risks = self._true_risks(t, coefs, deployed, shifted)
+        return risks, generate_batch(self.gen, self.cfg, t)
+
+    def observe(self, table, batch_losses: np.ndarray) -> None:
+        if self.shadow is not None:
+            self.shadow = strategy_advance(self.shadow, batch_losses, table)
+
+    def history(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        return np.stack(self.gen.coeff_history[: self.horizon + 1]), tuple(self.gen.shift_times)
+
+
+class _Exact(_Generated):
+    """A generated stream under an affine loss (``LossFunction.affine``):
+    the default abstain cost and every true risk are exact, from each
+    candidate's E[label x score] under the realized distribution
+    (``label_score_means``).  A step integrates only the candidates that a
+    deployed status weights and that lack a value under the current
+    distribution, and a shift forgets every value.  The others get a finite
+    placeholder risk, which ``core.mixture_risks`` multiplies by exact
+    zeros, so every true risk is bit for bit the all-candidate one."""
+
+    def costs(self, first: CandidateModel) -> tuple[float, float]:
+        # each candidate's E[label * score] under the current distribution,
+        # NaN until some deployed status weights it
+        self.label_scores = np.full(self.horizon, np.nan)
+        self.label_scores[0] = label_score_means(self.gen.coefficients, first.coef[:, None])[0]
+        return super().costs(first)
+
+    def _first_risk(self, first: CandidateModel) -> float:
+        return float(affine_loss_mean(self.label_scores[0], self.loss.scale))
+
+    def _true_risks(self, t, coefs, deployed, shifted):
+        if shifted:
+            self.label_scores.fill(np.nan)
+        need = np.flatnonzero(np.isnan(self.label_scores[:t]) & deployed[:, 1:].any(axis=0))
+        self.label_scores[need] = label_score_means(self.gen.coeff_history[t], coefs, need)
+        # a column without a value has zero weight in every deployed row,
+        # so its placeholder (a fair coin's risk) changes no product
+        filled = np.nan_to_num(self.label_scores[:t], nan=0.0)
+        true_row = np.concatenate(([self.cost], affine_loss_mean(filled, self.loss.scale)))
+        return mixture_risks(deployed, true_row)
+
+
+class _Sampled(_Generated):
+    """A generated stream under any other loss: the default abstain cost and
+    each step's true risks are Monte Carlo means over fresh samples of
+    ``cfg.eval_size`` rows."""
+
+    def _first_risk(self, first: CandidateModel) -> float:
+        x, y = _draw(self.gen.rng, self.gen.coefficients, self.cfg.eval_size)
+        return float(np.mean(self.loss.of_array(first.predict(x), y)))
+
+    def _true_risks(self, t, coefs, deployed, shifted):
+        # float32 is plenty for a Monte Carlo risk estimate and halves the
+        # cost of the widest arrays in the loop
+        x, y = _draw(self.gen.rng, self.gen.coeff_history[t], self.cfg.eval_size, np.float32)
+        return deployed_risks(_score_blocks(coefs.astype(np.float32), x, y), deployed, self.loss, self.cost)
+
+
 def run_replicate(
     cfg: RunConfig,
     replicate: int,
@@ -989,139 +1128,61 @@ def run_replicate(
 ) -> ReplicateTrace:
     """Run one replicate of the run ``cfg`` end to end.
 
-    A generated stream's coefficients are scaled so that the 64-node rule
-    of ``bayes_hinge_risk`` gives ``cfg.bayes_risk`` (the exact risk is
-    higher: 0.1036 at the default 0.10).  The initial model is fit with
-    ``INITIAL_FIT`` on ``cfg.initial_batches`` batches of pre-deployment
-    data; the developer refits with ``DEVELOPER_FIT``.  The abstain cost
-    is ``cfg.abstain_cost`` when set, and otherwise the initial model's
-    risk on replay batch 1 or under a generated stream's first
-    distribution; the drift budget is ``cfg.drift`` when set, and
-    otherwise that abstain cost.
-
-    For generated scenarios under an affine loss (``LossFunction.affine``,
-    the default clipped hinge among them) the abstain cost and the per-step
-    true risks are exact: each candidate's expected label-times-score
-    under the realized distribution comes from ``label_score_means``.  It
-    is integrated on demand: a step integrates the candidates that some
-    deployed status weights and that have no value under the current
-    distribution yet, and a step whose shift moved the distribution
-    forgets every value.  A candidate no deployed status weights gets a
-    finite placeholder risk in [0, 1], which ``core.mixture_risks``
-    multiplies by exact zeros, so every true risk is bit for bit the one
-    that integrating every candidate gives.  Other losses measure both on
-    fresh Monte Carlo samples of ``cfg.eval_size`` rows.
-    An ingested stream replays ``batches``, which are given exactly when
-    ``cfg.scenario`` is INGESTED (``ValueError`` otherwise); the batch
-    itself is the only evidence and the true risk column equals the
-    empirical one.
-
-    Under an affine loss every deployed risk is ``core.mixture_risks`` of
-    one risk row per step: the batch's loss-ledger row for the empirical
-    risks, and the abstain cost followed by each candidate's exact risk for
-    the true ones.  Other losses score each status's ensemble with
-    ``core.deployed_risks``.
-
-    The developer's training rows are one ``TrainingRows`` array sized for
-    the run (horizon x batch_size rows, or the replay batches' total),
-    filled once per batch; each refit fits a view of it.
+    The loop reads one stream of one of three kinds: the replay of
+    ``batches``, given exactly when ``cfg.scenario`` is INGESTED
+    (``ValueError`` otherwise), or a generated stream whose true risks are
+    exact (``_Exact``, under an affine loss) or sampled (``_Sampled``).
+    The stream gives the initial batch, fitted with ``INITIAL_FIT``, the
+    abstain cost and drift budget, and each step's realized distribution,
+    true risks and batch.  At each step the developer proposes a candidate
+    (``DEVELOPER_FIT`` on a view of one run-sized ``TrainingRows``), the
+    bound table is built, every strategy and the meta-forecaster deploy,
+    and the batch's losses update them.  Empirical risks under an affine
+    loss are ``core.mixture_risks`` of the batch's loss-ledger row; other
+    losses score each status's ensemble with ``core.deployed_risks``.
     """
-    ingested = cfg.scenario is ScenarioKind.INGESTED
-    if ingested != (batches is not None):
+    if (cfg.scenario is ScenarioKind.INGESTED) != (batches is not None):
         raise ValueError("batches are replayed exactly when the scenario kind is ingested")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, replicate]))
     loss = cfg.loss
-    exact = not ingested and loss.affine
     policy = policy_for_scenario(cfg.scenario)
-
-    if ingested:
-        if len(batches) < 2:
-            raise ValueError("an ingested stream needs at least two batches")
-        horizon = len(batches) - 1
-        initial = batches[0]
-        dim = initial.dim
+    if batches is not None:
+        stream = _Replay(cfg, batches)
     else:
-        horizon = cfg.horizon
-        dim = cfg.dim
-        scale = solve_signal_scale(cfg.bayes_risk)
-        b0 = rng.standard_normal(dim)
-        beta0 = scale * b0 / np.linalg.norm(b0)
-        gen = GeneratorState(coeff_history=[beta0], rng=rng)
-        rows0 = cfg.initial_batches * cfg.batch_size
-        initial = MonitoringBatch(*_draw(rng, beta0, rows0))
+        stream = (_Exact if loss.affine else _Sampled)(cfg, rng)
+    horizon, dim = stream.horizon, stream.dim
 
     # the newest batch's split: the bound table at the next step validates on it
-    train, validation = split_batch(initial, cfg.validation_fraction, rng)
+    train, validation = split_batch(stream.initial, cfg.validation_fraction, rng)
     first = CandidateModel(fit_logistic(train.features, train.labels, INITIAL_FIT))
     # index 0 stands for abstention, index t for candidate t
     candidates = [None, first]
-    if exact:
-        # each candidate's E[label * score] under the current distribution,
-        # NaN until some deployed status weights it; the initial model's
-        # value also gives the abstain cost
-        label_scores = np.full(horizon, np.nan)
-        label_scores[0] = label_score_means(beta0, first.coef[:, None])[0]
-
-    # delta is the initial model's risk on batch 1 or, for a generated
-    # stream, under the first deployment distribution, which equals the
-    # initial one (shifts cannot fire inside the warm-up)
-    if cfg.abstain_cost is not None:
-        delta = cfg.abstain_cost
-    elif ingested:
-        delta = float(np.mean(loss.of_array(first.predict(batches[1].features), batches[1].labels)))
-    elif exact:
-        delta = float(affine_loss_mean(label_scores[0], loss.scale))
-    else:
-        x_cal, y_cal = _draw(rng, beta0, cfg.eval_size)
-        delta = float(np.mean(loss.of_array(first.predict(x_cal), y_cal)))
-        del x_cal, y_cal
-    delta = min(max(delta, 1e-6), 1.0 - 1e-6)
-
+    delta, drift = stream.costs(first)
     margin = cfg.margin_mult * delta
     step_margin = cfg.step_margin_mult * margin
-    drift = cfg.drift if cfg.drift is not None else delta
-    if not ingested:
-        gen.budget = drift
 
     if cfg.rate_mode == "fixed":
         rate = cfg.rate
     else:
-        n = cfg.batch_size if not ingested else min(b.size for b in batches[1:])
+        n = stream.solver_batch
         inputs = RiskBoundInputs(
-            abstain_cost=delta,
-            step_margin=step_margin,
-            drift=drift,
-            rate=1.0,
-            cover_alpha=cfg.bound_alpha,
-            n_strategies=len(cfg.rows),
-            horizon=horizon,
-            batch_size=n,
-            holdout_size=holdout_size(n, cfg.validation_fraction),
+            abstain_cost=delta, step_margin=step_margin, drift=drift, rate=1.0,
+            cover_alpha=cfg.bound_alpha, n_strategies=len(cfg.rows), horizon=horizon,
+            batch_size=n, holdout_size=holdout_size(n, cfg.validation_fraction),
         )
         rate = max_learning_rate(delta + margin, inputs)
 
     meta = init_meta(cfg.rows, rate)
-    shadow = init_bank([REPEATED_TTEST])
-
     m = len(cfg.rows)
     trace = ReplicateTrace(
-        replicate=replicate,
-        abstain_cost=delta,
-        meta_rate=rate,
-        true_risk=np.zeros(horizon),
-        emp_risk=np.zeros(horizon),
-        abstain_prob=np.zeros(horizon),
-        meta_weights=np.zeros((horizon, m)),
-        meta_top=np.zeros(horizon, dtype=int),
-        strategy_true_risk=np.zeros((horizon, m)),
-        strategy_abstain=np.zeros((horizon, m)),
-        coeff_history=np.zeros((0, dim)),
-        shift_times=(),
-        model_coefs=np.zeros((dim + 1, 0)),
+        replicate=replicate, abstain_cost=delta, meta_rate=rate,
+        true_risk=np.zeros(horizon), emp_risk=np.zeros(horizon), abstain_prob=np.zeros(horizon),
+        meta_weights=np.zeros((horizon, m)), meta_top=np.zeros(horizon, dtype=int),
+        strategy_true_risk=np.zeros((horizon, m)), strategy_abstain=np.zeros((horizon, m)),
+        coeff_history=np.zeros((0, dim)), shift_times=(), model_coefs=np.zeros((dim + 1, 0)),
     )
 
-    capacity = sum(b.size for b in batches[1:]) if ingested else horizon * cfg.batch_size
-    train_rows = TrainingRows(capacity, dim)
+    train_rows = TrainingRows(stream.capacity, dim)
     ledger = LossLedger(horizon)
     # column t - 1 holds candidate t
     coef_mat = np.zeros((dim + 1, horizon))
@@ -1138,50 +1199,12 @@ def run_replicate(
                                   alpha=cfg.bound_alpha, window=cfg.bound_window,
                                   step_margin=step_margin)
 
-        # the distribution for step t is realized now, before any data from
-        # step t is drawn; the shift function may react to the approval the
-        # shadow tester is about to make, since that decision only uses
-        # data through t - 1
-        shadow_changed = False
-        if cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
-            top = int(np.argmax(optimistic_step(shadow, table)[0]))
-            shadow_changed = top > 0 and top != gen.shadow_top
-            if top > 0:
-                gen.shadow_top = top
-        shifted = not ingested and apply_shift(gen, cfg, t, shadow_changed, coefs, loss)
-
         weights = meta.weights
         statuses = strategy_statuses(meta, table)
         combined = combine(statuses, weights)
         deployed = np.vstack([statuses, combined])
 
-        if ingested:
-            batch = batches[t]
-        elif exact:
-            if shifted:
-                label_scores.fill(np.nan)
-            need = np.flatnonzero(np.isnan(label_scores[:t]) & deployed[:, 1:].any(axis=0))
-            label_scores[need] = label_score_means(gen.coeff_history[t], coefs, need)
-            # a column without a value has zero weight in every deployed row,
-            # so its placeholder (a fair coin's risk) changes no product
-            filled = np.nan_to_num(label_scores[:t], nan=0.0)
-            true_row = np.concatenate(([delta], affine_loss_mean(filled, loss.scale)))
-            eval_risks = mixture_risks(deployed, true_row)
-            batch = generate_batch(gen, cfg, t)
-        else:
-            # float32 is plenty for a Monte Carlo risk estimate and halves
-            # the cost of the widest arrays in the loop
-            eval_feats, eval_labels = _draw(
-                rng, gen.coeff_history[t], cfg.eval_size, np.float32
-            )
-            eval_risks = deployed_risks(
-                _score_blocks(coefs.astype(np.float32), eval_feats, eval_labels),
-                deployed,
-                loss,
-                delta,
-            )
-            del eval_feats, eval_labels
-            batch = generate_batch(gen, cfg, t)
+        eval_risks, batch = stream.step(t, table, coefs, deployed)
         batch_preds = candidate_scores(coefs, batch.features)
         ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
         blosses = ledger.row(t, delta)
@@ -1189,7 +1212,7 @@ def run_replicate(
             batch_risks = mixture_risks(deployed, blosses)
         else:
             batch_risks = deployed_risks([(batch_preds, batch.labels)], deployed, loss, delta)
-        if ingested:
+        if eval_risks is None:
             # the batch is the evaluation sample: its risks are the true ones
             eval_risks = batch_risks
         trace.true_risk[t - 1] = eval_risks[-1]
@@ -1202,16 +1225,12 @@ def run_replicate(
         train, validation = split_batch(batch, cfg.validation_fraction, rng)
         train_rows.add(batch, train)
         trace.emp_risk[t - 1] = batch_risks[-1]
-        strat_risks = batch_risks[:-1]
 
         if t < horizon:
-            meta = meta_advance(meta, table, blosses, strat_risks)
-            if cfg.scenario is ScenarioKind.ADAPTIVE_SHIFTS:
-                shadow = strategy_advance(shadow, blosses, table)
+            meta = meta_advance(meta, table, blosses, batch_risks[:-1])
+            stream.observe(table, blosses)
 
-    if not ingested:
-        trace.coeff_history = np.stack(gen.coeff_history[: horizon + 1])
-        trace.shift_times = tuple(gen.shift_times)
+    trace.coeff_history, trace.shift_times = stream.history()
     trace.model_coefs = coef_mat.copy()
     return trace
 

@@ -69,8 +69,12 @@ def test_benchmark_tracer_still_wraps_the_run_path(tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.counts["bounds.tables"] == 5
+    # the sim spans feed sim.refit_s, sim.shift_s and sim.data_s: a call that
+    # bypassed sim's module globals would leave them silently at zero
     assert {span[0] for span in tracer.spans} >= {
         "bounds.build_bound_table", "strategy.optimistic_step", "strategy.advance",
         "meta.strategy_statuses", "meta.meta_advance", "meta.combine",
+        "sim.developer_propose", "sim.fit_logistic", "sim.apply_shift",
+        "sim.generate_batch", "sim.split_batch",
     }
     assert all(owner.__dict__[attr] is fn for (owner, attr), fn in originals.items())
