@@ -5,8 +5,11 @@ builds confidence bounds on every candidate's risk, lets a family of
 approval strategies propose soft approvals (with an abstain option at a
 fixed cost), and aggregates them with a meta-forecaster whose learning
 rate is certified by an average-risk guarantee.  ``RunConfig`` holds every
-setting of a run, for the ``modelgate`` command and ``run_replicate``
-alike::
+setting of a run, for the ``modelgate`` command and the library alike.
+``run_experiment`` steps all of a run's replicates in one lockstep loop,
+with one stacked strategy and meta-forecaster call per step;
+``run_replicate`` is that loop over one replicate, and gives the same
+trace bit for bit::
 
     cfg = modelgate.load_config("configs/example.ini")
     traces = modelgate.run_experiment(cfg)

@@ -37,10 +37,14 @@ class RiskBoundTable:
     cost plus ``step_margin`` (1e-12 of rounding slack); the abstain entry
     always qualifies, so the mask is never all-false.  It is the one
     veto every approval strategy obeys.
+
+    ``stack`` views the tables of several replicates at one step as one
+    table: ``bounds`` and ``feasible`` gain a leading replicate axis and
+    ``step_margin`` holds one margin per replicate.
     """
 
     bounds: np.ndarray
-    step_margin: float
+    step_margin: float | np.ndarray
     feasible: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -54,9 +58,20 @@ class RiskBoundTable:
         mask[0] = True
         object.__setattr__(self, "feasible", mask)
 
+    @classmethod
+    def stack(cls, tables: Sequence["RiskBoundTable"]) -> "RiskBoundTable":
+        """The tables of one step, one per replicate, as one stacked table.
+        Each was checked and masked when it was built, so the stack takes
+        their arrays as they are."""
+        stacked = object.__new__(cls)
+        object.__setattr__(stacked, "bounds", np.array([tb.bounds for tb in tables]))
+        object.__setattr__(stacked, "step_margin", np.array([tb.step_margin for tb in tables]))
+        object.__setattr__(stacked, "feasible", np.array([tb.feasible for tb in tables]))
+        return stacked
+
     @property
     def time_index(self) -> int:
-        return len(self.bounds) - 1
+        return self.bounds.shape[-1] - 1
 
 
 def window_start(t: int, j: int, window: int) -> int:

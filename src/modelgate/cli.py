@@ -44,7 +44,7 @@ from .config import (
 )
 from .core import MonitoringBatch
 from .meta import InfeasibleRateError, RiskBoundInputs, classical_ewaf_bound, risk_bound
-from .sim import ReplicateTrace, ScenarioKind, holdout_size, run_replicate
+from .sim import ReplicateTrace, ScenarioKind, holdout_size, run_replicate, run_replicates
 
 __all__ = ["IngestedStream", "run", "bound_curves", "ingest", "main"]
 
@@ -250,9 +250,14 @@ def _step_lines(tr: ReplicateTrace) -> list[str]:
     ]
 
 
-def _replicate_worker(args):
-    cfg, rep, batches = args
-    return run_replicate(cfg, rep, batches=batches)
+def _chunk_worker(args) -> list[ReplicateTrace]:
+    """One contiguous chunk of replicates, run in lockstep.  A chunk of one
+    goes through ``run_replicate``, the per-replicate call that the
+    benchmark's tracer (``perfbench/tracer.py``) wraps here."""
+    cfg, chunk, batches = args
+    if len(chunk) == 1:
+        return [run_replicate(cfg, chunk[0], batches=batches)]
+    return run_replicates(cfg, chunk, batches)
 
 
 def run(cfg: RunConfig) -> dict:
@@ -268,17 +273,20 @@ def run(cfg: RunConfig) -> dict:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(cfg, r, batches) for r in range(cfg.replicates)]
     # the pool forks every worker at the first submit, so spawn no idle ones
-    workers = min(cfg.threads, cfg.replicates)
+    n = cfg.replicates
+    workers = min(cfg.threads, n)
+    # each worker steps one contiguous chunk of replicates in lockstep
+    jobs = [(cfg, range(k * n // workers, (k + 1) * n // workers), batches) for k in range(workers)]
     if workers > 1:
         # imported here so a serial run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_replicate_worker, jobs))
+            chunks = list(pool.map(_chunk_worker, jobs))
     else:
-        traces = [_replicate_worker(j) for j in jobs]
+        chunks = [_chunk_worker(j) for j in jobs]
+    traces = [tr for chunk in chunks for tr in chunk]
 
     m = len(cfg.rows)
     steps_path = out_dir / "steps.csv"

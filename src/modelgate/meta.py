@@ -5,6 +5,12 @@ The forecaster keeps multiplicative weights over m candidate strategies
 mixture of their statuses, and reweights each strategy by the
 exponentiated empirical risk its own status incurred on the latest batch.
 
+The forecaster side takes a leading replicate axis: a ``MetaState``
+built by ``init_meta`` with one rate per replicate carries R replicates'
+weights and banks, and ``strategy_statuses``, ``combine`` and
+``meta_advance`` then serve every replicate in one call, each replicate's
+values bit for bit the ones it has on its own.
+
 The guarantee side bounds the expected average risk of that forecaster
 when per-step distribution drift is bounded and the risk bounds used by
 the strategies have known coverage.  It is used to pick the largest
@@ -50,18 +56,25 @@ class InfeasibleRateError(ValueError):
 
 @dataclass(frozen=True)
 class MetaState:
-    """Forecaster weights plus the strategy bank at one time step."""
+    """Forecaster weights plus the strategy bank at one time step.
+
+    For a stack of R replicates ``log_weights`` has shape (R, m), the bank
+    is stacked and ``meta_rate`` holds one rate per replicate.
+    """
 
     log_weights: np.ndarray
-    meta_rate: float
+    meta_rate: float | np.ndarray
     bank: StrategyBank
 
     def __post_init__(self):
         lw = np.asarray(self.log_weights, dtype=float)
         object.__setattr__(self, "log_weights", lw)
-        if lw.shape != self.bank.approve_prob.shape:
+        if lw.shape != self.bank.log_weights.shape[:-1]:
             raise ValueError("one weight per strategy required")
-        if self.meta_rate < 0:
+        rate = np.asarray(self.meta_rate)
+        if rate.shape != lw.shape[:-1]:
+            raise ValueError("one meta_rate per replicate required")
+        if rate.min() < 0:
             raise ValueError("meta_rate must be >= 0")
         b = self.bank
         if (b.approve_prob[0], b.optimism[0], b.learn_rate[0]) != (0.0, 0.0, 0.0):
@@ -76,44 +89,63 @@ class MetaState:
         return np.exp(log_normalize(self.log_weights))
 
 
-def init_meta(rows: Sequence[Sequence[float]], meta_rate: float) -> MetaState:
+def init_meta(rows: Sequence[Sequence[float]], meta_rate: float | np.ndarray) -> MetaState:
     """Uniform weights over the given (approve_prob, optimism, learn_rate) rows.
 
-    Row 0 must be the all-zero fail-safe.
+    Row 0 must be the all-zero fail-safe.  A ``meta_rate`` array of shape
+    (R,) starts a stack of R replicates, one rate each.
     """
     if len(rows) < 1:
         raise ValueError("need at least one strategy row")
     m = len(rows)
-    return MetaState(np.full(m, -math.log(m)), meta_rate, init_bank(rows))
+    lead = np.shape(meta_rate)
+    bank = init_bank(rows)
+    if lead:
+        bank = replace(bank, log_weights=np.broadcast_to(bank.log_weights, lead + bank.log_weights.shape).copy())
+    return MetaState(np.full(lead + (m,), -math.log(m)), meta_rate, bank)
 
 
 def strategy_statuses(state: MetaState, table: RiskBoundTable) -> np.ndarray:
-    """Every strategy's deployed status, shape (m, t+1)."""
+    """Every strategy's deployed status, shape (m, t+1), or (R, m, t+1)
+    for a stacked state and table."""
     return optimistic_step(state.bank, table)
 
 
 def combine(statuses: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The weighted mixture of the rows of ``statuses``, normalised exactly."""
+    """The weighted mixture of the rows of ``statuses``, normalised exactly.
+
+    A stack of statuses (R, m, n) with weights (R, m) gives one mixture per
+    replicate, each from its own vector-matrix product: a batched product
+    may sum in another order.
+    """
     statuses = np.asarray(statuses, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if statuses.ndim != 2 or weights.shape != (len(statuses),):
+    if statuses.ndim not in (2, 3) or weights.shape != statuses.shape[:-1]:
         raise ValueError("one weight per status row required")
-    mixed = weights @ statuses
-    total = float(mixed.sum())
-    if not total > 0:
+    if statuses.ndim == 2:
+        mixed = weights @ statuses
+    else:
+        mixed = np.array([w @ s for w, s in zip(weights, statuses)])
+    total = mixed.sum(axis=-1, keepdims=True)
+    if not total.min() > 0:
         raise ValueError("weights must have positive total mass")
     return mixed / total
 
 
-def meta_update(state: MetaState, strategy_batch_risks: np.ndarray) -> MetaState:
-    """Reweight strategies by their deployed empirical risk on one batch."""
+def _updated_log_weights(state: MetaState, strategy_batch_risks: np.ndarray) -> np.ndarray:
     risks = np.asarray(strategy_batch_risks, dtype=float)
     if risks.shape != state.log_weights.shape:
         raise ValueError("one risk per strategy required")
     if outside(risks, -1e-12, 1.0 + 1e-12):
         raise ValueError("risks must lie in [0, 1]")
-    logw = log_normalize(state.log_weights - state.meta_rate * risks)
-    return replace(state, log_weights=logw)
+    rate = np.asarray(state.meta_rate)[..., None]
+    return log_normalize(state.log_weights - rate * risks)
+
+
+def meta_update(state: MetaState, strategy_batch_risks: np.ndarray) -> MetaState:
+    """Reweight strategies by their deployed empirical risk on one batch
+    (one row of risks per replicate for a stack)."""
+    return replace(state, log_weights=_updated_log_weights(state, strategy_batch_risks))
 
 
 def meta_advance(
@@ -122,9 +154,10 @@ def meta_advance(
     batch_losses: np.ndarray,
     strategy_batch_risks: np.ndarray,
 ) -> MetaState:
-    """Absorb the step's batch: update the weights, advance the bank."""
-    updated = meta_update(state, strategy_batch_risks)
-    return replace(updated, bank=strategy_advance(state.bank, batch_losses, table))
+    """Absorb the step's batch: update the weights (``meta_update``),
+    advance the bank."""
+    logw = _updated_log_weights(state, strategy_batch_risks)
+    return replace(state, log_weights=logw, bank=strategy_advance(state.bank, batch_losses, table))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,7 @@
-"""Small log-domain helpers shared by the weight recursions."""
+"""Small log-domain helpers shared by the weight recursions.
+
+Each works along the last axis, so a stack of replicates (a leading axis)
+costs one call, and each row's value is the one it has on its own."""
 
 from __future__ import annotations
 
@@ -27,21 +30,22 @@ def logsumexp(logw: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def log_normalize(logw: np.ndarray) -> np.ndarray:
-    """Shift log weights so they describe a probability vector."""
+    """Shift log weights so each row describes a probability vector."""
     total = logsumexp(logw)
-    if not np.isfinite(total):
+    if not np.isfinite(total).all():
         raise ValueError("cannot normalise: all weights are zero")
-    return np.asarray(logw, dtype=float) - total
+    return np.asarray(logw, dtype=float) - total[..., None]
 
 
 def softmax(logw: np.ndarray) -> np.ndarray:
-    """Normalise each row of an (m, n) log-weight array to a probability
-    vector; a row with no mass becomes (1, 0, ..., 0), pure abstention."""
+    """Normalise each row of an (..., m, n) log-weight array to a
+    probability vector; a row with no mass becomes (1, 0, ..., 0), pure
+    abstention."""
     total = logsumexp(logw)
     dead = total == NEG_INF
-    p = np.exp(logw - np.where(dead, 0.0, total)[:, None])
+    p = np.exp(logw - np.where(dead, 0.0, total)[..., None])
     p[dead, 0] = 1.0
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def safe_log(w: np.ndarray) -> np.ndarray:

@@ -10,10 +10,13 @@ multiple of 2**-SHIFT_GRID_BITS along its path (``_budgeted_move``); a
 sign flip keeps the longest feasible prefix of its coordinates
 (``_flip_subset``).
 
-The experiment loop reads one stream, replayed or generated, and wires
-everything together: propose a model, build the bound table, let every
-strategy and the meta-forecaster deploy, observe the stream's batch,
-update.  Everything is deterministic given (seed, replicate).
+The experiment loop steps a run's replicates in lockstep, each reading
+its own stream, replayed or generated: each replicate proposes a model
+and builds its bound table, one stacked call lets every replicate's
+strategies and meta-forecaster deploy, each replicate observes its
+stream's batch, and one stacked call updates them.  Everything is
+deterministic given (seed, replicate), and a replicate's trace does not
+depend on which others share its loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .bounds import LossLedger, build_bound_table
+from .bounds import LossLedger, RiskBoundTable, build_bound_table
 from .core import (
     CandidateModel,
     LossFunction,
@@ -75,6 +78,7 @@ __all__ = [
     "exact_drift",
     "run_experiment",
     "run_replicate",
+    "run_replicates",
 ]
 
 #: Strategy grids searched by the meta-forecaster.  Row 0 is the fail-safe.
@@ -344,6 +348,45 @@ def logistic_objective(
     return value, grad
 
 
+def _newton(xd: np.ndarray, y01: np.ndarray, cfg: FitConfig, start: Optional[np.ndarray]) -> np.ndarray:
+    """``fit_logistic`` on the design ``xd`` (features with a trailing
+    column of ones) and labels ``y01`` in {0, 1}: the kernel that the
+    developer's refits also call, on a window of their resident design."""
+    n, d = xd.shape[0], xd.shape[1] - 1
+    if y01.min() == y01.max():
+        rate = (y01.sum() + 1.0) / (n + 2.0)
+        coef = np.zeros(d + 1)
+        coef[-1] = math.log(rate / (1.0 - rate))
+        return coef
+    coef = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
+    value, grad, p = _logistic_terms(coef, xd, y01, cfg.l2)
+    for _ in range(cfg.iterations):
+        largest = np.abs(grad).max()
+        if largest <= FIT_GRAD_TOL:
+            break
+        hess = (xd * (p * (1.0 - p))[:, None]).T @ xd / n
+        # the ridge on the feature coefficients' diagonal; the intercept is free
+        hess.ravel()[: -1 : d + 2] += cfg.l2
+        step = np.linalg.solve(hess, grad)
+        decrease = ARMIJO_C * float(grad @ step)
+        rounding = 100.0 * np.finfo(float).eps * abs(value)
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            trial = coef - t * step
+            trial_value, trial_grad, trial_p = _logistic_terms(trial, xd, y01, cfg.l2)
+            if trial_value <= value - t * decrease or (
+                abs(trial_value - value) <= rounding and np.abs(trial_grad).max() < largest
+            ):
+                break
+            t *= 0.5
+        else:
+            break
+        coef, value, grad, p = trial, trial_value, trial_grad, trial_p
+    if not (np.isfinite(coef).all() and np.isfinite(grad).all()):
+        raise ValueError("logistic fit produced non-finite coefficients or gradient")
+    return coef
+
+
 def fit_logistic(
     features: np.ndarray,
     labels: np.ndarray,
@@ -376,40 +419,7 @@ def fit_logistic(
     labels = np.asarray(labels, dtype=float)
     if len(labels) == 0:
         raise ValueError("training set must be nonempty")
-    y01 = np.where(labels > 0, 1.0, 0.0)
-    n, d = features.shape
-    if y01.min() == y01.max():
-        rate = (y01.sum() + 1.0) / (n + 2.0)
-        coef = np.zeros(d + 1)
-        coef[-1] = math.log(rate / (1.0 - rate))
-        return coef
-    xd = _design(features)
-    penalty = np.diag(np.append(np.full(d, cfg.l2), 0.0))
-    coef = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
-    value, grad, p = _logistic_terms(coef, xd, y01, cfg.l2)
-    for _ in range(cfg.iterations):
-        largest = np.max(np.abs(grad))
-        if largest <= FIT_GRAD_TOL:
-            break
-        hess = (xd * (p * (1.0 - p))[:, None]).T @ xd / n + penalty
-        step = np.linalg.solve(hess, grad)
-        decrease = ARMIJO_C * float(grad @ step)
-        rounding = 100.0 * np.finfo(float).eps * abs(value)
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = coef - t * step
-            trial_value, trial_grad, trial_p = _logistic_terms(trial, xd, y01, cfg.l2)
-            if trial_value <= value - t * decrease or (
-                abs(trial_value - value) <= rounding and np.max(np.abs(trial_grad)) < largest
-            ):
-                break
-            t *= 0.5
-        else:
-            break
-        coef, value, grad, p = trial, trial_value, trial_grad, trial_p
-    if not (np.all(np.isfinite(coef)) and np.all(np.isfinite(grad))):
-        raise ValueError("logistic fit produced non-finite coefficients or gradient")
-    return coef
+    return _newton(_design(features), np.where(labels > 0, 1.0, 0.0), cfg, start)
 
 
 @dataclass(frozen=True)
@@ -476,15 +486,17 @@ def split_batch(
 
 class TrainingRows:
     """The developer's training data: monitoring batches 1, 2, ... in one
-    preallocated array of rows and one of labels, in batch order and each
-    batch in its own row order.  The newest batch holds only its training
-    split (its validation split stays prospective for the bound); when the
-    next batch is added it is widened to the full batch, and the new
-    batch's training split follows it.  So every developer window is one
-    contiguous view, equal in value to stacking its batches."""
+    preallocated design (the feature rows with a trailing column of ones,
+    the form ``fit_logistic``'s kernel fits on) and one array of labels in
+    {0, 1}, in batch order and each batch in its own row order.  The newest
+    batch holds only its training split (its validation split stays
+    prospective for the bound); when the next batch is added it is widened
+    to the full batch, and the new batch's training split follows it.  So
+    every developer window is one contiguous view, equal in value to
+    stacking its batches."""
 
     def __init__(self, capacity: int, dim: int):
-        self.features = np.empty((capacity, dim))
+        self.design = np.ones((capacity, dim + 1))
         self.labels = np.empty(capacity)
         self._starts = [0]  # first row of batch s at index s - 1
         self._end = 0
@@ -496,8 +508,8 @@ class TrainingRows:
 
     def _put(self, lo: int, part: MonitoringBatch) -> int:
         hi = lo + part.size
-        self.features[lo:hi] = part.features
-        self.labels[lo:hi] = part.labels
+        self.design[lo:hi, :-1] = part.features
+        self.labels[lo:hi] = part.labels > 0
         return hi
 
     def add(self, batch: MonitoringBatch, train: MonitoringBatch) -> None:
@@ -509,9 +521,10 @@ class TrainingRows:
         self._newest = batch
 
     def window(self, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and labels of batches ``first`` through the newest."""
+        """Design rows and {0, 1} labels of batches ``first`` through the
+        newest."""
         lo = self._starts[first - 1]
-        return self.features[lo : self._end], self.labels[lo : self._end]
+        return self.design[lo : self._end], self.labels[lo : self._end]
 
 
 def developer_propose(
@@ -531,15 +544,16 @@ def developer_propose(
     candidate (see ``fit_logistic``).  Only ``mostly_last2``'s all-data
     refits find an older one: each starts from the previous all-data
     candidate, four steps back.  The start moves the candidate only within
-    the fit's stopping tolerance."""
+    the fit's stopping tolerance.  The fit runs ``fit_logistic``'s kernel
+    on a view of the rows' resident design, so no window is copied."""
     if rows.batches != t - 1:
         raise ValueError(f"the developer at t = {t} needs batches 1..{t - 1}")
     first = policy.window(t).start
-    features, labels = rows.window(first)
+    design, y01 = rows.window(first)
     # a candidate whose window began at batch `first` was fitted on a prefix
     # of these rows; candidate s's window ends at batch s - 1 >= first
     same = (s for s in range(t - 1, first, -1) if policy.window(s).start == first)
-    return fit_logistic(features, labels, cfg, start=coefs[:, next(same, t - 1) - 1])
+    return _newton(design, y01, cfg, coefs[:, next(same, t - 1) - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1121,93 +1135,84 @@ class _Sampled(_Generated):
         return deployed_risks(_score_blocks(coefs.astype(np.float32), x, y), deployed, self.loss, self.cost)
 
 
-def run_replicate(
-    cfg: RunConfig,
-    replicate: int,
-    batches: Optional[Sequence[MonitoringBatch]] = None,
-) -> ReplicateTrace:
-    """Run one replicate of the run ``cfg`` end to end.
+class _Replicate:
+    """One replicate's own work in the lockstep loop of ``run_replicates``:
+    its rng and stream, the developer's refits, its bound tables, batch
+    scoring and loss ledger, and its trace rows, each one call per step, in
+    the order and with the rng draws of a replicate run alone.
 
-    The loop reads one stream of one of three kinds: the replay of
-    ``batches``, given exactly when ``cfg.scenario`` is INGESTED
-    (``ValueError`` otherwise), or a generated stream whose true risks are
-    exact (``_Exact``, under an affine loss) or sampled (``_Sampled``).
-    The stream gives the initial batch, fitted with ``INITIAL_FIT``, the
-    abstain cost and drift budget, and each step's realized distribution,
-    true risks and batch.  At each step the developer proposes a candidate
-    (``DEVELOPER_FIT`` on a view of one run-sized ``TrainingRows``), the
-    bound table is built, every strategy and the meta-forecaster deploy,
-    and the batch's losses update them.  Empirical risks under an affine
-    loss are ``core.mixture_risks`` of the batch's loss-ledger row; other
-    losses score each status's ensemble with ``core.deployed_risks``.
+    Set-up takes the stream's initial batch, fitted with ``INITIAL_FIT``,
+    its abstain cost and drift budget, and the meta learning rate: fixed,
+    or the largest the guarantee certifies at cost plus margin.
     """
-    if (cfg.scenario is ScenarioKind.INGESTED) != (batches is not None):
-        raise ValueError("batches are replayed exactly when the scenario kind is ingested")
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, replicate]))
-    loss = cfg.loss
-    policy = policy_for_scenario(cfg.scenario)
-    if batches is not None:
-        stream = _Replay(cfg, batches)
-    else:
-        stream = (_Exact if loss.affine else _Sampled)(cfg, rng)
-    horizon, dim = stream.horizon, stream.dim
 
-    # the newest batch's split: the bound table at the next step validates on it
-    train, validation = split_batch(stream.initial, cfg.validation_fraction, rng)
-    first = CandidateModel(fit_logistic(train.features, train.labels, INITIAL_FIT))
-    # index 0 stands for abstention, index t for candidate t
-    candidates = [None, first]
-    delta, drift = stream.costs(first)
-    margin = cfg.margin_mult * delta
-    step_margin = cfg.step_margin_mult * margin
+    def __init__(self, cfg: RunConfig, replicate: int, batches: Optional[Sequence[MonitoringBatch]]):
+        self.cfg, self.loss = cfg, cfg.loss
+        self.rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, replicate]))
+        self.policy = policy_for_scenario(cfg.scenario)
+        if batches is not None:
+            self.stream = _Replay(cfg, batches)
+        else:
+            self.stream = (_Exact if self.loss.affine else _Sampled)(cfg, self.rng)
+        stream = self.stream
+        horizon, dim = stream.horizon, stream.dim
 
-    if cfg.rate_mode == "fixed":
-        rate = cfg.rate
-    else:
-        n = stream.solver_batch
-        inputs = RiskBoundInputs(
-            abstain_cost=delta, step_margin=step_margin, drift=drift, rate=1.0,
-            cover_alpha=cfg.bound_alpha, n_strategies=len(cfg.rows), horizon=horizon,
-            batch_size=n, holdout_size=holdout_size(n, cfg.validation_fraction),
-        )
-        rate = max_learning_rate(delta + margin, inputs)
+        # the newest batch's split: the bound table at the next step validates on it
+        train, self.validation = split_batch(stream.initial, cfg.validation_fraction, self.rng)
+        first = CandidateModel(fit_logistic(train.features, train.labels, INITIAL_FIT))
+        # index 0 stands for abstention, index t for candidate t
+        self.candidates = [None, first]
+        self.delta, drift = stream.costs(first)
+        margin = cfg.margin_mult * self.delta
+        self.step_margin = cfg.step_margin_mult * margin
 
-    meta = init_meta(cfg.rows, rate)
-    m = len(cfg.rows)
-    trace = ReplicateTrace(
-        replicate=replicate, abstain_cost=delta, meta_rate=rate,
-        true_risk=np.zeros(horizon), emp_risk=np.zeros(horizon), abstain_prob=np.zeros(horizon),
-        meta_weights=np.zeros((horizon, m)), meta_top=np.zeros(horizon, dtype=int),
-        strategy_true_risk=np.zeros((horizon, m)), strategy_abstain=np.zeros((horizon, m)),
-        coeff_history=np.zeros((0, dim)), shift_times=(), model_coefs=np.zeros((dim + 1, 0)),
-    )
-
-    train_rows = TrainingRows(stream.capacity, dim)
-    ledger = LossLedger(horizon)
-    # column t - 1 holds candidate t
-    coef_mat = np.zeros((dim + 1, horizon))
-    coef_mat[:, 0] = first.coef
-
-    for t in range(1, horizon + 1):
-        if t >= 2:
-            coef_mat[:, t - 1] = developer_propose(
-                policy, train_rows, coef_mat[:, : t - 1], t, DEVELOPER_FIT
+        if cfg.rate_mode == "fixed":
+            rate = cfg.rate
+        else:
+            n = stream.solver_batch
+            inputs = RiskBoundInputs(
+                abstain_cost=self.delta, step_margin=self.step_margin, drift=drift, rate=1.0,
+                cover_alpha=cfg.bound_alpha, n_strategies=len(cfg.rows), horizon=horizon,
+                batch_size=n, holdout_size=holdout_size(n, cfg.validation_fraction),
             )
-            candidates.append(CandidateModel(coef_mat[:, t - 1].copy()))
-        coefs = coef_mat[:, :t]
-        table = build_bound_table(t, candidates, ledger, validation, loss, delta,
-                                  alpha=cfg.bound_alpha, window=cfg.bound_window,
-                                  step_margin=step_margin)
+            rate = max_learning_rate(self.delta + margin, inputs)
 
-        weights = meta.weights
-        statuses = strategy_statuses(meta, table)
-        combined = combine(statuses, weights)
+        m = len(cfg.rows)
+        self.trace = ReplicateTrace(
+            replicate=replicate, abstain_cost=self.delta, meta_rate=rate,
+            true_risk=np.zeros(horizon), emp_risk=np.zeros(horizon), abstain_prob=np.zeros(horizon),
+            meta_weights=np.zeros((horizon, m)), meta_top=np.zeros(horizon, dtype=int),
+            strategy_true_risk=np.zeros((horizon, m)), strategy_abstain=np.zeros((horizon, m)),
+            coeff_history=np.zeros((0, dim)), shift_times=(), model_coefs=np.zeros((dim + 1, 0)),
+        )
+        self.train_rows = TrainingRows(stream.capacity, dim)
+        self.ledger = LossLedger(horizon)
+        # column t - 1 holds candidate t
+        self.coef_mat = np.zeros((dim + 1, horizon))
+        self.coef_mat[:, 0] = first.coef
+
+    def table(self, t: int):
+        """Step t's bound table, after the developer proposes candidate t."""
+        if t >= 2:
+            self.coef_mat[:, t - 1] = developer_propose(
+                self.policy, self.train_rows, self.coef_mat[:, : t - 1], t, DEVELOPER_FIT
+            )
+            self.candidates.append(CandidateModel(self.coef_mat[:, t - 1].copy()))
+        return build_bound_table(t, self.candidates, self.ledger, self.validation, self.loss, self.delta,
+                                 alpha=self.cfg.bound_alpha, window=self.cfg.bound_window,
+                                 step_margin=self.step_margin)
+
+    def deploy(self, t: int, table, statuses: np.ndarray, combined: np.ndarray, weights: np.ndarray):
+        """Deploy step t's statuses on the stream's batch; record the trace
+        row and return the batch's loss row and the deployed batch risks
+        (each strategy's, then the mixture's)."""
+        cfg, loss, delta, trace = self.cfg, self.loss, self.delta, self.trace
+        coefs = self.coef_mat[:, :t]
         deployed = np.vstack([statuses, combined])
-
-        eval_risks, batch = stream.step(t, table, coefs, deployed)
+        eval_risks, batch = self.stream.step(t, table, coefs, deployed)
         batch_preds = candidate_scores(coefs, batch.features)
-        ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
-        blosses = ledger.row(t, delta)
+        self.ledger.record(t, loss.of_array(batch_preds, batch.labels[:, None]))
+        blosses = self.ledger.row(t, delta)
         if loss.affine:
             batch_risks = mixture_risks(deployed, blosses)
         else:
@@ -1222,21 +1227,77 @@ def run_replicate(
         trace.strategy_true_risk[t - 1] = eval_risks[:-1]
         trace.strategy_abstain[t - 1] = statuses[:, 0]
 
-        train, validation = split_batch(batch, cfg.validation_fraction, rng)
-        train_rows.add(batch, train)
+        train, self.validation = split_batch(batch, cfg.validation_fraction, self.rng)
+        self.train_rows.add(batch, train)
         trace.emp_risk[t - 1] = batch_risks[-1]
+        return blosses, batch_risks
 
+    def finish(self) -> ReplicateTrace:
+        self.trace.coeff_history, self.trace.shift_times = self.stream.history()
+        self.trace.model_coefs = self.coef_mat.copy()
+        return self.trace
+
+
+def run_replicates(
+    cfg: RunConfig,
+    replicates: Sequence[int],
+    batches: Optional[Sequence[MonitoringBatch]] = None,
+) -> list[ReplicateTrace]:
+    """Run the given replicates of the run ``cfg`` in lockstep, one trace
+    each, in the order given.
+
+    Each replicate reads one stream of one of three kinds: the replay of
+    ``batches``, given exactly when ``cfg.scenario`` is INGESTED
+    (``ValueError`` otherwise), or a generated stream whose true risks are
+    exact (``_Exact``, under an affine loss) or sampled (``_Sampled``).
+    At each step every replicate's developer proposes a candidate
+    (``DEVELOPER_FIT`` on a view of its run-sized ``TrainingRows``) and
+    builds its bound table; then one stacked call of ``strategy_statuses``
+    and ``combine`` deploys every replicate's strategies and meta-forecaster
+    (``RiskBoundTable.stack``).  Each replicate draws its batch, scores it
+    and records its trace row; one stacked ``meta_advance`` absorbs every
+    batch.  Empirical risks under an affine loss are ``core.mixture_risks``
+    of the batch's loss-ledger row; other losses score each status's
+    ensemble with ``core.deployed_risks``.  A replicate's own work, from
+    its rng draws to every matrix product, is one call per replicate, so
+    its trace is bit for bit the one it has when run alone.
+    """
+    if (cfg.scenario is ScenarioKind.INGESTED) != (batches is not None):
+        raise ValueError("batches are replayed exactly when the scenario kind is ingested")
+    reps = [_Replicate(cfg, r, batches) for r in replicates]
+    if not reps:
+        return []
+    horizon = reps[0].stream.horizon
+    meta = init_meta(cfg.rows, np.array([rep.trace.meta_rate for rep in reps]))
+    for t in range(1, horizon + 1):
+        tables = [rep.table(t) for rep in reps]
+        table = RiskBoundTable.stack(tables)
+        weights = meta.weights
+        statuses = strategy_statuses(meta, table)
+        combined = combine(statuses, weights)
+        rows = [rep.deploy(t, *step) for rep, *step in zip(reps, tables, statuses, combined, weights)]
+        blosses, batch_risks = map(np.array, zip(*rows))
         if t < horizon:
-            meta = meta_advance(meta, table, blosses, batch_risks[:-1])
-            stream.observe(table, blosses)
+            meta = meta_advance(meta, table, blosses, batch_risks[:, :-1])
+            for rep, tb, bl in zip(reps, tables, blosses):
+                rep.stream.observe(tb, bl)
+    return [rep.finish() for rep in reps]
 
-    trace.coeff_history, trace.shift_times = stream.history()
-    trace.model_coefs = coef_mat.copy()
-    return trace
+
+def run_replicate(
+    cfg: RunConfig,
+    replicate: int,
+    batches: Optional[Sequence[MonitoringBatch]] = None,
+) -> ReplicateTrace:
+    """Run one replicate of the run ``cfg`` end to end: the lockstep loop
+    of ``run_replicates`` over that replicate alone."""
+    return run_replicates(cfg, [replicate], batches)[0]
 
 
 def run_experiment(
     cfg: RunConfig, batches: Optional[Sequence[MonitoringBatch]] = None
 ) -> list[ReplicateTrace]:
-    """Run the ``cfg.replicates`` independent replicates of one run, serially."""
-    return [run_replicate(cfg, r, batches=batches) for r in range(cfg.replicates)]
+    """Run the ``cfg.replicates`` replicates of one run, all in one
+    lockstep loop (``run_replicates``); each trace equals its replicate's
+    ``run_replicate``."""
+    return run_replicates(cfg, range(cfg.replicates), batches)

@@ -22,6 +22,12 @@ with one hyperparameter triple per row; a single strategy is a one-row
 bank.  The prior either stays (probability 1 - approve_prob) or hops
 uniformly to a newer state, a fixed-share update (Herbster & Warmuth
 1998), so one cumulative sum applies it in O(t) per row.
+
+A bank may also stack R replicates' weights, (R, m, t+1), under one set
+of rows; with a stacked table (``RiskBoundTable.stack``) each step then
+costs one call for all replicates.  Every operation is elementwise or
+along the last axis, so each replicate's weights are bit for bit the
+ones it has in a bank of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +64,8 @@ REPEATED_TTEST = (0.5, 1e4, 0.0)
 class StrategyBank:
     """Carried weights of m strategies entering decision time ``time_index``.
 
-    Row i of ``log_weights`` (shape (m, time_index + 1)) is strategy i's
+    Row i of ``log_weights`` (shape (m, time_index + 1), or (R, m,
+    time_index + 1) for a stack of R replicates) is strategy i's
     pre-optimism probability over {abstain, candidates}; ``approve_prob``,
     ``optimism`` and ``learn_rate`` hold its row of hyperparameters.  The
     abstain cost and the veto come from each step's ``RiskBoundTable``.
@@ -74,9 +81,9 @@ class StrategyBank:
         object.__setattr__(self, "log_weights", lw)
         for name in ("approve_prob", "optimism", "learn_rate"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        if lw.ndim != 2:
-            raise ValueError("log_weights must have shape (m, time_index + 1)")
-        if any(len(p) != len(lw) for p in (self.approve_prob, self.optimism, self.learn_rate)):
+        if lw.ndim not in (2, 3):
+            raise ValueError("log_weights must have shape ([replicates,] m, time_index + 1)")
+        if any(len(p) != lw.shape[-2] for p in (self.approve_prob, self.optimism, self.learn_rate)):
             raise ValueError("one approve_prob, optimism and learn_rate per row required")
         if outside(self.approve_prob, 0.0, 1.0):
             raise ValueError("approve_prob must lie in [0, 1]")
@@ -88,7 +95,7 @@ class StrategyBank:
 
     @property
     def time_index(self) -> int:
-        return self.log_weights.shape[1] - 1
+        return self.log_weights.shape[-1] - 1
 
     @property
     def weights(self) -> np.ndarray:
@@ -128,9 +135,16 @@ def init_bank(rows: Sequence[Sequence[float]]) -> StrategyBank:
     return StrategyBank(log_weights, a, o, l)
 
 
+def _check_table(bank: StrategyBank, table: RiskBoundTable) -> None:
+    if table.time_index != bank.time_index:
+        raise ValueError("bound table and bank refer to different times")
+    if table.bounds.shape[:-1] != bank.log_weights.shape[:-2]:
+        raise ValueError("bound table and bank stack different replicates")
+
+
 def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
-    """Statuses deployed at time t, shape (m, t+1): carried weights,
-    reweighted by the bounds.
+    """Statuses deployed at time t, shape (m, t+1), or (R, m, t+1) for a
+    stacked bank and table: carried weights, reweighted by the bounds.
 
     Each entry is proportional to w_j * exp(-optimism * bound_j), with
     the candidates the table vetoes zeroed.  Abstention always
@@ -138,17 +152,17 @@ def optimistic_step(bank: StrategyBank, table: RiskBoundTable) -> np.ndarray:
     on any feasible entry, in which case the only feasible act is pure
     abstention.
     """
-    if table.time_index != bank.time_index:
-        raise ValueError("bound table and bank refer to different times")
-    logw = bank.log_weights - bank.optimism[:, None] * table.bounds
-    return softmax(np.where(table.feasible, logw, NEG_INF))
+    _check_table(bank, table)
+    logw = bank.log_weights - bank.optimism[:, None] * table.bounds[..., None, :]
+    return softmax(np.where(table.feasible[..., None, :], logw, NEG_INF))
 
 
 def advance(bank: StrategyBank, batch_losses: np.ndarray, table: RiskBoundTable) -> StrategyBank:
     """Move to time t+1: loss update, then the prior's transition.
 
     ``batch_losses`` holds the empirical augmented risk of every entry on
-    the step's monitoring batch (index 0 is the abstain cost).  Each row is
+    the step's monitoring batch (index 0 is the abstain cost), one row per
+    replicate for a stacked bank and table.  Each row is
     reweighted by exp(-learn_rate * loss); the step's ``table.feasible``
     zeroes the entries that violated the bound constraint first, keeping
     the recursion consistent with the sequence-level constraints (a row
@@ -157,21 +171,20 @@ def advance(bank: StrategyBank, batch_losses: np.ndarray, table: RiskBoundTable)
     """
     losses = np.asarray(batch_losses, dtype=float)
     t = bank.time_index
-    if table.time_index != t:
-        raise ValueError("bound table and bank refer to different times")
-    if losses.shape != (t + 1,):
+    _check_table(bank, table)
+    if losses.shape != table.bounds.shape:
         raise ValueError("batch_losses must have length time_index + 1")
     if outside(losses, -1e-12, 1.0 + 1e-12):
         raise ValueError("losses must lie in [0, 1]")
-    if abs(losses[0] - table.bounds[0]) > 1e-9:
+    if outside(losses[..., 0] - table.bounds[..., 0], -1e-9, 1e-9):
         raise ValueError("entry 0 of batch_losses must equal the abstain cost")
-    logv = bank.log_weights - bank.learn_rate[:, None] * losses
-    v = softmax(np.where(table.feasible, logv, NEG_INF))
+    logv = bank.log_weights - bank.learn_rate[:, None] * losses[..., None, :]
+    v = softmax(np.where(table.feasible[..., None, :], logv, NEG_INF))
     a = bank.approve_prob[:, None]
-    nxt = np.zeros((len(v), t + 2))
-    nxt[:, : t + 1] = (1.0 - a) * v
-    nxt[:, 1:] += a * np.cumsum(v / (t + 1 - np.arange(t + 1)), axis=1)
-    total = nxt.sum(axis=1, keepdims=True)
+    nxt = np.zeros(v.shape[:-1] + (t + 2,))
+    nxt[..., : t + 1] = (1.0 - a) * v
+    nxt[..., 1:] += a * np.cumsum(v / (t + 1 - np.arange(t + 1)), axis=-1)
+    total = nxt.sum(axis=-1, keepdims=True)
     if outside(total, 1.0 - RENORM_TOL, 1.0 + RENORM_TOL):
         raise ValueError("advanced weights are not normalised")
     return replace(bank, log_weights=safe_log(nxt / total))

@@ -486,7 +486,9 @@ class TestCsvBytes:
             )
             for r in range(replicates)
         ]
+        # a chunk of one replicate runs through run_replicate, a longer one in lockstep
         monkeypatch.setattr(cli, "run_replicate", lambda cfg, r, **kw: traces[r])
+        monkeypatch.setattr(cli, "run_replicates", lambda cfg, chunk, batches: [traces[r] for r in chunk])
         cfg = RunConfig(scenario=ScenarioKind.IID_GOOD_MODELS, horizon=horizon,
                         replicates=replicates, rows=GRID12[:m], out=str(tmp_path / "any"))
         result = run(cfg)
@@ -988,10 +990,14 @@ class TestProcessIsolation:
         assert serial["meta_rates"] == pooled["meta_rates"] != [cfg.rate] * cfg.replicates
         assert serial["steps"].read_bytes() == pooled["steps"].read_bytes()
 
-    def test_worker_pool_matches_serial(self, tmp_path):
-        config = write_config(tmp_path)
-        cfg = load_config(config)
-        import dataclasses
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("replicates", [2, 3])
+    def test_worker_pool_matches_serial(self, tmp_path, replicates, workers):
+        # each worker steps a contiguous chunk of replicates in lockstep; three
+        # replicates on two workers split unevenly, into chunks of one and two
+        cfg = dataclasses.replace(load_config(write_config(tmp_path)), replicates=replicates)
         serial = run(dataclasses.replace(cfg, out=str(tmp_path / "serial"), threads=1))
-        pooled = run(dataclasses.replace(cfg, out=str(tmp_path / "pooled"), threads=2))
+        pooled = run(dataclasses.replace(cfg, out=str(tmp_path / "pooled"), threads=workers))
+        assert [tr.replicate for tr in pooled["traces"]] == list(range(replicates))
         assert serial["steps"].read_bytes() == pooled["steps"].read_bytes()
+        assert serial["summary"].read_bytes() == pooled["summary"].read_bytes()

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelgate.bounds import RiskBoundTable
 from modelgate.meta import (
@@ -139,6 +140,79 @@ class TestMetaForecaster:
         mixed = combine(statuses, state.weights)
         assert statuses.shape == (4, state.time_index + 1)
         assert np.allclose(mixed, statuses.mean(axis=0), atol=1e-10)
+
+
+def stack_step_inputs(rng, replicates, t, costs):
+    """Each replicate's table at time t (some candidates vetoed, at its own
+    abstain cost and step margin), its batch loss row and its strategies'
+    batch risks."""
+    tables, losses = [], []
+    for cost in costs:
+        margin = float(rng.choice([0.0, 0.05]))
+        bounds = np.r_[cost, rng.uniform(cost - 0.1, cost + margin + 0.1, size=t)]
+        tables.append(RiskBoundTable(bounds, margin))
+        losses.append(np.r_[cost, rng.random(t)])
+    return tables, np.array(losses), rng.random((replicates, len(ROWS)))
+
+
+class TestStackedMeta:
+    """A stack of R replicates' forecasters steps bit for bit as R separate ones."""
+
+    @given(replicates=st.integers(1, 4), steps=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           zero_rate=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_separate_calls(self, replicates, steps, seed, zero_rate):
+        rng = np.random.default_rng(seed)
+        rates = rng.uniform(0.0, 3.0, size=replicates)
+        if zero_rate:
+            rates[0] = 0.0
+        costs = rng.uniform(0.1, 0.4, size=replicates)
+        stack = init_meta(ROWS, rates)
+        singles = [init_meta(ROWS, float(r)) for r in rates]
+        for t in range(1, steps + 1):
+            tables, losses, risks = stack_step_inputs(rng, replicates, t, costs)
+            table = RiskBoundTable.stack(tables)
+            statuses = strategy_statuses(stack, table)
+            mixed = combine(statuses, stack.weights)
+            for k, single in enumerate(singles):
+                own = strategy_statuses(single, tables[k])
+                assert np.array_equal(stack.weights[k], single.weights)
+                assert np.array_equal(statuses[k], own)
+                assert np.array_equal(mixed[k], combine(own, single.weights))
+            stack = meta_advance(stack, table, losses, risks)
+            singles = [meta_advance(s, tables[k], losses[k], risks[k]) for k, s in enumerate(singles)]
+            for k, single in enumerate(singles):
+                assert np.array_equal(stack.log_weights[k], single.log_weights)
+                assert np.array_equal(stack.bank.log_weights[k], single.bank.log_weights)
+
+    def test_every_check_still_raises_for_one_replicate_of_a_stack(self):
+        rng = np.random.default_rng(4)
+        stack = init_meta(ROWS, np.array([1.0, 2.0]))
+        tables, losses, risks = stack_step_inputs(rng, 2, 1, [0.2, 0.3])
+        table = RiskBoundTable.stack(tables)
+        bad = risks.copy()
+        bad[1, 3] = 1.4
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            meta_advance(stack, table, losses, bad)
+        bad = losses.copy()
+        bad[1, 1] = -0.5
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            meta_advance(stack, table, bad, risks)
+        bad = losses.copy()
+        bad[0, 0] = 0.9
+        with pytest.raises(ValueError, match="abstain cost"):
+            meta_advance(stack, table, bad, risks)
+        statuses = strategy_statuses(stack, table)
+        weights = stack.weights.copy()
+        weights[1] = 0.0
+        with pytest.raises(ValueError, match="positive total mass"):
+            combine(statuses, weights)
+        with pytest.raises(ValueError, match="one weight per status row"):
+            combine(statuses, stack.weights[0])
+        with pytest.raises(ValueError, match="one meta_rate per replicate"):
+            replace(stack, meta_rate=1.0)
+        with pytest.raises(ValueError, match="meta_rate must be >= 0"):
+            init_meta(ROWS, np.array([1.0, -1.0]))
 
 
 class TestTailAlpha:

@@ -33,6 +33,7 @@ from modelgate.sim import (
     label_score_means,
     logistic_objective,
     policy_for_scenario,
+    run_experiment,
     run_replicate,
     sigmoid,
     solve_signal_scale,
@@ -330,7 +331,7 @@ class TestDeveloperPolicies:
         ref_labels = np.concatenate([history[0].labels, trains[1].labels])
         ref = fit_logistic(ref_feats, ref_labels, FitConfig(iterations=50))
         assert np.allclose(coef, ref)
-        # the newest candidate reaches fit_logistic as the start, and a
+        # the newest candidate reaches the fit as the start, and a
         # start at the optimum is kept
         warm = developer_propose(
             DeveloperPolicy("all_data"), rows, np.column_stack([zero, ref]), 3, FitConfig(iterations=50)
@@ -362,18 +363,19 @@ def assert_traces_bitwise_equal(a, b):
 
 
 def recording_fits(monkeypatch):
-    """Copies of ``(features, labels, start)`` of every ``sim.fit_logistic``
-    call made while ``monkeypatch`` is active."""
+    """Copies of ``(design, labels01, start)`` of every call of the Newton
+    kernel that ``fit_logistic`` and the developer's refits share, made
+    while ``monkeypatch`` is active."""
     import modelgate.sim as sim
 
     calls = []
-    real = sim.fit_logistic
+    real = sim._newton
 
-    def recording(features, labels, cfg, start=None):
-        calls.append((features.copy(), labels.copy(), None if start is None else np.array(start)))
-        return real(features, labels, cfg, start=start)
+    def recording(xd, y01, cfg, start):
+        calls.append((xd.copy(), y01.copy(), None if start is None else np.array(start)))
+        return real(xd, y01, cfg, start)
 
-    monkeypatch.setattr(sim, "fit_logistic", recording)
+    monkeypatch.setattr(sim, "_newton", recording)
     return calls
 
 
@@ -437,8 +439,8 @@ class TestRefitPath:
             rows.add(history[t - 2], splits[t - 2][0])
             developer_propose(policy, rows, coefs[:, : t - 1], t, FitConfig())
             features, labels = stacked_window(policy, history, splits, t)
-            assert bitwise_equal(calls[-1][0], features)
-            assert bitwise_equal(calls[-1][1], labels)
+            assert bitwise_equal(calls[-1][0], np.hstack([features, np.ones((len(features), 1))]))
+            assert bitwise_equal(calls[-1][1], np.where(labels > 0, 1.0, 0.0))
         assert len(calls) == 12
 
     def test_developer_needs_every_earlier_batch(self):
@@ -1058,6 +1060,45 @@ class TestExactDrift:
             exact_drift(tr.coeff_history, tr.model_coefs[:, :-1], tr.abstain_cost, 3, HINGE)
 
 
+LOCKSTEP_RUNS = {
+    "replay": (replay_config(dim=3, replicates=3), replay_batches([60] + UNEQUAL[:7])),
+    "exact_adaptive": (small_scenario(ScenarioKind.ADAPTIVE_SHIFTS, seed=12, horizon=9, replicates=3), None),
+    "sampled": (small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=13, horizon=9, replicates=3,
+                               loss_scale=1.0), None),
+}
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("name", LOCKSTEP_RUNS)
+    def test_experiment_equals_its_replicates_run_alone(self, name, monkeypatch):
+        import modelgate.sim as sim
+
+        cfg, batches = LOCKSTEP_RUNS[name]
+        stacks = []
+        real = sim.strategy_statuses
+
+        def recording(meta, table):
+            stacks.append(table.bounds.shape[0])
+            return real(meta, table)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sim, "strategy_statuses", recording)
+            traces = run_experiment(cfg, batches)
+        # one loop steps all three replicates: one stacked call per step
+        assert stacks == [3] * traces[0].horizon
+        assert [tr.replicate for tr in traces] == [0, 1, 2]
+        for r, tr in enumerate(traces):
+            assert_traces_bitwise_equal(tr, run_replicate(cfg, r, batches=batches))
+
+    def test_the_runs_reach_each_stream_kind(self):
+        import modelgate.sim as sim
+
+        replay, exact, sampled = (sim._Replicate(cfg, 0, b).stream for cfg, b in LOCKSTEP_RUNS.values())
+        assert (type(replay), type(exact), type(sampled)) == (sim._Replay, sim._Exact, sim._Sampled)
+        # the adversary moves the distribution within the short horizon
+        assert run_replicate(LOCKSTEP_RUNS["exact_adaptive"][0], 1).shift_times
+
+
 class TestRunReplicate:
     def test_bit_identical_reruns(self):
         sc = small_scenario(ScenarioKind.SMALL_FREQUENT_SHIFTS, seed=77,
@@ -1130,7 +1171,9 @@ class TestRunReplicate:
 
         def recording(meta, table):
             statuses = real(meta, table)
-            seen.append((table.bounds.copy(), statuses.copy()))
+            # run_replicate steps its replicate as a stack of one
+            assert statuses.shape[0] == table.bounds.shape[0] == 1
+            seen.append((table.bounds[0].copy(), statuses[0].copy()))
             return statuses
 
         monkeypatch.setattr(sim, "strategy_statuses", recording)
@@ -1156,6 +1199,8 @@ class TestRunReplicate:
         real = sim.strategy_statuses
 
         def recording(meta, table):
+            # run_replicate steps its replicate as a stack of one
+            assert table.bounds.shape[0] == 1
             tables.append(table)
             return real(meta, table)
 
@@ -1166,10 +1211,10 @@ class TestRunReplicate:
         assert len(tables) == cfg.horizon
         by_margin = 0
         for table in tables:
-            assert table.step_margin == step_margin
-            bounds = table.bounds[1:]
-            assert np.array_equal(table.feasible[1:], bounds <= tr.abstain_cost + step_margin + 1e-12)
-            by_margin += int(np.sum((bounds > tr.abstain_cost) & table.feasible[1:]))
+            assert table.step_margin.tolist() == [step_margin]
+            bounds, feasible = table.bounds[0, 1:], table.feasible[0, 1:]
+            assert np.array_equal(feasible, bounds <= tr.abstain_cost + step_margin + 1e-12)
+            by_margin += int(np.sum((bounds > tr.abstain_cost) & feasible))
         assert by_margin
 
     def test_generated_trace_passes_drift_check(self):

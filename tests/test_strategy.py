@@ -367,3 +367,92 @@ class TestReductions:
         assert bank.weights[0, 1] > 0.0  # re-seeded by the transition
         status = optimistic_step(bank, open_table(2))
         assert status[0, 1] > 0.0
+
+
+# rows that reach the corner cases: the fail-safe, optimism 1e4 at learn_rate
+# 0 (the repeated tester), learn_rate 0 alone, and approve_prob 1, which
+# leaves no abstention mass, so a table that vetoes every candidate leaves
+# that row no feasible mass at all
+STACK_ROWS = [(0.0, 0.0, 0.0), REPEATED_TTEST, (0.3, 0.0, 0.0), (1.0, 0.0, 1.0), (0.5, 10.0, 10.0)]
+
+
+def replicate_history(rng, t):
+    """One replicate's bank entering time t, its own step margin and abstain
+    cost, and its table at t: each candidate vetoed or open at random, or all
+    of them vetoed."""
+    cost = float(rng.uniform(0.1, 0.4))
+    margin = float(rng.choice([0.0, 0.02, 0.05]))
+
+    def table(s, closed=False):
+        bounds = np.empty(s + 1)
+        bounds[0] = cost
+        bounds[1:] = rng.uniform(cost - 0.1, cost + margin + 0.1, size=s)
+        if closed:
+            bounds[1:] = cost + margin + 0.5
+        return RiskBoundTable(bounds, margin)
+
+    bank = init_bank(STACK_ROWS)
+    for s in range(1, t):
+        bank = advance(bank, np.r_[cost, rng.random(s)], table(s))
+    return bank, table(t, closed=bool(rng.random() < 0.3)), cost
+
+
+class TestStackedBank:
+    """A stack of R replicates' banks steps bit for bit as R separate banks."""
+
+    @given(replicates=st.integers(1, 4), t=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_stack_equals_separate_calls(self, replicates, t, seed):
+        rng = np.random.default_rng(seed)
+        parts = [replicate_history(rng, t) for _ in range(replicates)]
+        banks, tables, costs = zip(*parts)
+        losses = np.array([np.r_[cost, rng.random(t)] for cost in costs])
+        stack = StrategyBank(np.stack([b.log_weights for b in banks]), *np.array(STACK_ROWS).T)
+        table = RiskBoundTable.stack(tables)
+        statuses = optimistic_step(stack, table)
+        nxt = advance(stack, losses, table)
+        assert statuses.shape == (replicates, len(STACK_ROWS), t + 1)
+        for k in range(replicates):
+            assert np.array_equal(statuses[k], optimistic_step(banks[k], tables[k]))
+            assert np.array_equal(nxt.log_weights[k], advance(banks[k], losses[k], tables[k]).log_weights)
+
+    def test_stack_reaches_a_row_without_feasible_mass(self):
+        # the corner the property covers: approve_prob 1 under a closed table
+        rng = np.random.default_rng(1)
+        bank, table, _ = replicate_history(rng, 3)
+        closed = RiskBoundTable(np.r_[table.bounds[0], np.full(3, 0.99)], table.step_margin)
+        stack = RiskBoundTable.stack([table, closed])
+        statuses = optimistic_step(StrategyBank(np.stack([bank.log_weights] * 2), *np.array(STACK_ROWS).T), stack)
+        assert bank.weights[3, 0] == 0.0
+        assert statuses[1, 3].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(statuses[0], optimistic_step(bank, table))
+
+    def stack_of_two(self):
+        rng = np.random.default_rng(2)
+        (a, ta, ca), (b, tb, cb) = replicate_history(rng, 3), replicate_history(rng, 3)
+        stack = StrategyBank(np.stack([a.log_weights, b.log_weights]), *np.array(STACK_ROWS).T)
+        losses = np.array([np.r_[ca, rng.random(3)], np.r_[cb, rng.random(3)]])
+        return stack, RiskBoundTable.stack([ta, tb]), losses
+
+    def test_every_check_still_raises_for_one_replicate_of_a_stack(self):
+        stack, table, losses = self.stack_of_two()
+        advance(stack, losses, table)
+        unnormalised = stack.log_weights.copy()
+        unnormalised[1, 2, 0] += 0.1
+        with pytest.raises(ValueError, match="not normalised"):
+            StrategyBank(unnormalised, *np.array(STACK_ROWS).T)
+        bad = losses.copy()
+        bad[1, 2] = 1.5
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            advance(stack, bad, table)
+        bad = losses.copy()
+        bad[1, 0] += 0.01
+        with pytest.raises(ValueError, match="abstain cost"):
+            advance(stack, bad, table)
+        with pytest.raises(ValueError, match="length time_index"):
+            advance(stack, losses[0], table)
+        with pytest.raises(ValueError, match="different replicates"):
+            optimistic_step(stack, RiskBoundTable.stack([table, table]))
+        object.__setattr__(stack, "learn_rate", np.r_[stack.learn_rate[:-1], np.nan])
+        with pytest.raises(ValueError, match="not normalised"):
+            advance(stack, losses, table)
