@@ -225,7 +225,8 @@ _SCHEMA = (
     _Key("run", "dim", "dim", _INT, _at_least(1),
          "at least 2 for small_frequent_shifts, whose shifts are rotations"),
     _Key("run", "bayes_risk", "bayes_risk", _FLOAT, _half_open(MIN_BAYES_RISK, 0.5),
-         "best-in-class hinge risk; the least is its value at coefficient norm 60"),
+         "exact best-in-class hinge risk; the least is its value at coefficient norm 15 "
+         "(about 0.0528)"),
     _Key("run", "initial_batches", "initial_batches", _INT, _at_least(1),
          "pre-deployment data volume"),
     _Key("run", "drift", "drift", _FLOAT, _at_least(0), "unset: the realized abstain cost"),

@@ -1,14 +1,15 @@
 """Non-stationary stream generators, the model developer, and the full loop.
 
 Four synthetic scenarios drive a binary-classification stream whose
-label law is logistic in the features.  A distribution shift moves the
-generating coefficients as far as the drift budget allows: its windowed
-risk change over the live candidate models (``_window_gaps``, a
-finite-class stand-in for the worst case over all predictors) stays
-within SHIFT_SAFETY x budget.  A rotation stops at the last feasible
-multiple of 2**-SHIFT_GRID_BITS along its path (``_budgeted_move``); a
-sign flip keeps the longest feasible prefix of its coordinates
-(``_flip_subset``).
+label law is logistic in the features, at the coefficient norm whose exact
+best-in-class risk is the configured one (``solve_signal_scale``).  A
+distribution shift moves the generating coefficients as far as the drift
+budget allows: its windowed risk change over the live candidate models
+(``_window_gaps``, a finite-class stand-in for the worst case over all
+predictors) stays within SHIFT_SAFETY x budget.  A rotation stops at the
+last feasible multiple of 2**-SHIFT_GRID_BITS along its path
+(``_budgeted_move``); a sign flip keeps the longest feasible prefix of its
+coordinates (``_flip_subset``).
 
 The experiment loop steps a run's replicates in lockstep, each reading
 its own stream, replayed or generated: each replicate proposes a model
@@ -198,24 +199,6 @@ def sigmoid(m: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-m))
 
 
-def bayes_hinge_risk(signal_scale: float) -> float:
-    """Clipped-hinge risk of the true-coefficient predictor, as the
-    64-node Gauss-Hermite rule evaluates it.
-
-    For standard-normal features and logistic labels the margin is
-    Gaussian with standard deviation equal to the coefficient norm, and
-    the risk reduces to E[1 / (2 cosh^2(m/2))].  The rule is exact only
-    for polynomials of degree below 128, and it undershoots this integrand:
-    at norm 7.488 it gives 0.10000 where the exact risk is 0.10361, and
-    the gap widens at larger norms.
-    """
-    # cosh^2 overflows to inf at the outer nodes above norm 47; 1/inf is
-    # the correct 0, so silence the warning as sigmoid does
-    with np.errstate(over="ignore"):
-        vals = 1.0 / (2.0 * np.cosh(signal_scale * _HERMITE_X / 2.0) ** 2)
-    return float(np.sum(_HERMITE_W * vals) / math.sqrt(2.0 * math.pi))
-
-
 def _trapezoid_nodes() -> tuple[np.ndarray, np.ndarray]:
     half = round(QUAD_HALF_WIDTH / QUAD_STEP)
     z = QUAD_STEP * np.arange(-half, half + 1)
@@ -223,14 +206,6 @@ def _trapezoid_nodes() -> tuple[np.ndarray, np.ndarray]:
 
 
 _NODES, _WEIGHTS = _trapezoid_nodes()
-# the rule of bayes_hinge_risk, built once: each build is an eigenvalue
-# solve that costs about a hundred times as much as evaluating the rule
-_HERMITE_X, _HERMITE_W = np.polynomial.hermite_e.hermegauss(64)
-#: The bracket ``solve_signal_scale`` searches is norms [0, MAX_SIGNAL_SCALE];
-#: MIN_BAYES_RISK, the rule's value at its top (about 4.9e-6), is the
-#: smallest target it reaches.
-MAX_SIGNAL_SCALE = 60.0
-MIN_BAYES_RISK = bayes_hinge_risk(MAX_SIGNAL_SCALE)
 
 
 def label_score_means(
@@ -248,7 +223,8 @@ def label_score_means(
     both coordinates; ``2 sigma(m) - 1`` is written ``tanh(m / 2)``.  The
     integrand is analytic in a strip of half-width pi / n, with n the larger
     of |beta| and |w|, so the rule's error falls like exp(-2 pi^2 / (n *
-    QUAD_STEP)): below 1e-8 up to n = 10.  Each candidate is integrated on
+    QUAD_STEP)): for beta's own column it is 3.5e-8 at |beta| = 10 and
+    1.1e-5 at 15.  Each candidate is integrated on
     its own, from a view of its column of ``coefs``, so its value does not
     depend on which others share the call.  (A contiguous copy of the
     column may take another BLAS path for ``beta @ w`` and change the last
@@ -276,12 +252,26 @@ def label_score_means(
     return out
 
 
+def bayes_hinge_risk(signal_scale: float) -> float:
+    """Clipped-hinge risk (scale 2) at coefficient norm ``signal_scale`` of
+    the true-coefficient predictor: its own label law's column, intercept 0."""
+    beta = np.array([signal_scale])
+    return float(affine_loss_mean(label_score_means(beta, np.array([[signal_scale], [0.0]]))[0], 2.0))
+
+
+#: ``solve_signal_scale`` searches norms [0, MAX_SIGNAL_SCALE], up to which
+#: ``bayes_hinge_risk`` is within 1e-5 of exact (5.5e-6 at 15, 8.2e-5 at 20);
+#: MIN_BAYES_RISK, its value there (about 0.0528), is the least target.
+MAX_SIGNAL_SCALE = 15.0
+MIN_BAYES_RISK = bayes_hinge_risk(MAX_SIGNAL_SCALE)
+
+
 @lru_cache(maxsize=64)
 def solve_signal_scale(target_risk: float) -> float:
-    """Coefficient norm in [0, MAX_SIGNAL_SCALE] at which
-    ``bayes_hinge_risk`` hits the target: the quadrature's value, not the
-    exact best-in-class risk.  A target below MIN_BAYES_RISK, which no norm
-    in the bracket reaches, raises ValueError.
+    """Coefficient norm in [0, MAX_SIGNAL_SCALE] at which the exact
+    best-in-class risk, ``bayes_hinge_risk``, hits the target: to 1.25e-8
+    over [0.08, 0.5), to 1e-5 below.  A target below MIN_BAYES_RISK, which
+    no norm in the bracket reaches, raises ValueError.
 
     Bisection stops once the midpoint rounds onto an end, where the
     bracket can no longer shrink.
@@ -1045,8 +1035,8 @@ class _Replay(_Stream):
 
 class _Generated(_Stream):
     """A simulated scenario, drawn from the replicate's rng, scaled so that
-    the 64-node rule of ``bayes_hinge_risk`` gives ``cfg.bayes_risk`` (the
-    exact risk is higher: 0.1036 at the default 0.10).  The initial model
+    the exact best-in-class risk is ``cfg.bayes_risk`` (``solve_signal_scale``:
+    norm 7.7731 at the default 0.10).  The initial model
     sees ``cfg.initial_batches`` batches of the first distribution, which
     step 1 keeps (no shift fires inside the warm-up).  The adaptive
     scenario's shadow tester lives here: only the shift reacts to it."""

@@ -181,8 +181,8 @@ class TestLoadConfig:
         assert err.startswith(f"config error: {key.name}: ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    # below the least risk any norm in the signal-scale bracket reaches
-    @pytest.mark.parametrize("value", ["1e-07", repr(math.nextafter(MIN_BAYES_RISK, 0.0)), "0.0"])
+    # below the least risk any norm in the signal-scale bracket reaches, about 0.0528
+    @pytest.mark.parametrize("value", ["0.05", "1e-07", repr(math.nextafter(MIN_BAYES_RISK, 0.0)), "0.0"])
     def test_unreachable_bayes_risk_is_exit_2(self, tmp_path, capsys, value):
         config = write_config(tmp_path, ini({
             ("run", "scenario"): "iid_good_models", ("run", "horizon"): 2,

@@ -18,6 +18,7 @@ from modelgate.core import (
 from modelgate.sim import (
     EVAL_BLOCK_ROWS,
     FIT_GRAD_TOL,
+    MAX_SIGNAL_SCALE,
     MIN_BAYES_RISK,
     DeveloperPolicy,
     FitConfig,
@@ -70,20 +71,24 @@ def column(coef):
     return np.asarray(coef, dtype=float)[:, None]
 
 
-def per_call_hinge_risk(signal_scale):
-    """The former ``bayes_hinge_risk``: a fresh 64-node rule on every call."""
-    x, w = np.polynomial.hermite_e.hermegauss(64)
-    with np.errstate(over="ignore"):
-        vals = 1.0 / (2.0 * np.cosh(signal_scale * x / 2.0) ** 2)
-    return float(np.sum(w * vals) / math.sqrt(2.0 * math.pi))
+def fine_hinge_risk(signal_scale, step=0.001, half_width=8.5):
+    """The exact best-in-class clipped-hinge risk at coefficient norm s,
+    ``(1 - E[tanh^2(s z / 2)]) / 2`` for z standard normal, by the 1-D
+    trapezoid rule at ``step`` on [-half_width, half_width]: the integrand
+    is analytic in a strip of half-width pi / s, so the rule's error is
+    about exp(-2 pi^2 / (s * step)), far below rounding up to norm 60."""
+    z = step * np.arange(-round(half_width / step), round(half_width / step) + 1)
+    wz = step * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return float((1.0 - wz @ np.tanh(0.5 * signal_scale * z) ** 2) / 2.0)
 
 
 def bisect_200_steps(target_risk):
-    """The former ``solve_signal_scale``: 200 bisection steps on [0, 60]."""
-    lo, hi = 0.0, 60.0
+    """``solve_signal_scale`` without its early stop: 200 bisection steps
+    on [0, MAX_SIGNAL_SCALE]."""
+    lo, hi = 0.0, MAX_SIGNAL_SCALE
     for _ in range(200):
         mid = (lo + hi) / 2.0
-        if per_call_hinge_risk(mid) > target_risk:
+        if bayes_hinge_risk(mid) > target_risk:
             lo = mid
         else:
             hi = mid
@@ -91,17 +96,14 @@ def bisect_200_steps(target_risk):
 
 
 class TestSignalScale:
-    @settings(max_examples=200, deadline=None)
-    @given(st.floats(0.0, 60.0))
-    def test_rule_matches_a_fresh_rule_per_call(self, scale):
-        assert bayes_hinge_risk(scale) == per_call_hinge_risk(scale)
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, MAX_SIGNAL_SCALE))
+    def test_rule_matches_the_fine_grid_oracle(self, scale):
+        # the rule's error is below 2e-8 up to norm 10 (1.8e-8 there)
+        tol = 2e-8 if scale <= 10.0 else 1e-5
+        assert abs(bayes_hinge_risk(scale) - fine_hinge_risk(scale)) <= tol
 
-    def test_rule_is_silent_where_cosh_overflows(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert 0.0 < bayes_hinge_risk(60.0) == per_call_hinge_risk(60.0) < 1e-5
-
-    # 0.10 is the default; MIN_BAYES_RISK, the rule's value at norm 60, is
+    # 0.10 is the default; MIN_BAYES_RISK, the rule's value at norm 15, is
     # the least target reached, and the largest float below 0.5 needs a
     # norm near 0
     @pytest.mark.parametrize(
@@ -110,44 +112,77 @@ class TestSignalScale:
     def test_solver_matches_the_200_step_bisection(self, target):
         assert solve_signal_scale(target) == bisect_200_steps(target)
 
-    def test_least_target_is_the_rule_at_the_top_norm(self):
-        assert MIN_BAYES_RISK == per_call_hinge_risk(60.0)
-        assert bisect_200_steps(MIN_BAYES_RISK) == solve_signal_scale(MIN_BAYES_RISK) > 59.99
+    def test_solver_hits_target(self):
+        # within 2e-8 of the exact risk wherever label_score_means is that
+        # accurate (norms up to about 10: targets from 0.08 up), within 1e-5
+        # below that, down to the least target
+        for target, tol in [(0.08, 2e-8), (0.10, 2e-8), (0.12, 2e-8), (0.2, 2e-8), (0.3, 2e-8),
+                            (0.45, 2e-8), (0.49999999999999994, 2e-8), (0.06, 1e-5),
+                            (MIN_BAYES_RISK, 1e-5)]:
+            assert abs(fine_hinge_risk(solve_signal_scale(target)) - target) <= tol, target
 
-    # below MIN_BAYES_RISK the 200-step bisection returned 60 silently
-    @pytest.mark.parametrize("target", [1e-6, math.nextafter(MIN_BAYES_RISK, 0.0), 0.0, 0.5])
+    def test_least_target_is_the_rule_at_the_top_norm(self):
+        assert MAX_SIGNAL_SCALE == 15.0
+        assert MIN_BAYES_RISK == bayes_hinge_risk(15.0) == pytest.approx(0.0528148, abs=1e-7)
+        assert solve_signal_scale(MIN_BAYES_RISK) > 14.99
+        # the top norm is where the rule stops being within 1e-5 of exact
+        assert abs(bayes_hinge_risk(15.0) - fine_hinge_risk(15.0)) < 1e-5
+        assert abs(bayes_hinge_risk(20.0) - fine_hinge_risk(20.0)) > 1e-5
+
+    def test_default_risk_matches_monte_carlo(self):
+        # 4M rows of standard-normal margins, logistic labels and the true
+        # predictor's score under the clipped hinge at scale 2
+        rng = np.random.default_rng(3)
+        scale = solve_signal_scale(0.10)
+        parts = []
+        for _ in range(4):
+            margin = scale * rng.standard_normal(1_000_000)
+            y = np.where(rng.random(margin.size) < sigmoid(margin), 1.0, -1.0)
+            parts.append(HINGE.of_array(2.0 * sigmoid(margin) - 1.0, y))
+        rows = np.concatenate(parts)
+        se = rows.std() / math.sqrt(rows.size)
+        assert abs(rows.mean() - bayes_hinge_risk(scale)) <= 3.0 * se
+
+    def test_rule_is_the_same_in_any_direction(self):
+        rng = np.random.default_rng(4)
+        scale = solve_signal_scale(0.10)
+        beta = rng.standard_normal(10)
+        beta *= scale / np.linalg.norm(beta)
+        risk = affine_loss_mean(label_score_means(beta, column(np.append(beta, 0.0)))[0], 2.0)
+        assert risk == pytest.approx(bayes_hinge_risk(scale), abs=1e-12)
+
+    # below MIN_BAYES_RISK no norm in the bracket reaches the target
+    @pytest.mark.parametrize(
+        "target", [0.05, 1e-6, math.nextafter(MIN_BAYES_RISK, 0.0), 0.0, 0.5, math.nan]
+    )
     def test_unreachable_target_raises(self, target):
         with pytest.raises(ValueError, match="target risk must lie in"):
             solve_signal_scale(target)
 
     def test_default_scale_is_pinned(self):
-        assert solve_signal_scale(0.10) == 7.487997936534283
+        assert solve_signal_scale(0.10) == 7.773083321558783
 
     @pytest.mark.parametrize("target", [0.10, MIN_BAYES_RISK, 0.49999999999999994])
     def test_solver_stops_when_the_bracket_cannot_shrink(self, target, monkeypatch):
         import modelgate.sim as sim
 
         calls = []
+        rule = sim.bayes_hinge_risk
 
         def counting(scale):
             calls.append(scale)
-            return per_call_hinge_risk(scale)
+            return rule(scale)
 
         monkeypatch.setattr(sim, "bayes_hinge_risk", counting)
         scale = solve_signal_scale.__wrapped__(target)
-        # each step halves the bracket, which spans 60 / ulp(scale) floats
+        # each step halves the bracket, which spans 15 / ulp(scale) floats
         # near the answer, so the rule is evaluated far fewer than 200 times
-        assert len(calls) == len(set(calls)) <= math.log2(60.0 / math.ulp(scale)) + 1
+        assert len(calls) == len(set(calls)) <= math.log2(MAX_SIGNAL_SCALE / math.ulp(scale)) + 1
 
     def test_risk_decreasing_in_scale(self):
-        risks = [bayes_hinge_risk(s) for s in (0.0, 1.0, 3.0, 8.0)]
-        assert risks[0] == pytest.approx(0.5, abs=1e-9)
+        risks = [bayes_hinge_risk(s) for s in np.linspace(0.0, MAX_SIGNAL_SCALE, 61)]
+        assert risks[0] == 0.5
         assert all(b < a for a, b in zip(risks, risks[1:]))
-
-    def test_solver_hits_target(self):
-        for target in (0.08, 0.12, 0.2):
-            scale = solve_signal_scale(target)
-            assert bayes_hinge_risk(scale) == pytest.approx(target, abs=1e-6)
 
 
 class TestFitLogistic:
