@@ -265,11 +265,7 @@ def run(cfg: RunConfig) -> dict:
 
     Returns a small summary dict (paths, realized costs and rates).
     """
-    if cfg.scenario is ScenarioKind.INGESTED:
-        batches = _replay_batches(cfg)
-    else:
-        batches = None
-        _check_split("run.batch_size", cfg.batch_size, cfg.validation_fraction)
+    batches = _replay_batches(cfg) if cfg.scenario is ScenarioKind.INGESTED else None
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

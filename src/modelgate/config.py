@@ -19,8 +19,8 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
-from .core import LossFunction
-from .sim import GRID4, GRID12, MIN_BAYES_RISK, ScenarioKind
+from .core import _KINDS as _LOSS_KINDS, LossFunction
+from .sim import GRID4, GRID12, MIN_BAYES_RISK, ScenarioKind, holdout_size
 
 __all__ = ["ConfigError", "RunConfig", "CONFIG_GRAMMAR", "load_config", "save_manifest"]
 
@@ -91,6 +91,10 @@ class RunConfig:
                         f"{key.name}: set for scenario {self.scenario.value}, but only "
                         "the ingested scenario replays data"
                     )
+            try:
+                holdout_size(self.batch_size, self.validation_fraction)
+            except ValueError as exc:
+                raise ConfigError(f"run.batch_size: {self.batch_size!r} is invalid ({exc})") from exc
         if self.scenario is ScenarioKind.SMALL_FREQUENT_SHIFTS and self.dim < 2:
             raise ConfigError("small_frequent_shifts rotates the coefficients, so dim must be >= 2")
         _check_columns(self.timestamp_col, self.label_col)
@@ -250,7 +254,7 @@ _SCHEMA = (
          "per-step margin = mult * total"),
     _Key("meta", "rate_mode", "rate_mode", _choice("solve", "fixed")),
     _Key("meta", "rate", "rate", _FLOAT, _above(0), "used when rate_mode = fixed"),
-    _Key("loss", "kind", "loss_kind", _choice("clipped_hinge", "zero_one", "scaled_absolute"),
+    _Key("loss", "kind", "loss_kind", _choice(*_LOSS_KINDS),
          help="under zero_one a simulated gate abstains at every step at the default "
          "margins: the per-step margin (about 0.013) is far below the bounds' Hoeffding "
          "half-widths (about 0.1), so every candidate is vetoed"),

@@ -14,7 +14,9 @@ values bit for bit the ones it has on its own.
 The guarantee side bounds the expected average risk of that forecaster
 when per-step distribution drift is bounded and the risk bounds used by
 the strategies have known coverage.  It is used to pick the largest
-meta learning rate that still certifies a target average risk.
+meta learning rate that still certifies a target average risk.  The
+bound's formula runs on numpy alone, for one slack or an array of them,
+and its free slack is chosen on a grid, then on a refined grid.
 """
 
 from __future__ import annotations
@@ -198,23 +200,6 @@ class RiskBoundInputs:
             raise ValueError("abstain_cost + step_margin + drift must be > 0")
 
 
-class _FloatOps:
-    """The math-module and builtin counterparts of the numpy functions the
-    bound formula uses, so one formula serves a float and an array."""
-
-    exp = staticmethod(math.exp)
-    minimum = staticmethod(min)
-    maximum = staticmethod(max)
-    any = staticmethod(bool)
-
-
-def _ops(slack: float | np.ndarray):
-    """numpy for an array of slacks (the grid), math and builtins for one
-    float (the golden-section polish, where numpy's per-call cost on a
-    scalar would exceed the arithmetic)."""
-    return np if isinstance(slack, np.ndarray) else _FloatOps
-
-
 def tail_alpha(
     slack: float | np.ndarray,
     batch_size: Optional[int],
@@ -228,20 +213,19 @@ def tail_alpha(
     Infinite sample sizes contribute nothing, and slack 0 gives 1.
     ``slack`` is a float or an array of slacks, evaluated elementwise.
     """
-    xp = _ops(slack)
-    if xp.any(slack < 0):
+    if np.any(slack < 0):
         raise ValueError("slack must be >= 0")
     total = 0.0
     if batch_size is not None:
-        total += (horizon - 1) * xp.exp(-8.0 * slack * slack * batch_size)
+        total += (horizon - 1) * np.exp(-8.0 * slack * slack * batch_size)
     if holdout_size is not None:
-        total += xp.exp(-8.0 * slack * slack * holdout_size)
+        total += np.exp(-8.0 * slack * slack * holdout_size)
     # adding 1 where slack == 0 (exactly 0 elsewhere) lifts that entry to the cap
-    return xp.minimum(1.0, total + (slack == 0))
+    return np.minimum(1.0, total + (slack == 0))
 
 
-def _rate_term(rate: float, s: float | np.ndarray, xp) -> float | np.ndarray:
-    return (xp.exp(-rate * s) - 1.0) / s
+def _rate_term(rate: float, s: float | np.ndarray) -> float | np.ndarray:
+    return (np.exp(-rate * s) - 1.0) / s
 
 
 def _resolve_tail(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
@@ -260,13 +244,12 @@ def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.n
     """
     if inputs.rate <= 0:
         raise ValueError("rate must be > 0")
-    xp = _ops(slack)
     a1 = inputs.cover_alpha
     a2 = _resolve_tail(inputs, slack)
     s0 = inputs.abstain_cost + inputs.step_margin + inputs.drift
-    w0 = xp.maximum(0.0, 1.0 - a1 - a2)
-    c = _rate_term(inputs.rate, s0, xp) * w0
-    c += _rate_term(inputs.rate, s0 + slack, xp) * a1
+    w0 = np.maximum(0.0, 1.0 - a1 - a2)
+    c = _rate_term(inputs.rate, s0) * w0
+    c += _rate_term(inputs.rate, s0 + slack) * a1
     c += (math.exp(-inputs.rate) - 1.0) * a2
     return c
 
@@ -281,40 +264,31 @@ def _bound_at(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.
 
 
 def optimize_slack(inputs: RiskBoundInputs, grid: int = 200) -> tuple[float, float]:
-    """Minimise the bound over slack in [0, 1]: coarse grid, then golden section."""
+    """Minimise the bound over slack in [0, 1]; returns ``(slack, bound)``.
+
+    Two array passes of ``grid + 1`` slacks each: the whole interval, then
+    the span between the first pass's argmin and its two neighbours (clipped
+    to [0, 1]).  Every slack gives a valid bound, so the second pass's
+    minimum is a certificate.
+    """
     zs = np.linspace(0.0, 1.0, grid + 1)
+    k = int(np.argmin(_bound_at(inputs, zs)))
+    zs = np.linspace(zs[max(0, k - 1)], zs[min(grid, k + 1)], grid + 1)
     vals = _bound_at(inputs, zs)
     k = int(np.argmin(vals))
-    lo = float(zs[max(0, k - 1)])
-    hi = float(zs[min(grid, k + 1)])
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = _bound_at(inputs, c1), _bound_at(inputs, c2)
-    while b - a > 1e-9:
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = _bound_at(inputs, c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = _bound_at(inputs, c2)
-    z_star = (a + b) / 2.0
-    best = min((float(vals[k]), float(zs[k])), (_bound_at(inputs, z_star), z_star))
-    return best[1], best[0]
+    return float(zs[k]), float(vals[k])
 
 
 def risk_bound(inputs: RiskBoundInputs) -> float:
     """Upper bound on the forecaster's expected average risk.
 
     Evaluates -(rate * cost + ln(m)/T + rate^2/(8 n)) / c at the slack
-    minimising the bound, or at slack 0 when ``inputs.tail`` is set.  The
-    value is reported untruncated and can exceed 1 for small rates.
+    ``optimize_slack`` picks, or at slack 0 when ``inputs.tail`` is set,
+    and returns it as a Python float.  The value is reported untruncated
+    and can exceed 1 for small rates.
     """
     if inputs.tail is not None:
-        return _bound_at(inputs, 0.0)
+        return float(_bound_at(inputs, 0.0))
     return optimize_slack(inputs)[1]
 
 

@@ -276,7 +276,7 @@ def _up(x):
 #: value it accepts and the first it rejects
 CHECK_EDGES = {
     "run.horizon": [(1, 0)],
-    "run.batch_size": [(1, 0)],
+    "run.batch_size": [(2, 1)],
     "run.dim": [(1, 0)],
     "run.bayes_risk": [(MIN_BAYES_RISK, _down(MIN_BAYES_RISK)), (_down(0.5), 0.5)],
     "run.initial_batches": [(1, 0)],
@@ -305,8 +305,11 @@ def test_check_edges_cover_every_checked_key():
 def test_each_check_rejects_the_first_value_past_its_edge(name):
     # RunConfig holds the only copy of each rule, for the library as for the CLI
     field = next(key.field for key in _SCHEMA if key.name == name)
-    # data.batch_size is read only by a replay, so only a replay may set it
-    base = ({"scenario": ScenarioKind.INGESTED, "data_path": "in.csv"} if name == "data.batch_size"
+    # data.batch_size is read only by a replay, so only a replay may set it;
+    # and a fraction at either edge leaves an empty part of a simulated
+    # batch, while a replay's batches are split-checked when they are read
+    replay_only = name in ("data.batch_size", "bounds.validation_fraction")
+    base = ({"scenario": ScenarioKind.INGESTED, "data_path": "in.csv"} if replay_only
             else {"scenario": ScenarioKind.IID_GOOD_MODELS})
     for accepted, rejected in CHECK_EDGES[name]:
         assert getattr(RunConfig(**base, **{field: accepted}), field) == accepted
@@ -341,6 +344,11 @@ def test_any_valid_config_round_trips_through_its_manifest(tmp_path, values):
     assume(values[("run", "scenario")] == "ingested" or not any(
         ("data", key) in values for key in ("path", "timestamp_col", "label_col", "batch_by", "batch_size")
     ))
+    # and a simulated batch must split at the validation fraction into two
+    # nonempty parts
+    size = int(values.get(("run", "batch_size"), 75))
+    fraction = float(values.get(("bounds", "validation_fraction"), 0.5))
+    assume(values[("run", "scenario")] == "ingested" or 0 < int(fraction * size) < size)
     cfg = load_config(write_config(tmp_path, ini(values)))
     manifest = tmp_path / "manifest.ini"
     save_manifest(cfg, manifest, ["note: test"])
@@ -792,7 +800,7 @@ class TestMalformedReplay:
         (replay_case(300, bad_row=10), ":12: non-finite value in column 'a'"),
         (replay_case(300, label=lambda y: 0.25 + 0.5 * y), "labels in {-1, +1}"),  # real-valued labels
         (replay_case(75), "at least two batches"),
-        (simulated_batch_of_one, "run.batch_size (1 rows)"),  # no batch splits
+        (simulated_batch_of_one, "run.batch_size: 1 is invalid"),  # no batch splits
         (label_col_is_timestamp_col, "data.label_col: 'timestamp' is also data.timestamp_col"),
         (simulated_with_data_path, "data.path: set for scenario iid_good_models"),
     ], ids=["tail_too_small_to_split", "nan_feature", "real_labels_with_hinge", "one_batch",

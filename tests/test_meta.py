@@ -314,6 +314,42 @@ class TestRiskBound:
         z2, _ = optimize_slack(inp, grid=400)
         assert abs(z1 - z2) <= 1e-3
 
+    def test_slack_optimum_meets_the_million_point_grid_minimum(self):
+        # with finite data the refined grid's minimum is within 1e-7 of the
+        # minimum over a 10^6-step grid, and, being itself a grid minimum of
+        # coarser step, never below it beyond rounding
+        fine = np.linspace(0.0, 1.0, 1_000_001)
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            batch = int(rng.choice([20, 75, 500, 2000]))
+            inp = RiskBoundInputs(
+                abstain_cost=float(rng.uniform(0.05, 0.35)), step_margin=float(rng.uniform(0, 0.1)),
+                drift=float(rng.uniform(0, 0.5)), rate=float(rng.uniform(0.05, 10.0)),
+                cover_alpha=float(rng.uniform(0, 0.3)),
+                n_strategies=int(rng.integers(1, 100)), horizon=int(rng.integers(2, 300)),
+                batch_size=batch, holdout_size=None if rng.random() < 0.2 else batch // 2,
+            )
+            best = float(_bound_at(inp, fine).min())
+            _, got = optimize_slack(inp)
+            assert best * (1.0 - 1e-12) <= got <= best * (1.0 + 1e-7)
+
+    def test_infinite_data_optimum_is_one_refined_step_from_slack_zero(self):
+        # with no tail the bound rises in the slack past 0, so its infimum is
+        # the bound at slack 0 (tail 1) or the limit at slack 0+, the
+        # zero-tail bound, which the search reaches only to one refined step
+        # (1/200 of the first grid's two steps)
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            inp = RiskBoundInputs(
+                float(rng.uniform(0.05, 0.35)), float(rng.uniform(0, 0.1)),
+                float(rng.uniform(0, 0.5)), float(rng.uniform(0.05, 10.0)),
+                float(rng.uniform(0, 0.3)), int(rng.integers(1, 100)), int(rng.integers(2, 300)),
+            )
+            z, got = optimize_slack(inp)
+            at_zero, limit = float(_bound_at(inp, 0.0)), risk_bound(replace(inp, tail=0.0))
+            assert z in (0.0, 0.01 / 200)
+            assert min(at_zero, limit) <= got <= min(at_zero, limit * (1.0 + 1e-4))
+
     @pytest.mark.parametrize("inputs, slack", [
         (RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37), 0.1),
         (RiskBoundInputs(0.1, 0.012, 0.1, 0.8, 0.05, 96, 200, batch_size=40, holdout_size=20), 0.3),

@@ -29,6 +29,7 @@ TABLE = BOUNDS + "TestBuildBoundTable::"
 STRATEGY = "tests/test_strategy.py::"
 SIM = "tests/test_sim.py::"
 SCALE = SIM + "TestSignalScale::"
+RISK_BOUND = "tests/test_meta.py::TestRiskBound::"
 
 # name: (module, old text, new text, killing tests)
 MUTANTS = {
@@ -125,6 +126,13 @@ MUTANTS = {
          SCALE + "test_least_target_is_the_rule_at_the_top_norm",
          SCALE + "test_unreachable_target_raises",
          "tests/test_cli.py::TestLoadConfig::test_unreachable_bayes_risk_is_exit_2"),
+    ),
+    "slack_search_without_its_refined_grid": (
+        "meta.py",
+        "    zs = np.linspace(zs[max(0, k - 1)], zs[min(grid, k + 1)], grid + 1)\n",
+        "",
+        (RISK_BOUND + "test_slack_optimum_meets_the_million_point_grid_minimum",
+         RISK_BOUND + "test_infinite_data_optimum_is_one_refined_step_from_slack_zero"),
     ),
 }
 
