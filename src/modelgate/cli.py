@@ -42,7 +42,7 @@ from .config import (
     load_config,
     save_manifest,
 )
-from .core import MonitoringBatch
+from .core import _KINDS as _LOSS_KINDS, LossFunction, MonitoringBatch
 from .meta import InfeasibleRateError, RiskBoundInputs, classical_ewaf_bound, risk_bound
 from .sim import ReplicateTrace, ScenarioKind, holdout_size, run_replicate, run_replicates
 
@@ -355,15 +355,14 @@ def bound_curves(
     """
     rows = []
     for delta in deltas:
+        inputs = RiskBoundInputs(
+            abstain_cost=delta, step_margin=0.0, drift=2.0 * delta, cover_alpha=0.0,
+            n_strategies=n_strategies, horizon=horizon, batch_size=None, holdout_size=None,
+        )
         for i in range(points):
             rate = rate_min + (rate_max - rate_min) * i / max(points - 1, 1)
             classical = classical_ewaf_bound(rate, delta, n_strategies, horizon)
-            ours = risk_bound(RiskBoundInputs(
-                abstain_cost=delta, step_margin=0.0, drift=2.0 * delta,
-                rate=rate, cover_alpha=0.0, n_strategies=n_strategies,
-                horizon=horizon, batch_size=None, holdout_size=None, tail=0.0,
-            ))
-            rows.append((delta, rate, classical, ours))
+            rows.append((delta, rate, classical, risk_bound(inputs, rate)))
     return rows
 
 
@@ -423,6 +422,21 @@ def _cmd_ingest_check(args) -> int:
     print(f"rule {stream.rule}: {len(stream.batches)} batches")
     print(f"feature columns ({len(stream.feature_names)}): {', '.join(stream.feature_names)}")
     print("batch sizes: " + " ".join(str(s) for s in stream.sizes))
+    # the labels as a run replays them, and the loss kinds whose own check
+    # accepts them: the [loss] section is not read here
+    labels = np.unique(np.concatenate([batch.labels for batch in stream.batches]))
+    if labels.size <= 10:
+        print("labels: " + ", ".join(f"{v:g}" for v in labels))
+    else:
+        print(f"labels: {labels.size} distinct values in [{labels[0]:g}, {labels[-1]:g}]")
+    accepted = []
+    for kind in _LOSS_KINDS:
+        try:
+            LossFunction(kind).check_labels(labels)
+        except ValueError:
+            continue
+        accepted.append(kind)
+    print("loss kinds accepting them: " + ", ".join(accepted))
     return 0
 
 

@@ -14,9 +14,11 @@ values bit for bit the ones it has on its own.
 The guarantee side bounds the expected average risk of that forecaster
 when per-step distribution drift is bounded and the risk bounds used by
 the strategies have known coverage.  It is used to pick the largest
-meta learning rate that still certifies a target average risk.  The
-bound's formula runs on numpy alone, for one slack or an array of them,
-and its free slack is chosen on a grid, then on a refined grid.
+meta learning rate that still certifies a target average risk.
+``RiskBoundInputs`` holds the problem alone; the rate is an argument of
+every bound function, so the rate solver passes each rate it tries as it
+is.  The bound's formula runs on numpy alone, for one slack or an array of
+them, and its free slack is chosen on a grid, then on a refined grid.
 """
 
 from __future__ import annotations
@@ -168,30 +170,25 @@ def meta_advance(
 
 @dataclass(frozen=True)
 class RiskBoundInputs:
-    """Ingredients of the average-risk guarantee.
+    """Ingredients of the average-risk guarantee, everything but the rate.
 
     ``batch_size`` / ``holdout_size`` of None mean infinite data (their
-    concentration terms drop out).  ``tail`` of None derives the
-    tail-miscoverage probability from the slack (``tail_alpha``), and
-    ``risk_bound`` then minimises the bound over the slack, the free
-    analysis parameter trading coverage level against bound tightness; a
-    set ``tail`` fixes that probability and evaluates the bound at slack 0.
+    concentration terms drop out).  The tail-miscoverage probability follows
+    from the slack (``tail_alpha``), the free analysis parameter trading
+    coverage level against bound tightness, and ``risk_bound`` minimises the
+    bound over it at a given rate.
     """
 
     abstain_cost: float
     step_margin: float
     drift: float
-    rate: float
     cover_alpha: float
     n_strategies: int
     horizon: int
     batch_size: Optional[int] = None
     holdout_size: Optional[int] = None
-    tail: Optional[float] = None
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
         if not 0.0 <= self.cover_alpha <= 1.0:
             raise ValueError("cover_alpha must lie in [0, 1]")
         if self.n_strategies < 1 or self.horizon < 1:
@@ -210,86 +207,82 @@ def tail_alpha(
 
     (T - 1) exp(-8 z^2 n) + exp(-8 z^2 n'), capped at 1; a Hoeffding tail
     for each of the monitored candidates plus one for the held-out newest.
-    Infinite sample sizes contribute nothing, and slack 0 gives 1.
-    ``slack`` is a float or an array of slacks, evaluated elementwise.
+    Infinite sample sizes contribute nothing.  So slack 0 gives 1 when a
+    finite holdout size is given, or a finite batch size with T >= 2, and 0
+    when neither is (no sampled data: the tail is 0 at every slack).
+    ``slack`` is a float or an array of slacks, evaluated elementwise, and
+    the result has the slack's shape.
     """
     if np.any(slack < 0):
         raise ValueError("slack must be >= 0")
-    total = 0.0
+    total = np.zeros(np.shape(slack))
     if batch_size is not None:
         total += (horizon - 1) * np.exp(-8.0 * slack * slack * batch_size)
     if holdout_size is not None:
         total += np.exp(-8.0 * slack * slack * holdout_size)
-    # adding 1 where slack == 0 (exactly 0 elsewhere) lifts that entry to the cap
-    return np.minimum(1.0, total + (slack == 0))
+    return np.minimum(1.0, total)
 
 
 def _rate_term(rate: float, s: float | np.ndarray) -> float | np.ndarray:
     return (np.exp(-rate * s) - 1.0) / s
 
 
-def _resolve_tail(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
-    if inputs.tail is not None:
-        return inputs.tail
-    return tail_alpha(slack, inputs.batch_size, inputs.holdout_size, inputs.horizon)
-
-
-def mgf_rate(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
+def mgf_rate(inputs: RiskBoundInputs, rate: float, slack: float | np.ndarray) -> float | np.ndarray:
     """The (negative) exponential-moment coefficient of the guarantee.
 
     A three-case mixture of (exp(-rate * s) - 1) / s evaluated at
     s = cost + margin + drift, at s + slack, and at 1, weighted by the
-    coverage split (1 - a1 - a2, a1, a2).  Strictly negative for any
-    positive rate.  ``slack`` is a float or an array of slacks.
+    coverage split (1 - a1 - a2, a1, a2) with a2 = ``tail_alpha(slack)``.
+    Negative for any positive rate (0 only where exp(-rate * s) rounds to
+    1); a rate <= 0 is rejected.  ``slack`` is a float or an array of slacks.
     """
-    if inputs.rate <= 0:
+    if rate <= 0:
         raise ValueError("rate must be > 0")
     a1 = inputs.cover_alpha
-    a2 = _resolve_tail(inputs, slack)
+    a2 = tail_alpha(slack, inputs.batch_size, inputs.holdout_size, inputs.horizon)
     s0 = inputs.abstain_cost + inputs.step_margin + inputs.drift
     w0 = np.maximum(0.0, 1.0 - a1 - a2)
-    c = _rate_term(inputs.rate, s0) * w0
-    c += _rate_term(inputs.rate, s0 + slack) * a1
-    c += (math.exp(-inputs.rate) - 1.0) * a2
+    c = _rate_term(rate, s0) * w0
+    c += _rate_term(rate, s0 + slack) * a1
+    c += (math.exp(-rate) - 1.0) * a2
     return c
 
 
-def _bound_at(inputs: RiskBoundInputs, slack: float | np.ndarray) -> float | np.ndarray:
+def _bound_at(inputs: RiskBoundInputs, rate: float, slack: float | np.ndarray) -> float | np.ndarray:
     """The bound at one slack or, elementwise, at an array of slacks."""
-    c = mgf_rate(inputs, slack)
-    numer = inputs.rate * inputs.abstain_cost + math.log(inputs.n_strategies) / inputs.horizon
+    c = mgf_rate(inputs, rate, slack)
+    numer = rate * inputs.abstain_cost + math.log(inputs.n_strategies) / inputs.horizon
     if inputs.batch_size is not None:
-        numer += inputs.rate**2 / (8.0 * inputs.batch_size)
+        numer += rate**2 / (8.0 * inputs.batch_size)
     return -numer / c
 
 
-def optimize_slack(inputs: RiskBoundInputs, grid: int = 200) -> tuple[float, float]:
-    """Minimise the bound over slack in [0, 1]; returns ``(slack, bound)``.
+def optimize_slack(inputs: RiskBoundInputs, rate: float, grid: int = 200) -> tuple[float, float]:
+    """Minimise the bound at ``rate`` over slack in [0, 1]; returns
+    ``(slack, bound)``.
 
     Two array passes of ``grid + 1`` slacks each: the whole interval, then
     the span between the first pass's argmin and its two neighbours (clipped
     to [0, 1]).  Every slack gives a valid bound, so the second pass's
-    minimum is a certificate.
+    minimum is a certificate.  With no sampled data the tail is 0 at every
+    slack, the bound rises with the slack, and slack 0 is the exact optimum.
     """
     zs = np.linspace(0.0, 1.0, grid + 1)
-    k = int(np.argmin(_bound_at(inputs, zs)))
+    k = int(np.argmin(_bound_at(inputs, rate, zs)))
     zs = np.linspace(zs[max(0, k - 1)], zs[min(grid, k + 1)], grid + 1)
-    vals = _bound_at(inputs, zs)
+    vals = _bound_at(inputs, rate, zs)
     k = int(np.argmin(vals))
     return float(zs[k]), float(vals[k])
 
 
-def risk_bound(inputs: RiskBoundInputs) -> float:
-    """Upper bound on the forecaster's expected average risk.
+def risk_bound(inputs: RiskBoundInputs, rate: float) -> float:
+    """Upper bound on the forecaster's expected average risk at ``rate``.
 
     Evaluates -(rate * cost + ln(m)/T + rate^2/(8 n)) / c at the slack
-    ``optimize_slack`` picks, or at slack 0 when ``inputs.tail`` is set,
-    and returns it as a Python float.  The value is reported untruncated
-    and can exceed 1 for small rates.
+    ``optimize_slack`` picks and returns it as a Python float.  The value is
+    reported untruncated and can exceed 1 for small rates.
     """
-    if inputs.tail is not None:
-        return float(_bound_at(inputs, 0.0))
-    return optimize_slack(inputs)[1]
+    return optimize_slack(inputs, rate)[1]
 
 
 @lru_cache(maxsize=64)
@@ -299,7 +292,8 @@ def max_learning_rate(
     cap: float = RATE_CAP,
     grid: int = 200,
 ) -> float:
-    """Largest rate in (0, cap] whose optimised bound stays at or below target.
+    """Largest rate in (0, cap] whose bound ``risk_bound(inputs, rate)``
+    stays at or below target.
 
     The bound diverges at both ends of the rate axis, so feasibility is an
     interior interval: an ascending grid scan stops at the first infeasible
@@ -309,14 +303,10 @@ def max_learning_rate(
     replicates of a replayed stream with a fixed abstain cost all ask for
     the same rate.
     """
-
-    def bound(rate: float) -> float:
-        return risk_bound(replace(inputs, rate=rate, tail=None))
-
     lo = hi = None
     for i in range(grid):
         rate = cap * (i + 1) / grid
-        if bound(rate) <= target:
+        if risk_bound(inputs, rate) <= target:
             lo = rate
         elif lo is not None:
             hi = rate
@@ -331,7 +321,7 @@ def max_learning_rate(
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
-        if bound(mid) <= target:
+        if risk_bound(inputs, mid) <= target:
             lo = mid
         else:
             hi = mid

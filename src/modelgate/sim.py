@@ -1161,7 +1161,7 @@ class _Replicate:
         else:
             n = stream.solver_batch
             inputs = RiskBoundInputs(
-                abstain_cost=self.delta, step_margin=self.step_margin, drift=drift, rate=1.0,
+                abstain_cost=self.delta, step_margin=self.step_margin, drift=drift,
                 cover_alpha=cfg.bound_alpha, n_strategies=len(cfg.rows), horizon=horizon,
                 batch_size=n, holdout_size=holdout_size(n, cfg.validation_fraction),
             )

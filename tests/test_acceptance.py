@@ -110,9 +110,9 @@ def test_criterion_3_drift_aware_bound_is_flatter():
     """Largest rate still certifying 2*cost is at least 1.8 (vs 0.70)."""
     delta = 0.15
     inputs = RiskBoundInputs(
-        abstain_cost=delta, step_margin=0.0, drift=2 * delta, rate=1.0,
+        abstain_cost=delta, step_margin=0.0, drift=2 * delta,
         cover_alpha=0.0, n_strategies=10, horizon=50,
-        batch_size=None, holdout_size=None, tail=0.0,
+        batch_size=None, holdout_size=None,
     )
     rate = max_learning_rate(2 * delta, inputs)
     report(3, rate >= 1.8, f"largest certified rate {rate:.3f} (needs >= 1.8)")
@@ -124,7 +124,7 @@ def test_criterion_4_solver_magnitude(experiments):
     def solver_inputs(delta):
         return RiskBoundInputs(
             abstain_cost=delta, step_margin=0.2 * 0.6 * delta, drift=delta,
-            rate=1.0, cover_alpha=0.1, n_strategies=12, horizon=50,
+            cover_alpha=0.1, n_strategies=12, horizon=50,
             batch_size=75, holdout_size=37,
         )
 

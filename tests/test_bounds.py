@@ -90,6 +90,26 @@ class TestHoeffdingUcb:
         with pytest.raises(ValueError):
             hoeffding_ucb(0.5, 1, 1.5)
 
+    def test_alpha_edges(self):
+        # alpha lies in (0, 1): the floats just inside give a bound (an
+        # infinite one at the smallest alpha), the ends are rejected
+        assert hoeffding_ucb(0.2, 10, math.ulp(0.0)) == math.inf
+        assert 0.2 <= hoeffding_ucb(0.2, 10, math.nextafter(1.0, 0.0)) < 0.2 + 1e-8
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                hoeffding_ucb(0.2, 10, alpha)
+
+
+class TestRiskBoundTable:
+    def test_abstain_cost_edges(self):
+        # the abstain cost lies in (0, 1): the floats just inside build a
+        # table, the ends are rejected
+        for cost in (math.ulp(0.0), math.nextafter(1.0, 0.0)):
+            assert RiskBoundTable(np.array([cost, 0.5]), 0.0).bounds[0] == cost
+        for cost in (0.0, 1.0):
+            with pytest.raises(ValueError, match="abstain_cost"):
+                RiskBoundTable(np.array([cost, 0.5]), 0.0)
+
 
 class TestBuildBoundTable:
     def setup_method(self):

@@ -823,6 +823,19 @@ class TestMalformedReplay:
         assert len(captured.err.strip().splitlines()) == 1
         assert f"{path}: batch 4 (1 rows)" in captured.err
 
+    @pytest.mark.parametrize("label, shown, kinds", [
+        (lambda i: i % 3, "0, 1, 2", "scaled_absolute"),
+        (lambda i: i % 2, "-1, 1", "clipped_hinge, zero_one, scaled_absolute"),  # replayed as {-1, +1}
+        (lambda i: 2 * (i % 2) - 1, "-1, 1", "clipped_hinge, zero_one, scaled_absolute"),
+        (lambda i: i / 100, "300 distinct values in [0, 2.99]", "scaled_absolute"),
+    ], ids=["0_1_2", "0_1", "-1_1", "300_values"])
+    def test_ingest_check_names_the_loss_kinds_its_labels_fit(self, tmp_path, capsys, label, shown, kinds):
+        lines = [f"{i + 1},{math.sin(i):.5f},{label(i):g}" for i in range(300)]
+        assert main(["ingest-check", str(toy_csv(tmp_path, lines, header="timestamp,a,label"))]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.endswith(f"labels: {shown}\nloss kinds accepting them: {kinds}\n")
+
     def test_ingest_check_rejects_nan(self, tmp_path, capsys):
         path = replay_csv(tmp_path, 300, bad_row=3)
         assert main(["ingest-check", str(path)]) == 2

@@ -32,13 +32,13 @@ def open_table(t):
     return RiskBoundTable(bounds, 0.05)
 
 
-def headline_inputs(rate, delta=0.15, eps_t=0.0):
+def headline_inputs(delta=0.15, eps_t=0.0):
     # the headline comparison regime: drift twice the cost, infinite data,
     # exact coverage
     return RiskBoundInputs(
-        abstain_cost=delta, step_margin=eps_t, drift=2 * delta, rate=rate,
+        abstain_cost=delta, step_margin=eps_t, drift=2 * delta,
         cover_alpha=0.0, n_strategies=10, horizon=50,
-        batch_size=None, holdout_size=None, tail=0.0,
+        batch_size=None, holdout_size=None,
     )
 
 
@@ -48,6 +48,13 @@ class TestMetaForecaster:
         assert np.allclose(state.weights, 0.25)
         with pytest.raises(ValueError):
             init_meta(((0.3, 0, 1.5),), 1.0)
+
+    def test_fail_safe_row_alone(self):
+        # one row, the fail-safe, is the smallest bank; no rows are refused
+        state = init_meta(((0.0, 0.0, 0.0),), 1.0)
+        assert state.weights.tolist() == [1.0]
+        with pytest.raises(ValueError, match="at least one strategy row"):
+            init_meta((), 1.0)
 
     def test_equal_risks_keep_weights(self):
         state = init_meta(ROWS, 1.0)
@@ -215,6 +222,27 @@ class TestStackedMeta:
             init_meta(ROWS, np.array([1.0, -1.0]))
 
 
+class TestRiskBoundInputs:
+    def inputs(self, **kw):
+        base = dict(abstain_cost=0.2, step_margin=0.024, drift=0.2, cover_alpha=0.1, n_strategies=12, horizon=50)
+        return RiskBoundInputs(**{**base, **kw})
+
+    def test_cover_alpha_edges(self):
+        # cover_alpha lies in [0, 1], above 0.5 as well
+        for alpha in (0.0, 0.75, 1.0):
+            assert self.inputs(cover_alpha=alpha).cover_alpha == alpha
+        for alpha in (math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match="cover_alpha"):
+                self.inputs(cover_alpha=alpha)
+
+    def test_cost_margin_drift_sum_edges(self):
+        # the three add to a positive step loss scale: the smallest positive
+        # sum passes, a zero sum is rejected
+        self.inputs(abstain_cost=math.ulp(0.0), step_margin=0.0, drift=0.0)
+        with pytest.raises(ValueError, match="abstain_cost \\+ step_margin \\+ drift"):
+            self.inputs(abstain_cost=0.0, step_margin=0.0, drift=0.0)
+
+
 class TestTailAlpha:
     def test_zero_slack_caps_at_one(self):
         assert tail_alpha(0.0, 75, 37, 50) == 1.0
@@ -232,6 +260,19 @@ class TestTailAlpha:
     def test_infinite_data_contributes_nothing(self):
         assert tail_alpha(0.3, None, None, 50) == 0.0
 
+    def test_zero_slack_without_sampled_data_is_zero(self):
+        # slack 0 gives 1 only through a sampled term: the holdout's, or the
+        # batch's with T >= 2
+        assert tail_alpha(0.0, None, None, 50) == 0.0
+        assert tail_alpha(0.0, 75, None, 1) == 0.0
+        assert tail_alpha(0.0, 75, None, 2) == 1.0
+        assert tail_alpha(0.0, None, 37, 1) == 1.0
+
+    @pytest.mark.parametrize("sizes", [(None, None), (75, None), (None, 37), (75, 37)])
+    def test_result_has_the_slack_shape(self, sizes):
+        for slack in (0.0, 0.2, np.linspace(0.0, 1.0, 7), np.zeros((2, 3))):
+            assert np.shape(tail_alpha(slack, *sizes, 50)) == np.shape(slack)
+
     def test_negative_slack_rejected(self):
         with pytest.raises(ValueError):
             tail_alpha(-0.1, 75, 37, 50)
@@ -241,31 +282,38 @@ class TestTailAlpha:
 
 class TestMgfRate:
     def test_degenerate_mixture(self):
-        inp = RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50, tail=0.0)
+        inp = RiskBoundInputs(0.15, 0.0, 0.3, 0.0, 10, 50)
         s0 = 0.45
-        assert mgf_rate(inp, 0.1) == pytest.approx((math.exp(-s0) - 1.0) / s0)
+        assert mgf_rate(inp, 1.0, 0.1) == pytest.approx((math.exp(-s0) - 1.0) / s0)
 
     def test_small_rate_series_limit(self):
         # each mixture term behaves like -rate + O(rate^2): c/rate -> -1
-        inp = RiskBoundInputs(0.15, 0.02, 0.15, 1e-6, 0.1, 10, 50, batch_size=75, holdout_size=37)
-        c = mgf_rate(inp, 0.2)
+        inp = RiskBoundInputs(0.15, 0.02, 0.15, 0.1, 10, 50, batch_size=75, holdout_size=37)
+        c = mgf_rate(inp, 1e-6, 0.2)
         assert c / 1e-6 == pytest.approx(-1.0, abs=1e-3)
 
     def test_decreasing_in_rate(self):
-        inp = RiskBoundInputs(0.15, 0.02, 0.15, 1.0, 0.1, 10, 50, batch_size=75, holdout_size=37)
-        vals = [mgf_rate(replace(inp, rate=r), 0.15) for r in np.linspace(0.1, 5, 25)]
+        inp = RiskBoundInputs(0.15, 0.02, 0.15, 0.1, 10, 50, batch_size=75, holdout_size=37)
+        vals = [mgf_rate(inp, r, 0.15) for r in np.linspace(0.1, 5, 25)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+    def test_rate_edges(self):
+        # the one rate check of the bound: the smallest positive rate passes
+        # (its moment rounds to 0), rate 0 is rejected
+        inp = RiskBoundInputs(0.15, 0.02, 0.15, 0.1, 10, 50, batch_size=75, holdout_size=37)
+        assert mgf_rate(inp, math.ulp(0.0), 0.1) == 0.0
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be > 0"):
+                mgf_rate(inp, rate, 0.1)
 
     def test_strictly_negative(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            inp = RiskBoundInputs(
-                float(rng.uniform(0.05, 0.4)), float(rng.uniform(0, 0.1)),
-                float(rng.uniform(0, 0.5)), float(rng.uniform(0.05, 8)),
-                float(rng.uniform(0, 0.3)), 10, 50,
-                batch_size=75, holdout_size=37,
+            cost, margin, drift, rate, alpha = (
+                float(rng.uniform(lo, hi)) for lo, hi in ((0.05, 0.4), (0, 0.1), (0, 0.5), (0.05, 8), (0, 0.3))
             )
-            assert mgf_rate(inp, float(rng.uniform(0, 1))) < 0.0
+            inp = RiskBoundInputs(cost, margin, drift, alpha, 10, 50, batch_size=75, holdout_size=37)
+            assert mgf_rate(inp, rate, float(rng.uniform(0, 1))) < 0.0
 
 
 class TestSlackArrays:
@@ -278,14 +326,15 @@ class TestSlackArrays:
         got = tail_alpha(zs, *sizes, horizon)
         want = [tail_alpha(float(z), *sizes, horizon) for z in zs]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
-        assert got[0] == 1.0
+        # slack 0 gives 1 only through a sampled term
+        assert got[0] == min(1.0, (horizon - 1) * (sizes[0] is not None) + (sizes[1] is not None))
 
-    @pytest.mark.parametrize("tail", [None, 0.0])
-    def test_mgf_rate_matches_scalar_loop(self, tail):
+    @pytest.mark.parametrize("sizes", [(75, 37), (None, None)])
+    def test_mgf_rate_matches_scalar_loop(self, sizes):
         zs = np.linspace(0.0, 1.0, 201)
-        inp = RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37, tail=tail)
-        got = mgf_rate(inp, zs)
-        want = [mgf_rate(inp, float(z)) for z in zs]
+        inp = RiskBoundInputs(0.2, 0.024, 0.2, 0.1, 12, 50, *sizes)
+        got = mgf_rate(inp, 1.5, zs)
+        want = [mgf_rate(inp, 1.5, float(z)) for z in zs]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
@@ -294,24 +343,21 @@ class TestRiskBound:
         rng = np.random.default_rng(4)
         for _ in range(40):
             delta = float(rng.uniform(0.05, 0.4))
-            inp = RiskBoundInputs(
-                delta, 0.12 * delta, delta, float(rng.uniform(0.1, 6)), 0.1,
-                12, 50, batch_size=75, holdout_size=37,
-            )
-            assert risk_bound(inp) >= delta
+            inp = RiskBoundInputs(delta, 0.12 * delta, delta, 0.1, 12, 50, batch_size=75, holdout_size=37)
+            assert risk_bound(inp, float(rng.uniform(0.1, 6))) >= delta
 
     def test_slack_probes_never_beat_optimum(self):
-        inp = RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37)
-        z_star, best = optimize_slack(inp)
+        inp = RiskBoundInputs(0.2, 0.024, 0.2, 0.1, 12, 50, batch_size=75, holdout_size=37)
+        z_star, best = optimize_slack(inp, 1.5)
         rng = np.random.default_rng(5)
         for z in rng.uniform(0, 1, size=100):
-            assert best <= _bound_at(inp, float(z)) + 1e-12
+            assert best <= _bound_at(inp, 1.5, float(z)) + 1e-12
         assert 0.0 <= z_star <= 1.0
 
     def test_slack_optimum_stable_under_grid_doubling(self):
-        inp = RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37)
-        z1, _ = optimize_slack(inp, grid=200)
-        z2, _ = optimize_slack(inp, grid=400)
+        inp = RiskBoundInputs(0.2, 0.024, 0.2, 0.1, 12, 50, batch_size=75, holdout_size=37)
+        z1, _ = optimize_slack(inp, 1.5, grid=200)
+        z2, _ = optimize_slack(inp, 1.5, grid=400)
         assert abs(z1 - z2) <= 1e-3
 
     def test_slack_optimum_meets_the_million_point_grid_minimum(self):
@@ -322,43 +368,45 @@ class TestRiskBound:
         rng = np.random.default_rng(12)
         for _ in range(100):
             batch = int(rng.choice([20, 75, 500, 2000]))
+            cost, margin, drift, rate = (
+                float(rng.uniform(lo, hi)) for lo, hi in ((0.05, 0.35), (0, 0.1), (0, 0.5), (0.05, 10.0))
+            )
             inp = RiskBoundInputs(
-                abstain_cost=float(rng.uniform(0.05, 0.35)), step_margin=float(rng.uniform(0, 0.1)),
-                drift=float(rng.uniform(0, 0.5)), rate=float(rng.uniform(0.05, 10.0)),
+                abstain_cost=cost, step_margin=margin, drift=drift,
                 cover_alpha=float(rng.uniform(0, 0.3)),
                 n_strategies=int(rng.integers(1, 100)), horizon=int(rng.integers(2, 300)),
                 batch_size=batch, holdout_size=None if rng.random() < 0.2 else batch // 2,
             )
-            best = float(_bound_at(inp, fine).min())
-            _, got = optimize_slack(inp)
+            best = float(_bound_at(inp, rate, fine).min())
+            _, got = optimize_slack(inp, rate)
             assert best * (1.0 - 1e-12) <= got <= best * (1.0 + 1e-7)
 
-    def test_infinite_data_optimum_is_one_refined_step_from_slack_zero(self):
-        # with no tail the bound rises in the slack past 0, so its infimum is
-        # the bound at slack 0 (tail 1) or the limit at slack 0+, the
-        # zero-tail bound, which the search reaches only to one refined step
-        # (1/200 of the first grid's two steps)
+    def test_infinite_data_optimum_is_the_bound_at_slack_zero(self):
+        # with no sampled data the tail is 0 at every slack, and the bound
+        # rises with the slack wherever cover_alpha > 0: the search returns
+        # slack 0 and the bound there, to the bit
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            inp = RiskBoundInputs(
-                float(rng.uniform(0.05, 0.35)), float(rng.uniform(0, 0.1)),
-                float(rng.uniform(0, 0.5)), float(rng.uniform(0.05, 10.0)),
-                float(rng.uniform(0, 0.3)), int(rng.integers(1, 100)), int(rng.integers(2, 300)),
+        for _ in range(300):
+            cost, margin, drift, rate = (
+                float(rng.uniform(lo, hi)) for lo, hi in ((0.05, 0.35), (0, 0.1), (0, 0.5), (0.05, 10.0))
             )
-            z, got = optimize_slack(inp)
-            at_zero, limit = float(_bound_at(inp, 0.0)), risk_bound(replace(inp, tail=0.0))
-            assert z in (0.0, 0.01 / 200)
-            assert min(at_zero, limit) <= got <= min(at_zero, limit * (1.0 + 1e-4))
+            inp = RiskBoundInputs(
+                cost, margin, drift, 0.3 - float(rng.uniform(0, 0.3)),
+                int(rng.integers(1, 100)), int(rng.integers(2, 300)),
+            )
+            assert optimize_slack(inp, rate)[0] == 0.0
+            assert risk_bound(inp, rate) == _bound_at(inp, rate, 0.0)
 
     @pytest.mark.parametrize("inputs, slack", [
-        (RiskBoundInputs(0.2, 0.024, 0.2, 1.5, 0.1, 12, 50, batch_size=75, holdout_size=37), 0.1),
-        (RiskBoundInputs(0.1, 0.012, 0.1, 0.8, 0.05, 96, 200, batch_size=40, holdout_size=20), 0.3),
-        (RiskBoundInputs(0.35, 0.042, 0.7, 3.0, 0.1, 4, 10, batch_size=500, holdout_size=250), 0.05),
+        ((RiskBoundInputs(0.2, 0.024, 0.2, 0.1, 12, 50, batch_size=75, holdout_size=37), 1.5), 0.1),
+        ((RiskBoundInputs(0.1, 0.012, 0.1, 0.05, 96, 200, batch_size=40, holdout_size=20), 0.8), 0.3),
+        ((RiskBoundInputs(0.35, 0.042, 0.7, 0.1, 4, 10, batch_size=500, holdout_size=250), 3.0), 0.05),
     ])
     def test_finite_batch_bound_equals_the_formula(self, inputs, slack):
         # risk_bound's formula -(rate cost + ln(m)/T + rate^2/(8 n)) / c, with
         # c from mgf_rate's docstring and the tail from tail_alpha's
-        rate, horizon, a1 = inputs.rate, inputs.horizon, inputs.cover_alpha
+        inputs, rate = inputs
+        horizon, a1 = inputs.horizon, inputs.cover_alpha
         n, n_val = inputs.batch_size, inputs.holdout_size
         a2 = min(1.0, (horizon - 1) * math.exp(-8 * slack**2 * n)
                  + math.exp(-8 * slack**2 * n_val))
@@ -368,38 +416,45 @@ class TestRiskBound:
         numer = (rate * inputs.abstain_cost + math.log(inputs.n_strategies) / horizon
                  + rate**2 / (8 * n))
         assert 0.0 < a2 < 1.0 - a1
-        assert _bound_at(inputs, slack) == pytest.approx(-numer / c, rel=1e-12, abs=0.0)
+        assert _bound_at(inputs, rate, slack) == pytest.approx(-numer / c, rel=1e-12, abs=0.0)
 
     def test_infinite_batch_drops_quadratic_term(self):
-        a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50, tail=0.0))
-        b = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 1.0, 0.0, 10, 50,
-                                       batch_size=10**9, holdout_size=10**9, tail=0.0))
+        a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 0.0, 10, 50), 1.0)
+        b = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 0.0, 10, 50, batch_size=10**9, holdout_size=10**9), 1.0)
         assert a == pytest.approx(b, abs=1e-8)
 
     def test_tighter_than_classical_in_matched_regime(self):
         # same numerator; our denominator uses the rate at cost scale < 1
         for delta in (0.05, 0.15, 0.3):
             for rate in np.linspace(0.1, 3.0, 12):
-                ours = risk_bound(RiskBoundInputs(
-                    delta, 0.0, 0.0, float(rate), 0.0, 10, 50, tail=0.0))
+                ours = risk_bound(RiskBoundInputs(delta, 0.0, 0.0, 0.0, 10, 50), float(rate))
                 classical = classical_ewaf_bound(float(rate), delta, 10, 50)
                 assert ours <= classical + 1e-12
 
     def test_headline_regime_tighter_pointwise(self):
         for rate in np.linspace(0.1, 3.0, 15):
-            ours = risk_bound(headline_inputs(float(rate)))
+            ours = risk_bound(headline_inputs(), float(rate))
             classical = classical_ewaf_bound(float(rate), 0.15, 10, 50)
             assert ours <= classical + 1e-12
 
     def test_unimodal_on_grid(self):
         rates = np.linspace(0.05, 8.0, 80)
-        vals = [risk_bound(headline_inputs(float(r))) for r in rates]
+        vals = [risk_bound(headline_inputs(), float(r)) for r in rates]
         k = int(np.argmin(vals))
         assert all(vals[i] >= vals[i + 1] - 1e-12 for i in range(k))
         assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(k, len(vals) - 1))
 
 
 class TestClassicalBound:
+    def test_rate_edges(self):
+        # rate 0 is rejected; a rate just above it gives a huge bound.  Rates
+        # below about 1.1e-16 round exp(-rate) to 1 and the denominator to 0,
+        # so the least rate tried here is 1e-15.
+        assert classical_ewaf_bound(1e-15, 0.15, 10, 50) > 1e13
+        for rate in (0.0, -1.0):
+            with pytest.raises(ValueError, match="rate must be > 0"):
+                classical_ewaf_bound(rate, 0.15, 10, 50)
+
     def test_anchor_two_delta_at_070(self):
         got = classical_ewaf_bound(0.70, 0.15, 10, 50)
         assert got == pytest.approx(0.300, abs=0.005)
@@ -419,12 +474,8 @@ class TestClassicalBound:
 def full_scan_rate(target, inputs, cap, grid):
     """The rate solver before its early exits: every grid rate is scored and
     the bisection always runs 80 steps.  None stands for infeasible."""
-
-    def bound(rate):
-        return risk_bound(replace(inputs, rate=rate, tail=None))
-
     rates = [cap * (i + 1) / grid for i in range(grid)]
-    feasible = [r for r in rates if bound(r) <= target]
+    feasible = [r for r in rates if risk_bound(inputs, r) <= target]
     if not feasible:
         return None
     lo = max(feasible)
@@ -434,7 +485,7 @@ def full_scan_rate(target, inputs, cap, grid):
     hi = min(later)
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if bound(mid) <= target:
+        if risk_bound(inputs, mid) <= target:
             lo = mid
         else:
             hi = mid
@@ -445,14 +496,14 @@ class TestMaxLearningRate:
     def solver_inputs(self, delta):
         return RiskBoundInputs(
             abstain_cost=delta, step_margin=0.2 * 0.6 * delta, drift=delta,
-            rate=1.0, cover_alpha=0.1, n_strategies=12, horizon=50,
+            cover_alpha=0.1, n_strategies=12, horizon=50,
             batch_size=75, holdout_size=37,
         )
 
     def test_probe_point_feasibility(self):
         inp = self.solver_inputs(0.25)
         rate0 = 0.8
-        target = risk_bound(replace(inp, rate=rate0))
+        target = risk_bound(inp, rate0)
         assert max_learning_rate(target, inp) >= rate0 - 1e-6
 
     def test_section4_defaults_magnitude(self):
@@ -463,7 +514,7 @@ class TestMaxLearningRate:
     def test_bisection_residual(self):
         inp = self.solver_inputs(0.25)
         rate = max_learning_rate(1.6 * 0.25, inp)
-        achieved = risk_bound(replace(inp, rate=rate))
+        achieved = risk_bound(inp, rate)
         assert achieved <= 1.6 * 0.25 + 1e-6
 
     def test_infeasible_target_raises(self):
@@ -482,7 +533,7 @@ class TestMaxLearningRate:
             cost = float(rng.uniform(0.05, 0.4))
             inp = RiskBoundInputs(
                 abstain_cost=cost, step_margin=float(rng.uniform(0, 0.1)),
-                drift=float(rng.uniform(0, 0.4)), rate=1.0,
+                drift=float(rng.uniform(0, 0.4)),
                 cover_alpha=float(rng.uniform(0, 0.3)),
                 n_strategies=int(rng.integers(1, 100)), horizon=int(rng.integers(10, 300)),
                 batch_size=None if rng.random() < 0.2 else int(rng.integers(20, 500)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,6 +111,16 @@ class TestLossUpdate:
             advance_open(bank, np.array([0.9, 0.5]))  # entry 0 must be the abstain cost
         with pytest.raises(ValueError):
             advance_open(bank, np.array([DELTA, 0.5, 0.5]))  # one entry too many
+
+    def test_loss_edges(self):
+        # losses lie in [0, 1] up to 1e-12 of rounding: 0 and 1 exactly and
+        # the rounding ends pass, the next floats out are rejected
+        bank = bank_with()
+        for loss in (-1e-12, 0.0, 1.0, 1.0 + 1e-12):
+            advance_open(bank, losses_vec(loss))
+        for loss in (math.nextafter(-1e-12, -1.0), math.nextafter(1.0 + 1e-12, 2.0)):
+            with pytest.raises(ValueError, match="losses must lie in"):
+                advance_open(bank, losses_vec(loss))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_losses_rejected(self, bad):
@@ -342,6 +354,15 @@ class TestBruteForceOracle:
     def test_cap_enforced(self):
         with pytest.raises(ValueError):
             brute_force_status(7, [], [], (0.3, 0.0, 1.0), EVEN)
+
+    def test_cap_edge(self):
+        # t == cap enumerates; the same t over a cap one lower is refused
+        row = (0.3, 0.0, 1.0)
+        tables = [table_from([DELTA] + [DELTA - 0.05] * t) for t in (1, 2)]
+        status = brute_force_status(2, [losses_vec(0.3)], tables, row, EVEN, cap=2)
+        assert status.sum() == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="beyond t = 1"):
+            brute_force_status(2, [losses_vec(0.3)], tables, row, EVEN, cap=1)
 
 
 class TestReductions:
