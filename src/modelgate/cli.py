@@ -398,6 +398,13 @@ def _cmd_bounds(args) -> int:
         ("--horizon", args.horizon, _INT, _at_least(1)),
     ):
         _require(flag, value, type_, check)
+    # every rate of the curves lies between the two flags, and a bound that
+    # rounds away at some rate and abstain cost does so at any smaller one
+    for flag, rate in (("--rate-min", args.rate_min), ("--rate-max", args.rate_max)):
+        try:
+            bound_curves([min(deltas)], rate, rate, 1, args.strategies, args.horizon)
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}") from exc
     rows = bound_curves(deltas, args.rate_min, args.rate_max, args.points,
                         args.strategies, args.horizon)
     out = Path(args.out) if args.out else None

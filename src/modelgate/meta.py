@@ -234,7 +234,8 @@ def mgf_rate(inputs: RiskBoundInputs, rate: float, slack: float | np.ndarray) ->
     s = cost + margin + drift, at s + slack, and at 1, weighted by the
     coverage split (1 - a1 - a2, a1, a2) with a2 = ``tail_alpha(slack)``.
     Negative for any positive rate (0 only where exp(-rate * s) rounds to
-    1); a rate <= 0 is rejected.  ``slack`` is a float or an array of slacks.
+    1, for rate * s below about 1.1e-16); a rate <= 0 is rejected.
+    ``slack`` is a float or an array of slacks.
     """
     if rate <= 0:
         raise ValueError("rate must be > 0")
@@ -249,8 +250,15 @@ def mgf_rate(inputs: RiskBoundInputs, rate: float, slack: float | np.ndarray) ->
 
 
 def _bound_at(inputs: RiskBoundInputs, rate: float, slack: float | np.ndarray) -> float | np.ndarray:
-    """The bound at one slack or, elementwise, at an array of slacks."""
+    """The bound at one slack or, elementwise, at an array of slacks.
+    Raises ValueError where ``mgf_rate`` rounds to 0, which would give -inf."""
     c = mgf_rate(inputs, rate, slack)
+    if np.any(c == 0.0):
+        s0 = inputs.abstain_cost + inputs.step_margin + inputs.drift
+        raise ValueError(
+            f"the exponential-moment coefficient rounds to 0 at rate {rate!r}"
+            f" and abstain cost + margin + drift {s0!r}"
+        )
     numer = rate * inputs.abstain_cost + math.log(inputs.n_strategies) / inputs.horizon
     if inputs.batch_size is not None:
         numer += rate**2 / (8.0 * inputs.batch_size)
@@ -330,7 +338,11 @@ def max_learning_rate(
 
 def classical_ewaf_bound(rate: float, abstain_cost: float, n_strategies: int, horizon: int) -> float:
     """Textbook exponentially-weighted-forecaster bound, for comparison:
-    (rate * cost + ln(m) / T) / (1 - exp(-rate))."""
+    (rate * cost + ln(m) / T) / (1 - exp(-rate)).  Raises ValueError for a
+    rate <= 0, or one so small (below about 1.1e-16) that exp(-rate)
+    rounds to 1."""
     if rate <= 0:
         raise ValueError("rate must be > 0")
+    if math.exp(-rate) == 1.0:
+        raise ValueError(f"1 - exp(-rate) rounds to 0 at rate {rate!r}")
     return (rate * abstain_cost + math.log(n_strategies) / horizon) / (1.0 - math.exp(-rate))

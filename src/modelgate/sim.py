@@ -294,30 +294,38 @@ def solve_signal_scale(target_risk: float) -> float:
 
 
 def _logistic_terms(
-    coef: np.ndarray, xd: np.ndarray, y01: np.ndarray, l2: float
+    coef: np.ndarray, xdT: np.ndarray, y01: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """``(value, gradient, p)`` of the penalised mean logistic loss at
-    ``coef`` on the design ``xd`` (features with a trailing column of ones),
-    with ``p = sigmoid(xd @ coef)``, from one exponential ``e = exp(-|m|)``
-    of the margins m: ``log(1 + exp(m)) = max(m, 0) + log1p(e)``, as in
-    ``np.logaddexp``, and ``p = (1 if m >= 0 else e) / (1 + e)``.  The
-    exponent is never positive, so nothing overflows at any margin.
+    ``coef`` on the design ``xdT`` of shape (d + 1, n) (one row per
+    feature, then a row of ones), with ``p = sigmoid(coef @ xdT)``, from one
+    exponential ``e = exp(-|m|)`` of the margins m: ``log(1 + exp(m)) =
+    max(m, 0) + log1p(e)``, as in ``np.logaddexp``, and ``p = (1 if m >= 0
+    else e) / (1 + e)``.  The exponent is never positive, so nothing
+    overflows at any margin.
     """
     n = len(y01)
-    margin = xd @ coef
-    e = np.exp(-np.abs(margin))
+    margin = coef @ xdT
+    e = np.abs(margin)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     w = coef[:-1]
     value = float(np.maximum(margin, 0.0).sum() + np.log1p(e).sum() - y01 @ margin) / n
     value += 0.5 * l2 * float(w @ w)
     p = np.where(margin >= 0.0, 1.0, e)
     p /= 1.0 + e
-    grad = (p - y01) @ xd / n
+    grad = xdT @ (p - y01)
+    grad /= n
     grad[:-1] += l2 * w
     return value, grad, p
 
 
 def _design(features: np.ndarray) -> np.ndarray:
-    return np.hstack([features, np.ones((len(features), 1))])
+    """The (d + 1, n) design of the (n, d) ``features``: their transpose,
+    then a row of ones."""
+    xdT = np.ones((features.shape[1] + 1, len(features)))
+    xdT[:-1] = features.T
+    return xdT
 
 
 def logistic_objective(
@@ -338,34 +346,40 @@ def logistic_objective(
     return value, grad
 
 
-def _newton(xd: np.ndarray, y01: np.ndarray, cfg: FitConfig, start: Optional[np.ndarray]) -> np.ndarray:
-    """``fit_logistic`` on the design ``xd`` (features with a trailing
-    column of ones) and labels ``y01`` in {0, 1}: the kernel that the
-    developer's refits also call, on a window of their resident design."""
-    n, d = xd.shape[0], xd.shape[1] - 1
+def _newton(xdT: np.ndarray, y01: np.ndarray, cfg: FitConfig, start: Optional[np.ndarray]) -> np.ndarray:
+    """``fit_logistic`` on the (d + 1, n) design ``xdT`` (one row per
+    feature, then a row of ones) and labels ``y01`` in {0, 1}: the kernel
+    that the developer's refits also call, on a column slice of their
+    resident design.  Margins, gradient and Hessian all read ``xdT`` in
+    that layout, whether it is contiguous or a strided view."""
+    d, n = xdT.shape[0] - 1, xdT.shape[1]
     if y01.min() == y01.max():
         rate = (y01.sum() + 1.0) / (n + 2.0)
         coef = np.zeros(d + 1)
         coef[-1] = math.log(rate / (1.0 - rate))
         return coef
     coef = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
-    value, grad, p = _logistic_terms(coef, xd, y01, cfg.l2)
+    value, grad, p = _logistic_terms(coef, xdT, y01, cfg.l2)
+    rounding = 100.0 * np.finfo(float).eps
     for _ in range(cfg.iterations):
         largest = np.abs(grad).max()
         if largest <= FIT_GRAD_TOL:
             break
-        hess = (xd * (p * (1.0 - p))[:, None]).T @ xd / n
+        # the accepted point's p is its own buffer: it becomes the weights
+        p *= 1.0 - p
+        hess = (xdT * p) @ xdT.T
+        hess /= n
         # the ridge on the feature coefficients' diagonal; the intercept is free
         hess.ravel()[: -1 : d + 2] += cfg.l2
         step = np.linalg.solve(hess, grad)
         decrease = ARMIJO_C * float(grad @ step)
-        rounding = 100.0 * np.finfo(float).eps * abs(value)
+        tolerance = rounding * abs(value)
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             trial = coef - t * step
-            trial_value, trial_grad, trial_p = _logistic_terms(trial, xd, y01, cfg.l2)
+            trial_value, trial_grad, trial_p = _logistic_terms(trial, xdT, y01, cfg.l2)
             if trial_value <= value - t * decrease or (
-                abs(trial_value - value) <= rounding and np.abs(trial_grad).max() < largest
+                abs(trial_value - value) <= tolerance and np.abs(trial_grad).max() < largest
             ):
                 break
             t *= 0.5
@@ -397,8 +411,9 @@ def fit_logistic(
     tolerance is tight enough that the optimum reached does not depend on
     the start to within 1e-9, so a warm start only saves iterations, the
     most when the start was fitted on a prefix of the same rows.
-    ``features`` and ``labels`` may be views into a larger array, such as
-    a ``TrainingRows`` window; the fit keeps no reference to them.
+    ``features`` (n, d) are copied once per call into the (d + 1, n)
+    design the kernel reads (their transpose, then a row of ones), so they
+    may be any view; the fit keeps no reference to them.
     Labels may be {-1, +1} or {0, 1}.  Single-class training data falls
     back to an intercept-only model at the smoothed class rate.  Raises
     ValueError when the coefficients or their gradient are non-finite, and
@@ -476,17 +491,17 @@ def split_batch(
 
 class TrainingRows:
     """The developer's training data: monitoring batches 1, 2, ... in one
-    preallocated design (the feature rows with a trailing column of ones,
-    the form ``fit_logistic``'s kernel fits on) and one array of labels in
-    {0, 1}, in batch order and each batch in its own row order.  The newest
-    batch holds only its training split (its validation split stays
-    prospective for the bound); when the next batch is added it is widened
-    to the full batch, and the new batch's training split follows it.  So
-    every developer window is one contiguous view, equal in value to
-    stacking its batches."""
+    preallocated (dim + 1, capacity) design, one row per feature and then a
+    row of ones (the layout ``fit_logistic``'s kernel fits on), and one
+    array of labels in {0, 1}, a column per row of data, in batch order and
+    each batch in its own row order.  The newest batch holds only its
+    training split (its validation split stays prospective for the bound);
+    when the next batch is added it is widened to the full batch, and the
+    new batch's training split follows it.  So every developer window is
+    one column slice, equal in value to stacking its batches."""
 
     def __init__(self, capacity: int, dim: int):
-        self.design = np.ones((capacity, dim + 1))
+        self.design = np.ones((dim + 1, capacity))
         self.labels = np.empty(capacity)
         self._starts = [0]  # first row of batch s at index s - 1
         self._end = 0
@@ -498,7 +513,7 @@ class TrainingRows:
 
     def _put(self, lo: int, part: MonitoringBatch) -> int:
         hi = lo + part.size
-        self.design[lo:hi, :-1] = part.features
+        self.design[:-1, lo:hi] = part.features.T
         self.labels[lo:hi] = part.labels > 0
         return hi
 
@@ -511,10 +526,10 @@ class TrainingRows:
         self._newest = batch
 
     def window(self, first: int) -> tuple[np.ndarray, np.ndarray]:
-        """Design rows and {0, 1} labels of batches ``first`` through the
-        newest."""
+        """Design columns, a (dim + 1, rows) view, and {0, 1} labels of
+        batches ``first`` through the newest."""
         lo = self._starts[first - 1]
-        return self.design[lo : self._end], self.labels[lo : self._end]
+        return self.design[:, lo : self._end], self.labels[lo : self._end]
 
 
 def developer_propose(
@@ -535,7 +550,8 @@ def developer_propose(
     refits find an older one: each starts from the previous all-data
     candidate, four steps back.  The start moves the candidate only within
     the fit's stopping tolerance.  The fit runs ``fit_logistic``'s kernel
-    on a view of the rows' resident design, so no window is copied."""
+    on a column slice of the rows' resident (dim + 1, capacity) design, so
+    no window is copied or transposed."""
     if rows.batches != t - 1:
         raise ValueError(f"the developer at t = {t} needs batches 1..{t - 1}")
     first = policy.window(t).start

@@ -674,7 +674,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("flags", [
         ["--deltas", "nan"], ["--deltas", "0.1,1.5"], ["--deltas", "0"],
-        ["--rate-max", "inf"], ["--rate-min", "-1"],
+        ["--rate-max", "inf"], ["--rate-min", "-1"], ["--rate-min", "1e-17"],
         ["--points", "0"], ["--strategies", "0"], ["--horizon", "0"],
     ], ids=" ".join)
     def test_bad_bounds_flag_is_exit_2(self, tmp_path, capsys, flags):

@@ -418,6 +418,14 @@ class TestRiskBound:
         assert 0.0 < a2 < 1.0 - a1
         assert _bound_at(inputs, rate, slack) == pytest.approx(-numer / c, rel=1e-12, abs=0.0)
 
+    def test_rate_whose_coefficient_rounds_to_zero_is_rejected(self):
+        # below about 1.1e-16 every (exp(-rate s) - 1) / s rounds to 0, and
+        # the bound would be -inf; 1e-15 is still a (huge) bound
+        inputs = RiskBoundInputs(0.15, 0.0, 0.3, 0.1, 10, 50, batch_size=75, holdout_size=37)
+        assert risk_bound(inputs, 1e-15) > 1e13
+        with pytest.raises(ValueError, match="rounds to 0 at rate 1e-17"):
+            risk_bound(inputs, 1e-17)
+
     def test_infinite_batch_drops_quadratic_term(self):
         a = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 0.0, 10, 50), 1.0)
         b = risk_bound(RiskBoundInputs(0.15, 0.0, 0.3, 0.0, 10, 50, batch_size=10**9, holdout_size=10**9), 1.0)
@@ -449,11 +457,13 @@ class TestClassicalBound:
     def test_rate_edges(self):
         # rate 0 is rejected; a rate just above it gives a huge bound.  Rates
         # below about 1.1e-16 round exp(-rate) to 1 and the denominator to 0,
-        # so the least rate tried here is 1e-15.
+        # and are rejected too.
         assert classical_ewaf_bound(1e-15, 0.15, 10, 50) > 1e13
         for rate in (0.0, -1.0):
             with pytest.raises(ValueError, match="rate must be > 0"):
                 classical_ewaf_bound(rate, 0.15, 10, 50)
+        with pytest.raises(ValueError, match="rounds to 0 at rate 1e-17"):
+            classical_ewaf_bound(1e-17, 0.15, 10, 50)
 
     def test_anchor_two_delta_at_070(self):
         got = classical_ewaf_bound(0.70, 0.15, 10, 50)

@@ -218,13 +218,13 @@ class TestFitLogistic:
             warnings.simplefilter("error")
             for m in margins:
                 for y in (0.0, 1.0):
-                    xd = np.array([[m, 1.0]])
+                    xd = np.array([[m], [1.0]])  # one feature row, then the ones
                     value, grad, p = _logistic_terms(coef, xd, np.array([y]), 0.0)
                     want_p = sigmoid(np.array([m]))
                     assert np.all(np.isfinite([value, *grad, *p]))
                     np.testing.assert_allclose(value, np.logaddexp(0.0, m) - y * m, rtol=1e-15, atol=0.0)
                     np.testing.assert_allclose(p, want_p, rtol=1e-15, atol=0.0)
-                    np.testing.assert_allclose(grad, (want_p - y) * xd[0], rtol=1e-15, atol=0.0)
+                    np.testing.assert_allclose(grad, (want_p - y) * xd[:, 0], rtol=1e-15, atol=0.0)
 
     @staticmethod
     def refit_draws(n, draws):
@@ -397,17 +397,20 @@ def assert_traces_bitwise_equal(a, b):
             assert x == y, f.name
 
 
-def recording_fits(monkeypatch):
-    """Copies of ``(design, labels01, start)`` of every call of the Newton
-    kernel that ``fit_logistic`` and the developer's refits share, made
-    while ``monkeypatch`` is active."""
+def recording_fits(monkeypatch, rows=None):
+    """Copies of ``(design, labels01, start, resident)`` of every call of
+    the Newton kernel that ``fit_logistic`` and the developer's refits
+    share, made while ``monkeypatch`` is active; ``resident`` says whether
+    the design passed shares memory with ``rows.design`` (None without
+    ``rows``)."""
     import modelgate.sim as sim
 
     calls = []
     real = sim._newton
 
     def recording(xd, y01, cfg, start):
-        calls.append((xd.copy(), y01.copy(), None if start is None else np.array(start)))
+        resident = None if rows is None else np.shares_memory(xd, rows.design)
+        calls.append((xd.copy(), y01.copy(), None if start is None else np.array(start), resident))
         return real(xd, y01, cfg, start)
 
     monkeypatch.setattr(sim, "_newton", recording)
@@ -469,13 +472,15 @@ class TestRefitPath:
         splits = [split_batch(b, 0.3, rng) for b in history]
         rows = TrainingRows(sum(sizes), history[0].dim)
         coefs = rng.standard_normal((history[0].dim + 1, len(sizes)))
-        calls = recording_fits(monkeypatch)
+        calls = recording_fits(monkeypatch, rows)
         for t in range(2, 14):
             rows.add(history[t - 2], splits[t - 2][0])
             developer_propose(policy, rows, coefs[:, : t - 1], t, FitConfig())
             features, labels = stacked_window(policy, history, splits, t)
-            assert bitwise_equal(calls[-1][0], np.hstack([features, np.ones((len(features), 1))]))
+            assert bitwise_equal(calls[-1][0], np.vstack([features.T, np.ones(len(features))]))
             assert bitwise_equal(calls[-1][1], np.where(labels > 0, 1.0, 0.0))
+            # the fit reads the resident design in place: no window is copied
+            assert calls[-1][3]
         assert len(calls) == 12
 
     def test_developer_needs_every_earlier_batch(self):
@@ -512,7 +517,7 @@ class TestRefitPath:
         # mostly_last2 refits on every batch at t = 4, 8, 12; at t = 4 the
         # newest candidate's window also began at batch 1
         source = {8: 4, 12: 8}
-        for t, (_, _, start) in enumerate(calls[1:], start=2):
+        for t, (_, _, start, _) in enumerate(calls[1:], start=2):
             assert bitwise_equal(start, tr.model_coefs[:, source.get(t, t - 1) - 1])
         assert not np.array_equal(tr.model_coefs[:, 3], tr.model_coefs[:, 6])
 
